@@ -36,7 +36,6 @@ from .mechanism import (
     BucketGrid,
     Budget,
     Dataset,
-    ValueDomain,
     normalize_dataset,
     perturbation_matrix,
     pm_perturb,

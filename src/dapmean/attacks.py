@@ -8,6 +8,8 @@ evasive attacks that plant a fraction of their reports on the opposite side.
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -244,11 +246,44 @@ def evasion_bounds(
 AttackStrategy = Callable[[int, Budget, np.random.Generator], np.ndarray]
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
 def resolve_endpoint(expr, c: float, o: float) -> float:
-    """Evaluate a range endpoint given as a number or an expression in C and O."""
+    """Evaluate a range endpoint given as a number or an expression in C and O.
+
+    An expression may use numbers, the names ``C`` and ``O``, binary
+    ``+ - * /``, unary ``+ -`` and parentheses; anything else (calls,
+    attribute access, other names) raises ``ValueError``.  Nothing is
+    evaluated as Python code.
+    """
     if isinstance(expr, (int, float)):
         return float(expr)
-    return float(eval(expr, {"__builtins__": {}}, {"C": c, "O": o}))
+    if not isinstance(expr, str):
+        raise ValueError(f"range endpoint must be a number or a string, got {expr!r}")
+    names = {"C": c, "O": o}
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](walk(node.operand))
+        raise ValueError(f"range endpoint {expr!r}: {type(node).__name__} is not allowed")
+
+    try:
+        return float(walk(ast.parse(expr, mode="eval").body))
+    except (SyntaxError, ZeroDivisionError) as exc:
+        raise ValueError(f"range endpoint {expr!r}: {exc}") from None
 
 
 def poison_strategy(

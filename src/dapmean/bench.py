@@ -123,6 +123,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
         if not (0.0 <= self.gamma < 0.5):
             raise ConfigurationError("gamma must be in [0, 0.5)")
+        if not self.eps_list:
+            raise ConfigurationError("eps_list must be nonempty")
+        bad = [e for e in self.eps_list if not (math.isfinite(e) and e > 0)]
+        if bad:
+            raise ConfigurationError(f"every epsilon must be finite and positive, got {bad}")
+        if not (self.eps0 > 0):
+            raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -188,10 +197,27 @@ class TrialRecord:
     diagnostics: dict
 
 
+class FailedCellError(RuntimeError):
+    """Raised when every trial of a (scheme, epsilon) cell failed."""
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
     records: list[TrialRecord]
+
+    def failed_cells(self) -> list[tuple[str, float]]:
+        """(scheme, epsilon) cells in which every trial failed (NaN squared error)."""
+        return [
+            (scheme, eps)
+            for eps in self.config.eps_list
+            for scheme in self.config.schemes
+            if all(
+                math.isnan(r.sq_error)
+                for r in self.records
+                if r.scheme == scheme and r.epsilon == eps
+            )
+        ]
 
     def cell_mse(self, scheme: str, epsilon: float) -> float:
         errs = [

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .attacks import AttackTrace, reduce_gba_to_bba
-from .bench import ExperimentConfig, run_experiment
+from .bench import ExperimentConfig, FailedCellError, run_experiment
 from .filters import (
     bucket_counts,
     build_transform,
@@ -65,6 +65,10 @@ def _cmd_simulate(args) -> int:
     for eps in cfg.eps_list:
         for scheme in cfg.schemes:
             print(f"mse scheme={scheme} eps={eps:g}: {result.cell_mse(scheme, eps):.6g}")
+    failed = result.failed_cells()
+    if failed:
+        cells = ", ".join(f"scheme={scheme} eps={eps:g}" for scheme, eps in failed)
+        raise FailedCellError(f"every trial failed in {cells}")
     return 0
 
 

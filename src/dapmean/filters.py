@@ -1,10 +1,14 @@
 """EM-based reconstruction of normal/poison report histograms.
 
 The collector never labels individual reports.  It buckets the collected
-values, models them as a mixture of (a) honestly perturbed values routed
-through the bucket transition matrix and (b) poison values that land in
-their bucket directly, and reconstructs both frequency histograms with an
-EM loop.  Post-processing variants pin the total poison mass to a probed
+values and models the bucket frequencies as the mixture ``P x + I_S y``:
+``P`` is the d_out x d perturbation block that routes the normal-user input
+histogram ``x`` through the piecewise mechanism, and the unit vectors
+``I_S`` place each entry of the poison histogram ``y`` directly in its
+bucket on the poisoned side ``S``.  ``I_S`` is never stored: the EM loop
+multiplies only ``P`` and adds (or gathers) ``y`` at the poison bucket
+indices, so an iteration costs O(d_out * d) however many poison buckets
+there are.  Post-processing variants pin the total poison mass to a probed
 attacker proportion and optionally suppress near-empty poison buckets.
 """
 
@@ -27,14 +31,17 @@ class InconsistentSuppressionError(ValueError):
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Bucket transition probabilities for honest reports plus a poison identity block.
+    """Bucket transition model ``P x + I_S y`` of one side hypothesis.
 
-    ``matrix`` is d_out x (d + p): the first d columns hold the perturbation
-    probabilities of the input buckets, the remaining p columns are unit
-    vectors embedding the poison buckets of the chosen output side.
+    ``perturbation`` is the C-contiguous d_out x d block ``P``: column k holds
+    the output-bucket probabilities of input bucket k.  The poison block
+    ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands in output
+    bucket ``poison_output_indices[j]`` with probability 1.  ``matrix``
+    assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
+    for inspection only; the EM loop works on the block and the indices.
     """
 
-    matrix: np.ndarray
+    perturbation: np.ndarray
     side: str
     grid: BucketGrid
 
@@ -44,7 +51,7 @@ class TransformMatrix:
 
     @property
     def n_poison(self) -> int:
-        return self.matrix.shape[1] - self.grid.d
+        return self.poison_output_indices.size
 
     @property
     def poison_output_indices(self) -> np.ndarray:
@@ -54,14 +61,19 @@ class TransformMatrix:
     def poison_midpoints(self) -> np.ndarray:
         return self.grid.output_midpoints[self.poison_output_indices]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        d, pois = self.n_normal, self.poison_output_indices
+        dense = np.zeros((self.grid.d_out, d + pois.size))
+        dense[:, :d] = self.perturbation
+        dense[pois, d + np.arange(pois.size)] = 1.0
+        return dense
+
 
 def build_transform(budget: Budget, grid: BucketGrid, side: str = "right") -> TransformMatrix:
-    """Assemble the mixture matrix: perturbation block plus poison identity block."""
-    normal = perturbation_matrix(budget, grid)
-    pois_idx = grid.poison_indices(side)
-    poison = np.zeros((grid.d_out, pois_idx.size))
-    poison[pois_idx, np.arange(pois_idx.size)] = 1.0
-    return TransformMatrix(matrix=np.hstack([normal, poison]), side=side, grid=grid)
+    """The perturbation block of the grid; the poison side only selects indices."""
+    grid.poison_indices(side)  # raises on an unknown side
+    return TransformMatrix(perturbation=perturbation_matrix(budget, grid), side=side, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -116,25 +128,32 @@ def default_tolerance(budget: Budget) -> float:
 
 
 def _em_loop(
-    m: np.ndarray,
+    transform: TransformMatrix,
     counts: np.ndarray,
     theta0: np.ndarray,
     tau: float,
     max_iter: int,
     m_step,
 ) -> tuple[np.ndarray, int, bool, float]:
+    # theta = [x | y]: P @ x spreads the normal mass, y lands on its own
+    # buckets; the transposed product splits the same way.
+    block = transform.perturbation
+    pois = transform.poison_output_indices
+    d = block.shape[1]
     theta = theta0
     ll_prev = -np.inf
     ll = -np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        mixture = m @ theta
+        mixture = block @ theta[:d]
+        mixture[pois] += theta[d:]
         safe = np.maximum(mixture, 1e-300)
         ll = float(counts @ np.log(safe))
         if abs(ll - ll_prev) < tau:
             return theta, it, True, ll
         ll_prev = ll
-        responsibilities = theta * (m.T @ (counts / safe))
+        ratio = counts / safe
+        responsibilities = theta * np.concatenate([block.T @ ratio, ratio[pois]])
         theta = m_step(responsibilities)
     return theta, it, False, ll
 
@@ -160,7 +179,7 @@ def emf(
     def m_step(p: np.ndarray) -> np.ndarray:
         return p / p.sum()
 
-    theta, it, ok, ll = _em_loop(transform.matrix, counts.counts, theta0, tau, max_iter, m_step)
+    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
     return HistogramPair(
         x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
     )
@@ -192,7 +211,7 @@ def emf_star(
         y = gamma_hat * py / sy if sy > 0.0 else np.zeros_like(py)
         return np.concatenate([x, y])
 
-    theta, it, ok, ll = _em_loop(transform.matrix, counts.counts, theta0, tau, max_iter, m_step)
+    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
     return HistogramPair(
         x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
     )
@@ -202,7 +221,6 @@ def cemf_star(
     transform: TransformMatrix,
     counts: ObservedCounts,
     gamma_hat: float,
-    suppress_threshold: float | None = None,
     tau: float | None = None,
     max_iter: int = 10_000,
     prior_y: np.ndarray | None = None,
@@ -211,10 +229,10 @@ def cemf_star(
     """EM with pinned poison mass and suppression of near-empty poison buckets.
 
     Poison buckets whose prior mass (from a preceding plain EM run) falls
-    below the threshold are pinned to zero for all iterations; the remaining
-    poison buckets share the probed mass.  Default threshold is
-    0.5 * gamma_hat / p where p is the number of poison buckets.  A caller
-    may hand in an explicit ``suppress_mask`` instead.
+    below 0.5 * gamma_hat / p, where p is the number of poison buckets, are
+    pinned to zero for all iterations; the remaining poison buckets share
+    the probed mass.  A caller may hand in an explicit ``suppress_mask``
+    instead.
     """
     if tau is None:
         raise ValueError("tau is required")
@@ -222,9 +240,7 @@ def cemf_star(
     if suppress_mask is None:
         if prior_y is None:
             prior_y = emf(transform, counts, tau=tau, max_iter=max_iter).y_hat
-        if suppress_threshold is None:
-            suppress_threshold = 0.5 * gamma_hat / p
-        suppress_mask = np.asarray(prior_y) < suppress_threshold
+        suppress_mask = np.asarray(prior_y) < 0.5 * gamma_hat / p
     else:
         suppress_mask = np.asarray(suppress_mask, dtype=bool)
     if suppress_mask.all() and gamma_hat > 0.0:
@@ -248,7 +264,7 @@ def cemf_star(
             y[keep] = gamma_hat * py[keep] / sy
         return np.concatenate([x, y])
 
-    theta, it, ok, ll = _em_loop(transform.matrix, counts.counts, theta0, tau, max_iter, m_step)
+    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
     return HistogramPair(
         x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
     )

@@ -1,4 +1,4 @@
-"""Privacy budgets, value domains, bucket grids and the piecewise perturbation primitive.
+"""Privacy budgets, bucket grids and the piecewise perturbation primitive.
 
 Everything downstream (attack generation, EM filtering, the grouped
 protocol) is built on the objects in this module: a privacy budget with its
@@ -72,22 +72,6 @@ def worst_case_variance(epsilon: float) -> float:
     return 1.0 / (t - 1.0) + (t + 3.0) / (3.0 * (t - 1.0) ** 2)
 
 
-@dataclass(frozen=True)
-class ValueDomain:
-    """A closed interval of legal values."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
-
-    def contains(self, values) -> bool:
-        v = np.asarray(values, dtype=float)
-        return bool(np.all((v >= self.lo) & (v <= self.hi)))
-
-
 def pm_perturb(v, budget: Budget, rng: np.random.Generator):
     """Perturb values in [-1, 1] with the piecewise mechanism.
 
@@ -110,7 +94,6 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator):
     lo = budget.low_edge(arr)
     hi = lo + c - 1.0
     in_band = rng.random(arr.shape) < budget.high_band_prob
-    out = np.empty_like(arr)
 
     # High-probability band: uniform on [l(v), r(v)].
     u = rng.random(arr.shape)
@@ -231,8 +214,21 @@ def transition_column(input_bucket: int, budget: Budget, grid: BucketGrid) -> np
 
 
 def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
-    """The d_out x d matrix of bucket transition probabilities for normal users."""
-    return np.column_stack([transition_column(k, budget, grid) for k in range(grid.d)])
+    """The d_out x d matrix of bucket transition probabilities for normal users.
+
+    Column k equals ``transition_column(k, budget, grid)`` exactly: the same
+    expressions, broadcast over all input midpoints at once.
+    """
+    c = budget.c_bound
+    lo = budget.low_edge(grid.input_midpoints)
+    hi = lo + c - 1.0
+    dens_high = budget.high_band_prob / (c - 1.0)
+    dens_low = (1.0 - budget.high_band_prob) / (c + 1.0)
+    edges = grid.output_edges
+    a, b = edges[:-1, None], edges[1:, None]
+    overlap = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
+    probs = overlap * dens_high + (b - a - overlap) * dens_low
+    return np.clip(probs, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,16 @@ class AggregateResult:
     predicted_variance: float
 
 
+def _weights_and_precision(epsilons, n_hats) -> tuple[np.ndarray, float]:
+    """Normalized optimal weights and their normalizer sum_t n_t^2 / B_t."""
+    b = np.array([n * worst_case_variance(e) for e, n in zip(epsilons, n_hats)])
+    score = np.where(b > 0.0, np.square(n_hats) / np.where(b > 0.0, b, 1.0), 0.0)
+    total = score.sum()
+    if total <= 0.0:
+        raise ConfigurationError("no group carries signal")
+    return score / total, total
+
+
 def optimal_weights(epsilons: np.ndarray, n_hats: np.ndarray) -> np.ndarray:
     """Minimum-variance weights for combining group means.
 
@@ -211,27 +221,23 @@ def optimal_weights(epsilons: np.ndarray, n_hats: np.ndarray) -> np.ndarray:
     optimal weights are proportional to n_t / Var_worst(eps_t), i.e. to
     n_t^2 / B_t with B_t = n_t * Var_worst(eps_t).
     """
-    b = np.array([n * worst_case_variance(e) for e, n in zip(epsilons, n_hats)])
-    score = np.where(b > 0.0, np.square(n_hats) / np.where(b > 0.0, b, 1.0), 0.0)
-    total = score.sum()
-    if total <= 0.0:
-        raise ConfigurationError("no group carries signal")
-    return score / total
+    return _weights_and_precision(epsilons, n_hats)[0]
 
 
 def aggregate_means(estimates: list[GroupEstimate]) -> AggregateResult:
-    """Combine group means with minimum-variance weights."""
+    """Combine group means with minimum-variance weights.
+
+    The predicted variance of the combination is 1 / sum_t(n_t^2 / B_t).
+    """
     if not estimates:
         raise ConfigurationError("need at least one group estimate")
     eps = np.array([g.budget.epsilon for g in estimates])
     n_hats = np.array([g.n_hat for g in estimates])
     means = np.array([g.mean for g in estimates])
-    w = optimal_weights(eps, n_hats)
-    b = np.array([n * worst_case_variance(e) for e, n in zip(eps, n_hats)])
-    with np.errstate(divide="ignore"):
-        inv = np.where(b > 0.0, np.square(n_hats) / np.where(b > 0.0, b, 1.0), 0.0)
-    predicted = float(1.0 / inv.sum()) if inv.sum() > 0 else float("inf")
-    return AggregateResult(mean=float(np.dot(w, means)), weights=w, predicted_variance=predicted)
+    w, precision = _weights_and_precision(eps, n_hats)
+    return AggregateResult(
+        mean=float(np.dot(w, means)), weights=w, predicted_variance=float(1.0 / precision)
+    )
 
 
 def ostrich(reports) -> float:

@@ -197,6 +197,36 @@ class TestStrategies:
         assert resolve_endpoint("O", c=4.0, o=-0.3) == pytest.approx(-0.3)
         assert resolve_endpoint(1.25, c=4.0, o=0.0) == 1.25
 
+    @pytest.mark.parametrize("c", [1.25, 4.328, 64.0])
+    def test_resolve_endpoint_package_ranges(self, c):
+        # Every default range in the package resolves to the same float as
+        # the plain arithmetic it spells.
+        o = -0.2871
+        expect = {"0.75*C": 0.75 * c, "C/2": c / 2, "-C/2": -c / 2, "O": o, "C": c}
+        for expr, value in expect.items():
+            assert resolve_endpoint(expr, c, o) == value
+        assert resolve_endpoint("(C + O) / 2 - -1", c, o) == (c + o) / 2 - -1
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "().__class__.__base__.__subclasses__().__len__()",
+            "abs(C)",
+            "C.real",
+            "__import__('os')",
+            "D",
+            "C**2",
+            "C if O else 1",
+            "True",
+            "'C'",
+            "C/0",
+            "",
+        ],
+    )
+    def test_resolve_endpoint_rejects_code(self, expr):
+        with pytest.raises(ValueError):
+            resolve_endpoint(expr, 2.0, 0.0)
+
     def test_poison_strategy_scales_with_budget(self):
         strat = poison_strategy(lo="0.75*C", hi="C")
         for eps in (0.25, 1.0, 2.0):

@@ -95,6 +95,16 @@ class TestConfig:
             {"schemes": []},
             {"schemes": ["dap_emf_star", "mystery"]},
             {"gamma": 0.7},
+            {"eps_list": []},
+            {"eps_list": [1.0, -1.0]},
+            {"eps_list": [0.0]},
+            {"eps_list": [float("nan")]},
+            {"eps_list": [float("inf")]},
+            {"eps0": 0.0},
+            {"eps0": -0.0625},
+            {"eps0": float("nan")},
+            {"workers": 0},
+            {"workers": -2},
         ],
     )
     def test_validation(self, over):

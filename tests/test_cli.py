@@ -107,6 +107,41 @@ class TestErrors:
             main(["simulate", "--gamma", "not-a-number"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--eps=-1", "--eps=0", "--eps0=0", "--workers=0"])
+    def test_invalid_config_exits_nonzero(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--dataset", "beta:2,5,2000",
+            "--trials", "1",
+            "--schemes", "dap_emf_star,baseline",
+            flag,
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigurationError"
+        assert "mse" not in out
+
+    def test_cell_with_every_trial_failed_exits_nonzero(self, capsys, monkeypatch):
+        import dapmean.bench as bench
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(bench, "run_dap", boom)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--dataset", "beta:2,5,2000",
+            "--trials", "2",
+            "--schemes", "ostrich,dap_emf_star",
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "FailedCellError"
+        assert "scheme=dap_emf_star eps=1" in payload["message"]
+        assert "ostrich" not in payload["message"]
+        assert "mse scheme=ostrich" in out
+
     def test_unknown_dataset_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--dataset", "movies:1", "--trials", "1"

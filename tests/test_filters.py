@@ -7,6 +7,7 @@ from dapmean.attacks import PoisonSpec, gen_bba
 from dapmean.filters import (
     InconsistentSuppressionError,
     NoPoisonMassError,
+    ObservedCounts,
     bucket_counts,
     build_transform,
     cemf_star,
@@ -18,7 +19,7 @@ from dapmean.filters import (
     poison_mean,
     probe_side,
 )
-from dapmean.mechanism import Budget, BucketGrid, pm_perturb
+from dapmean.mechanism import Budget, BucketGrid, perturbation_matrix, pm_perturb
 
 
 def make_setup(eps=2.0, n=20_000, seed=0, gamma=0.25, lo_frac=0.5, hi_frac=1.0):
@@ -55,7 +56,96 @@ def reference_em(m, counts, theta0, n_iter):
     return theta
 
 
+def dense_em(m, counts, theta0, n_iter, m_step):
+    """Textbook EM on the dense mixture matrix: full responsibility matrix,
+    expected counts per component, then the variant's M-step."""
+    theta = theta0.copy()
+    for _ in range(n_iter):
+        resp = m * theta / (m @ theta)[:, None]
+        theta = m_step(counts @ resp)
+    return theta
+
+
+def production_counts(grid, budget, seed=5):
+    """Bucket counts drawn from a skewed honest histogram plus poison on the
+    upper quarter of the output range (no report-level simulation needed)."""
+    rng = np.random.default_rng(seed)
+    x = rng.dirichlet(np.linspace(1.0, 4.0, grid.d)) * 0.75
+    mix = perturbation_matrix(budget, grid) @ x
+    top = grid.d_out - grid.d_out // 4
+    mix[top:] += 0.25 / (grid.d_out - top)
+    n = grid.d_out**2
+    return ObservedCounts(counts=rng.multinomial(n, mix / mix.sum()))
+
+
+class TestStructuredKernel:
+    """The EM loop multiplies only the perturbation block and indexes the
+    poison block; at production grid sizes it must agree with textbook EM on
+    the dense [P | I_S] matrix."""
+
+    GRIDS = [(3_200_000, 1.0 / 16.0), (200_000, 1.0)]
+
+    @staticmethod
+    def m_steps(d, gamma, mask):
+        keep = ~mask
+
+        def plain(r):
+            return r / r.sum()
+
+        def pinned(r):
+            x, y = r[:d], r[d:]
+            return np.concatenate([(1 - gamma) * x / x.sum(), gamma * y / y.sum()])
+
+        def suppressed(r):
+            x, y = r[:d], np.where(keep, r[d:], 0.0)
+            return np.concatenate([(1 - gamma) * x / x.sum(), gamma * y / y[keep].sum()])
+
+        return plain, pinned, suppressed
+
+    @pytest.mark.parametrize("n_reports,eps", GRIDS)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_dense_em(self, n_reports, eps, side):
+        budget = Budget(eps)
+        grid = BucketGrid.for_reports(n_reports, budget)
+        counts = production_counts(grid, budget)
+        transform = build_transform(budget, grid, side=side)
+        m = transform.matrix
+        d, p = transform.n_normal, transform.n_poison
+        k = d + p
+        gamma, n_iter = 0.25, 50
+        mask = np.zeros(p, dtype=bool)
+        mask[::3] = True
+        plain, pinned, suppressed = self.m_steps(d, gamma, mask)
+        theta0 = np.full(k, 1.0 / k)
+        theta0_suppressed = theta0.copy()
+        theta0_suppressed[d:][mask] = 0.0
+
+        runs = [
+            (emf(transform, counts, tau=0.0, max_iter=n_iter), theta0, plain),
+            (emf_star(transform, counts, gamma, tau=0.0, max_iter=n_iter), theta0, pinned),
+            (
+                cemf_star(
+                    transform, counts, gamma, tau=0.0, max_iter=n_iter, suppress_mask=mask
+                ),
+                theta0_suppressed,
+                suppressed,
+            ),
+        ]
+        for pair, start, m_step in runs:
+            expect = dense_em(m, counts.counts, start, n_iter, m_step)
+            got = np.concatenate([pair.x_hat, pair.y_hat])
+            assert pair.iterations == n_iter and not pair.converged
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+
 class TestTransform:
+    def test_block_is_contiguous_and_dense_view_embeds_it(self):
+        budget, grid, _, transform, _ = make_setup()
+        assert transform.perturbation.shape == (grid.d_out, grid.d)
+        assert transform.perturbation.flags.c_contiguous
+        np.testing.assert_array_equal(transform.matrix[:, : grid.d], transform.perturbation)
+        np.testing.assert_array_equal(transform.perturbation, perturbation_matrix(budget, grid))
+
     def test_shape_and_blocks(self):
         budget, grid, _, transform, _ = make_setup()
         p = grid.d_out - grid.split

@@ -158,6 +158,18 @@ class TestTransitionProbs:
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(m >= 0)
 
+    @pytest.mark.parametrize("eps", [1.0 / 16.0, 0.25, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n_reports", [100, 20_000, 1_000_000])
+    def test_matrix_equals_column_stack_exactly(self, eps, n_reports):
+        # The broadcast build must reproduce the per-column expressions bit
+        # for bit, so EM results do not move with the construction.
+        b = Budget(eps)
+        g = BucketGrid.for_reports(n_reports, b)
+        m = perturbation_matrix(b, g)
+        stacked = np.column_stack([transition_column(k, b, g) for k in range(g.d)])
+        assert m.flags.c_contiguous
+        assert np.array_equal(m, stacked)
+
     def test_matches_monte_carlo(self):
         # Oracle: empirical perturbation frequencies of a bucket midpoint.
         b = Budget(1.2)

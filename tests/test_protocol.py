@@ -183,6 +183,15 @@ class TestAggregation:
         expect_var = 1.0 / np.sum(np.array([100.0, 200.0]) ** 2 / b)
         assert agg.predicted_variance == pytest.approx(expect_var)
 
+    def test_predicted_variance_is_inverse_total_score_exactly(self):
+        eps = [1.0, 0.5, 0.25, 0.125]
+        n = [100.0, 0.0, 350.0, 720.5]
+        agg = aggregate_means([make_estimate(e, k, 0.1) for e, k in zip(eps, n)])
+        b = np.array([k * worst_case_variance(e) for e, k in zip(eps, n)])
+        score = np.where(b > 0.0, np.square(n) / np.where(b > 0.0, b, 1.0), 0.0)
+        assert agg.predicted_variance == float(1.0 / score.sum())
+        assert np.array_equal(agg.weights, optimal_weights(np.array(eps), np.array(n)))
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             aggregate_means([])
