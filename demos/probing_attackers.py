@@ -11,16 +11,13 @@ import numpy as np
 
 from dapmean import (
     Budget,
-    BucketGrid,
     PoisonSpec,
-    bucket_counts,
     build_transform,
-    default_tolerance,
     estimate_features,
     gen_bba,
     init_o_prime,
     pm_perturb,
-    probe_side,
+    probe_reports,
 )
 
 rng = np.random.default_rng(7)
@@ -46,24 +43,17 @@ o_prime = init_o_prime(reports, gamma_sup=0.5)
 print(f"pessimistic mean initialization O' = {o_prime:+.3f} on the report scale;")
 print("it deliberately under-shoots so no potential poison value is excluded")
 
-grid = BucketGrid.for_reports(reports.size, budget)
-counts = bucket_counts(reports, grid)
-probe = probe_side(
-    build_transform(budget, grid, "left"),
-    build_transform(budget, grid, "right"),
-    counts,
-    tau=default_tolerance(budget),
-)
+probe = probe_reports(reports, budget)
 print(f"side probe: Var(x | left) = {probe.var_left:.2e}, "
       f"Var(x | right) = {probe.var_right:.2e} -> poisoned side is '{probe.side}'")
 
-features = estimate_features(probe.winning_pair, probe.side, counts)
+features = estimate_features(probe.winning_pair, probe.side, probe.counts)
 print(f"estimated attacker proportion {features.gamma_hat:.3f} (truth {gamma})")
 print(f"estimated attacker report count {features.m_hat:.0f} (truth {m})")
 
 print()
 print("reconstructed poison histogram, coarsened to eight bands:")
-transform = build_transform(budget, grid, probe.side)
+transform = build_transform(budget, probe.grid, probe.side)
 bands = np.array_split(np.arange(transform.n_poison), 8)
 for idx in bands:
     mids = transform.poison_midpoints[idx]

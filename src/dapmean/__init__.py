@@ -23,14 +23,13 @@ from .filters import (
     TransformMatrix,
     bucket_counts,
     build_transform,
-    cemf_star,
     default_tolerance,
-    emf,
-    emf_star,
+    em,
     estimate_features,
     init_o_prime,
     poison_mean,
     probe_side,
+    suppression_mask,
 )
 from .mechanism import (
     BucketGrid,
@@ -39,7 +38,6 @@ from .mechanism import (
     normalize_dataset,
     perturbation_matrix,
     pm_perturb,
-    transition_prob,
     worst_case_variance,
 )
 from .protocol import (
@@ -53,6 +51,7 @@ from .protocol import (
     intra_group_mean,
     optimal_weights,
     ostrich,
+    probe_reports,
     run_dap,
     trimming,
 )

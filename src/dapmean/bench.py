@@ -310,7 +310,7 @@ def _run_trial(
                     "group_gamma_hats": [g.features.gamma_hat for g in res.estimates],
                 }
             sq = (est - truth) ** 2
-        except Exception as exc:  # record, keep the other schemes running
+        except (ValueError, ArithmeticError) as exc:  # domain failure: record, keep going
             est, sq = float("nan"), float("nan")
             diag = {"error": f"{type(exc).__name__}: {exc}"}
         records.append(

@@ -10,15 +10,9 @@ import numpy as np
 
 from .attacks import AttackTrace, reduce_gba_to_bba
 from .bench import ExperimentConfig, FailedCellError, run_experiment
-from .filters import (
-    bucket_counts,
-    build_transform,
-    default_tolerance,
-    estimate_features,
-    probe_side,
-)
-from .mechanism import Budget, BucketGrid
-from .protocol import dap_plan
+from .filters import estimate_features
+from .mechanism import Budget
+from .protocol import dap_plan, probe_reports
 
 
 def _parse_dataset(text: str) -> dict:
@@ -82,17 +76,8 @@ def _cmd_probe(args) -> int:
     start = 0 if str(args.column).lstrip("-").isdigit() else 1
     reports = np.array([float(r[idx]) for r in rows[start:] if r])
 
-    budget = Budget(args.eps)
-    grid = BucketGrid.for_reports(reports.size, budget)
-    counts = bucket_counts(reports, grid)
-    tau = default_tolerance(budget)
-    probe = probe_side(
-        build_transform(budget, grid, "left"),
-        build_transform(budget, grid, "right"),
-        counts,
-        tau=tau,
-    )
-    features = estimate_features(probe.winning_pair, probe.side, counts)
+    probe = probe_reports(reports, Budget(args.eps))
+    features = estimate_features(probe.winning_pair, probe.side, probe.counts)
     print(
         json.dumps(
             {
@@ -101,7 +86,7 @@ def _cmd_probe(args) -> int:
                 "m_hat": features.m_hat,
                 "var_left": probe.var_left,
                 "var_right": probe.var_right,
-                "n_reports": counts.n_reports,
+                "n_reports": probe.counts.n_reports,
             },
             indent=2,
         )

@@ -8,8 +8,9 @@ histogram ``x`` through the piecewise mechanism, and the unit vectors
 bucket on the poisoned side ``S``.  ``I_S`` is never stored: the EM loop
 multiplies only ``P`` and adds (or gathers) ``y`` at the poison bucket
 indices, so an iteration costs O(d_out * d) however many poison buckets
-there are.  Post-processing variants pin the total poison mass to a probed
-attacker proportion and optionally suppress near-empty poison buckets.
+there are.  One EM function covers every variant: its constraints pin the
+total poison mass to a probed attacker proportion and optionally suppress
+near-empty poison buckets.
 """
 
 from __future__ import annotations
@@ -127,147 +128,88 @@ def default_tolerance(budget: Budget) -> float:
     return 0.01 * float(np.exp(budget.epsilon))
 
 
-def _em_loop(
+def em(
     transform: TransformMatrix,
-    counts: np.ndarray,
-    theta0: np.ndarray,
+    counts: ObservedCounts,
     tau: float,
-    max_iter: int,
-    m_step,
-) -> tuple[np.ndarray, int, bool, float]:
+    max_iter: int = 10_000,
+    gamma: float | None = None,
+    suppress: np.ndarray | None = None,
+) -> HistogramPair:
+    """Reconstruct the normal-user and poison histograms by EM.
+
+    Starts from the uniform mixture and stops when the log-likelihood change
+    drops below ``tau``; a run that hits ``max_iter`` returns its last iterate
+    with ``converged=False``.  The M-step depends on the constraints:
+
+    - ``gamma=None`` (EMF): global renormalization, so the two histograms
+      sum to 1 together.
+    - ``gamma`` given (EMF*): the poison mass is pinned, with the closed form
+      x_k = (1 - gamma) P_xk / sum(P_x) and y_j = gamma P_yj / sum(P_y), so
+      sum(x) = 1 - gamma and sum(y) = gamma exactly.
+    - ``gamma`` and a boolean ``suppress`` mask over the poison buckets
+      (CEMF*): suppressed buckets start and stay at zero and the others share
+      the pinned mass.
+    """
     # theta = [x | y]: P @ x spreads the normal mass, y lands on its own
     # buckets; the transposed product splits the same way.
+    if gamma is not None and not (0.0 <= gamma < 1.0):
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     block = transform.perturbation
     pois = transform.poison_output_indices
     d = block.shape[1]
-    theta = theta0
-    ll_prev = -np.inf
-    ll = -np.inf
+    k = d + pois.size
+    theta = np.full(k, 1.0 / k)
+    if suppress is not None:
+        if gamma is None:
+            raise ValueError("suppression needs a pinned poison mass gamma")
+        suppress = np.asarray(suppress, dtype=bool)
+        if suppress.all() and gamma > 0.0:
+            raise InconsistentSuppressionError(
+                "all poison buckets suppressed while the poison mass is positive"
+            )
+        keep = ~suppress
+        theta[d:][suppress] = 0.0
+
+    c = counts.counts
+    ll_prev = ll = -np.inf
     it = 0
+    converged = False
     for it in range(1, max_iter + 1):
         mixture = block @ theta[:d]
         mixture[pois] += theta[d:]
         safe = np.maximum(mixture, 1e-300)
-        ll = float(counts @ np.log(safe))
+        ll = float(c @ np.log(safe))
         if abs(ll - ll_prev) < tau:
-            return theta, it, True, ll
+            converged = True
+            break
         ll_prev = ll
-        ratio = counts / safe
-        responsibilities = theta * np.concatenate([block.T @ ratio, ratio[pois]])
-        theta = m_step(responsibilities)
-    return theta, it, False, ll
-
-
-def emf(
-    transform: TransformMatrix,
-    counts: ObservedCounts,
-    tau: float,
-    max_iter: int = 10_000,
-) -> HistogramPair:
-    """Reconstruct the joint histogram by plain EM.
-
-    Starts from the uniform mixture and alternates the responsibility
-    computation with a global renormalization, so the two histograms always
-    sum to 1 together.  Stops when the log-likelihood change drops below
-    ``tau``; a run that hits ``max_iter`` returns its last iterate with
-    ``converged=False``.
-    """
-    d = transform.n_normal
-    k = d + transform.n_poison
-    theta0 = np.full(k, 1.0 / k)
-
-    def m_step(p: np.ndarray) -> np.ndarray:
-        return p / p.sum()
-
-    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
+        ratio = c / safe
+        resp = theta * np.concatenate([block.T @ ratio, ratio[pois]])
+        if gamma is None:
+            theta = resp / resp.sum()
+            continue
+        px, py = resp[:d], resp[d:]
+        x = (1.0 - gamma) * px / px.sum()
+        if suppress is None:
+            sy = py.sum()
+            y = gamma * py / sy if sy > 0.0 else np.zeros_like(py)
+        else:
+            sy = py[keep].sum()
+            y = np.zeros_like(py)
+            if sy > 0.0:
+                y[keep] = gamma * py[keep] / sy
+        theta = np.concatenate([x, y])
     return HistogramPair(
-        x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
+        x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=converged, log_likelihood=ll
     )
 
 
-def emf_star(
-    transform: TransformMatrix,
-    counts: ObservedCounts,
-    gamma_hat: float,
-    tau: float,
-    max_iter: int = 10_000,
-) -> HistogramPair:
-    """EM with the poison mass pinned to a probed attacker proportion.
-
-    The maximization step has the closed form
-    x_k = (1 - gamma) P_xk / sum(P_x) and y_j = gamma P_yj / sum(P_y),
-    so the outputs satisfy sum(x) = 1 - gamma and sum(y) = gamma exactly.
-    """
-    if not (0.0 <= gamma_hat < 1.0):
-        raise ValueError(f"gamma_hat must be in [0, 1), got {gamma_hat}")
-    d = transform.n_normal
-    k = d + transform.n_poison
-    theta0 = np.full(k, 1.0 / k)
-
-    def m_step(p: np.ndarray) -> np.ndarray:
-        px, py = p[:d], p[d:]
-        x = (1.0 - gamma_hat) * px / px.sum()
-        sy = py.sum()
-        y = gamma_hat * py / sy if sy > 0.0 else np.zeros_like(py)
-        return np.concatenate([x, y])
-
-    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
-    return HistogramPair(
-        x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
-    )
-
-
-def cemf_star(
-    transform: TransformMatrix,
-    counts: ObservedCounts,
-    gamma_hat: float,
-    tau: float | None = None,
-    max_iter: int = 10_000,
-    prior_y: np.ndarray | None = None,
-    suppress_mask: np.ndarray | None = None,
-) -> HistogramPair:
-    """EM with pinned poison mass and suppression of near-empty poison buckets.
-
-    Poison buckets whose prior mass (from a preceding plain EM run) falls
-    below 0.5 * gamma_hat / p, where p is the number of poison buckets, are
-    pinned to zero for all iterations; the remaining poison buckets share
-    the probed mass.  A caller may hand in an explicit ``suppress_mask``
-    instead.
-    """
-    if tau is None:
-        raise ValueError("tau is required")
-    p = transform.n_poison
-    if suppress_mask is None:
-        if prior_y is None:
-            prior_y = emf(transform, counts, tau=tau, max_iter=max_iter).y_hat
-        suppress_mask = np.asarray(prior_y) < 0.5 * gamma_hat / p
-    else:
-        suppress_mask = np.asarray(suppress_mask, dtype=bool)
-    if suppress_mask.all() and gamma_hat > 0.0:
-        raise InconsistentSuppressionError(
-            "all poison buckets suppressed while the poison mass is positive"
-        )
-
-    d = transform.n_normal
-    k = d + p
-    keep = ~suppress_mask
-    theta0 = np.full(k, 1.0 / k)
-    theta0[d:][suppress_mask] = 0.0
-
-    def m_step(resp: np.ndarray) -> np.ndarray:
-        px, py = resp[:d], resp[d:].copy()
-        py[suppress_mask] = 0.0
-        x = (1.0 - gamma_hat) * px / px.sum()
-        sy = py[keep].sum()
-        y = np.zeros_like(py)
-        if sy > 0.0 and gamma_hat > 0.0:
-            y[keep] = gamma_hat * py[keep] / sy
-        return np.concatenate([x, y])
-
-    theta, it, ok, ll = _em_loop(transform, counts.counts, theta0, tau, max_iter, m_step)
-    return HistogramPair(
-        x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=ok, log_likelihood=ll
-    )
+def suppression_mask(prior_y: np.ndarray, gamma: float) -> np.ndarray:
+    """CEMF* rule: suppress poison buckets whose prior mass (from a plain EM
+    run) falls below half the uniform share, 0.5 * gamma / p."""
+    prior_y = np.asarray(prior_y)
+    return prior_y < 0.5 * gamma / prior_y.size
 
 
 @dataclass(frozen=True)
@@ -279,6 +221,8 @@ class SideProbe:
     var_right: float
     pair_left: HistogramPair
     pair_right: HistogramPair
+    grid: BucketGrid
+    counts: ObservedCounts
 
     @property
     def winning_pair(self) -> HistogramPair:
@@ -290,17 +234,22 @@ def probe_side(
     transform_right: TransformMatrix,
     counts: ObservedCounts,
     tau: float,
-    max_iter: int = 10_000,
 ) -> SideProbe:
     """Run EM under both side hypotheses; the poisoned side yields the flatter
     normal-user histogram, i.e. the smaller variance of x_hat."""
-    pair_l = emf(transform_left, counts, tau=tau, max_iter=max_iter)
-    pair_r = emf(transform_right, counts, tau=tau, max_iter=max_iter)
+    pair_l = em(transform_left, counts, tau)
+    pair_r = em(transform_right, counts, tau)
     var_l = float(np.var(pair_l.x_hat))
     var_r = float(np.var(pair_r.x_hat))
     side = "left" if var_l < var_r else "right"
     return SideProbe(
-        side=side, var_left=var_l, var_right=var_r, pair_left=pair_l, pair_right=pair_r
+        side=side,
+        var_left=var_l,
+        var_right=var_r,
+        pair_left=pair_l,
+        pair_right=pair_r,
+        grid=transform_left.grid,
+        counts=counts,
     )
 
 

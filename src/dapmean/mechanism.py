@@ -186,16 +186,6 @@ class BucketGrid:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def transition_prob(input_bucket: int, output_bucket: int, budget: Budget, grid: BucketGrid) -> float:
-    """Probability that the mechanism maps an input bucket into an output bucket.
-
-    The representative value of the input bucket is its midpoint; the
-    two-level output density is integrated exactly over the output bucket.
-    """
-    col = transition_column(input_bucket, budget, grid)
-    return float(col[output_bucket])
-
-
 def transition_column(input_bucket: int, budget: Budget, grid: BucketGrid) -> np.ndarray:
     """All d_out transition probabilities for one input bucket (sums to 1)."""
     if not (0 <= input_bucket < grid.d):

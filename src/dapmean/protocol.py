@@ -16,17 +16,15 @@ import numpy as np
 from .attacks import AttackStrategy
 from .filters import (
     ByzantineFeatures,
-    ObservedCounts,
     SideProbe,
     bucket_counts,
     build_transform,
-    cemf_star,
     default_tolerance,
-    emf,
-    emf_star,
+    em,
     estimate_features,
     poison_mean,
     probe_side,
+    suppression_mask,
 )
 from .mechanism import Budget, BucketGrid, pm_perturb, worst_case_variance
 
@@ -258,15 +256,16 @@ def trimming(reports, side: str = "right") -> float:
     return float(kept.mean())
 
 
-def _probe_group(
-    reports: np.ndarray, budget: Budget, max_iter: int
-) -> tuple[BucketGrid, SideProbe, ObservedCounts]:
+def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
+    """Bucket the reports on their budget's grid and probe both sides by EM."""
     grid = BucketGrid.for_reports(reports.size, budget)
     counts = bucket_counts(reports, grid)
-    tau = default_tolerance(budget)
-    m_l = build_transform(budget, grid, side="left")
-    m_r = build_transform(budget, grid, side="right")
-    return grid, probe_side(m_l, m_r, counts, tau=tau, max_iter=max_iter), counts
+    return probe_side(
+        build_transform(budget, grid, side="left"),
+        build_transform(budget, grid, side="right"),
+        counts,
+        tau=default_tolerance(budget),
+    )
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,6 @@ def run_dap(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
     filter_variant: str = "emf_star",
-    max_iter: int = 10_000,
 ) -> DapResult:
     """Full grouped run: plan, collect, probe, filter, estimate, aggregate.
 
@@ -301,38 +299,31 @@ def run_dap(
     plan = dap_plan(values.size, eps, eps0, rng)
     groups = dap_collect(values, attacker_mask, plan, attack, rng)
 
-    probes = []
-    for g in groups:
-        grid, probe, counts = _probe_group(g.reports, g.budget, max_iter)
-        probes.append((grid, probe, counts))
+    probes = [probe_reports(g.reports, g.budget) for g in groups]
 
     # The attacker proportion comes from the smallest-budget (last) group,
     # where the probe sees the most reports per user; the poisoned side is
     # each group's own call.
-    _, low_probe, low_counts = probes[-1]
-    side = low_probe.side
-    low_features = estimate_features(low_probe.winning_pair, side, low_counts)
-    gamma_hat = min(low_features.gamma_hat, 0.999)
+    side = probes[-1].side
+    gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
 
     estimates = []
-    for g, (grid, probe, counts) in zip(groups, probes):
-        group_side = probe.side
-        transform = build_transform(g.budget, grid, side=group_side)
-        tau = default_tolerance(g.budget)
+    for g, probe in zip(groups, probes):
+        transform = build_transform(g.budget, probe.grid, side=probe.side)
         if filter_variant == "emf":
             pair = probe.winning_pair
-        elif filter_variant == "emf_star":
-            pair = emf_star(transform, counts, gamma_hat, tau=tau, max_iter=max_iter)
         else:
-            pair = cemf_star(
+            suppress = None
+            if filter_variant == "cemf_star":
+                suppress = suppression_mask(probe.winning_pair.y_hat, gamma_hat)
+            pair = em(
                 transform,
-                counts,
-                gamma_hat,
-                tau=tau,
-                max_iter=max_iter,
-                prior_y=probe.winning_pair.y_hat,
+                probe.counts,
+                default_tolerance(g.budget),
+                gamma=gamma_hat,
+                suppress=suppress,
             )
-        features = estimate_features(pair, group_side, counts)
+        features = estimate_features(pair, probe.side, probe.counts)
         estimates.append(
             intra_group_mean(
                 g.reports,
@@ -368,8 +359,6 @@ def baseline_run(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
     attack_on_alpha: bool = True,
-    alpha_ratio_cap: float = 0.25,
-    max_iter: int = 10_000,
 ) -> BaselineResult:
     """Two-budget protocol: probe features on the small budget, estimate on the large.
 
@@ -378,10 +367,8 @@ def baseline_run(
     ``attack_on_alpha=False`` they behave honestly on the probing stream,
     which is the protocol's known flaw.
     """
-    if eps_alpha > alpha_ratio_cap * eps_beta:
-        raise ConfigurationError(
-            f"eps_alpha must be at most {alpha_ratio_cap} * eps_beta"
-        )
+    if eps_alpha > 0.25 * eps_beta:
+        raise ConfigurationError("eps_alpha must be at most 0.25 * eps_beta")
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
     n_users = values.size
@@ -402,14 +389,14 @@ def baseline_run(
     alpha_reports = np.concatenate([alpha_honest, alpha_poison])
     beta_reports = np.concatenate([beta_honest, beta_poison])
 
-    grid, probe, counts = _probe_group(alpha_reports, b_alpha, max_iter)
+    probe = probe_reports(alpha_reports, b_alpha)
     side = probe.side
     pair = probe.winning_pair
-    features = estimate_features(pair, side, counts)
+    features = estimate_features(pair, side, probe.counts)
     m_hat = float(np.clip(features.m_hat, 0, n_users - 1))
 
     if m_hat > 0 and pair.poison_mass > 0:
-        transform = build_transform(b_alpha, grid, side=side)
+        transform = build_transform(b_alpha, probe.grid, side=side)
         m_alpha = poison_mean(pair, transform)
         # Poison means on the two streams live on different [-C, C] scales;
         # map through the shared deviation from the probe reference (0).

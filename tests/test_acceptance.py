@@ -19,22 +19,14 @@ from dapmean.attacks import (
     reduce_gba_to_bba,
 )
 from dapmean.bench import ExperimentConfig, gen_beta, run_experiment
-from dapmean.filters import (
-    bucket_counts,
-    build_transform,
-    cemf_star,
-    default_tolerance,
-    emf_star,
-    estimate_features,
-    probe_side,
-)
+from dapmean.filters import bucket_counts, build_transform, em, estimate_features
 from dapmean.mechanism import (
     Budget,
     BucketGrid,
     pm_perturb,
     worst_case_variance,
 )
-from dapmean.protocol import optimal_weights, run_dap
+from dapmean.protocol import optimal_weights, probe_reports, run_dap
 
 
 def test_c01_perturbation_unbiased():
@@ -45,19 +37,6 @@ def test_c01_perturbation_unbiased():
     out = pm_perturb(np.full(n, v), budget, np.random.default_rng(123))
     tol = 4.0 * math.sqrt(worst_case_variance(1.0) / n)
     assert abs(out.mean() - v) <= tol
-
-
-def _probe_reports(reports, budget, max_iter=10_000):
-    grid = BucketGrid.for_reports(reports.size, budget)
-    counts = bucket_counts(reports, grid)
-    probe = probe_side(
-        build_transform(budget, grid, "left"),
-        build_transform(budget, grid, "right"),
-        counts,
-        tau=default_tolerance(budget),
-        max_iter=max_iter,
-    )
-    return probe, counts
 
 
 def _poisoned_reports(seed, eps, gamma, make_range, n=100_000, a=2, b=5):
@@ -95,7 +74,7 @@ def test_c02_side_probe_variance_ordering(eps):
     for label, make_range in ranges.items():
         for seed in range(10):
             reports, b, _ = _poisoned_reports(seed, eps, 0.25, make_range)
-            probe, _ = _probe_reports(reports, b)
+            probe = probe_reports(reports, b)
             assert probe.var_right < probe.var_left, (
                 f"range {label} seed {seed}: "
                 f"var_right {probe.var_right:g} !< var_left {probe.var_left:g}"
@@ -111,14 +90,14 @@ def test_c03_attacker_proportion_estimate():
         hits = 0
         for seed in range(10):
             reports, budget, _ = _poisoned_reports(seed, eps, gamma, half_top)
-            probe, counts = _probe_reports(reports, budget)
-            feats = estimate_features(probe.winning_pair, probe.side, counts)
+            probe = probe_reports(reports, budget)
+            feats = estimate_features(probe.winning_pair, probe.side, probe.counts)
             hits += abs(feats.gamma_hat - gamma) <= 0.05
         assert hits >= 9, f"gamma={gamma}: only {hits}/10 within 0.05"
     for seed in range(10):
         reports, budget, _ = _poisoned_reports(seed, eps, 0.0, half_top)
-        probe, counts = _probe_reports(reports, budget)
-        feats = estimate_features(probe.winning_pair, probe.side, counts)
+        probe = probe_reports(reports, budget)
+        feats = estimate_features(probe.winning_pair, probe.side, probe.counts)
         assert feats.gamma_hat <= 0.05, f"false positive {feats.gamma_hat:g} at seed {seed}"
 
 
@@ -172,7 +151,7 @@ def test_c04_constrained_m_step_is_the_maximizer():
             n_reports = int(counts_vec.sum())
 
         gamma = float(rng.uniform(0.05, 0.45))
-        got = emf_star(transform, Counts(), gamma, tau=0.0, max_iter=1)
+        got = em(transform, Counts(), tau=0.0, max_iter=1, gamma=gamma)
 
         # Independent E-step: textbook responsibilities from the uniform start.
         k = m.shape[1]
@@ -243,7 +222,7 @@ def test_c07_suppression_monotonically_recovers_mass():
         mask = np.zeros(4, dtype=bool)
         prev = -np.inf
         for step in range(len(order) + 1):
-            pair = cemf_star(transform, counts, gamma, tau=1e-8, suppress_mask=mask.copy())
+            pair = em(transform, counts, tau=1e-8, gamma=gamma, suppress=mask.copy())
             recovered = pair.x_hat.sum() + pair.y_hat[true_set].sum()
             assert recovered >= prev - 1e-9, f"order {order}, step {step}"
             prev = recovered

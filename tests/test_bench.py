@@ -17,7 +17,7 @@ from dapmean.bench import (
     write_outputs,
 )
 from dapmean.mechanism import Budget
-from dapmean.protocol import ConfigurationError
+from dapmean.protocol import ConfigurationError, DegenerateFilterError
 
 
 class TestDatasets:
@@ -201,7 +201,7 @@ class TestRunExperiment:
         import dapmean.bench as bench
 
         def boom(*args, **kwargs):
-            raise RuntimeError("synthetic failure")
+            raise DegenerateFilterError("synthetic failure")
 
         monkeypatch.setattr(bench, "run_dap", boom)
         res = run_experiment(ExperimentConfig.from_dict(SMALL))
@@ -210,3 +210,14 @@ class TestRunExperiment:
         assert all("synthetic failure" in r.diagnostics["error"] for r in dap)
         ostrich_recs = [r for r in res.records if r.scheme == "ostrich"]
         assert all(np.isfinite(r.estimate) for r in ostrich_recs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, workers):
+        import dapmean.bench as bench
+
+        def bug(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(bench, "run_dap", bug)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(ExperimentConfig.from_dict(SMALL | {"workers": workers}))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dapmean.cli import main
+from dapmean.filters import estimate_features
 from dapmean.mechanism import Budget, pm_perturb
+from dapmean.protocol import DegenerateFilterError, probe_reports
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,27 @@ class TestProbe:
         assert payload["side"] == "right"
         assert payload["gamma_hat"] == pytest.approx(0.25, abs=0.15)
         assert payload["n_reports"] == 20_000
+
+    def test_prints_what_probe_reports_returns(self, capsys, tmp_path):
+        rng = np.random.default_rng(1)
+        budget = Budget(0.5)
+        c = budget.c_bound
+        honest = pm_perturb(rng.beta(2, 5, 9_000) * 2 - 1, budget, rng)
+        reports = np.concatenate([honest, rng.uniform(-c, -0.5 * c, 3_000)])
+        p = tmp_path / "reports.csv"
+        p.write_text("value\n" + "\n".join(repr(float(v)) for v in reports) + "\n")
+        code, out, _ = run_cli(
+            capsys, "probe", "--reports", str(p), "--column", "value", "--eps", "0.5"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        probe = probe_reports(reports, budget)
+        features = estimate_features(probe.winning_pair, probe.side, probe.counts)
+        assert payload["side"] == probe.side
+        assert payload["gamma_hat"] == features.gamma_hat
+        assert payload["m_hat"] == features.m_hat
+        assert payload["var_left"] == probe.var_left
+        assert payload["var_right"] == probe.var_right
 
 
 class TestSimulate:
@@ -125,7 +148,7 @@ class TestErrors:
         import dapmean.bench as bench
 
         def boom(*args, **kwargs):
-            raise RuntimeError("synthetic failure")
+            raise DegenerateFilterError("synthetic failure")
 
         monkeypatch.setattr(bench, "run_dap", boom)
         code, out, err = run_cli(

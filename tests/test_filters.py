@@ -10,14 +10,13 @@ from dapmean.filters import (
     ObservedCounts,
     bucket_counts,
     build_transform,
-    cemf_star,
     default_tolerance,
-    emf,
-    emf_star,
+    em,
     estimate_features,
     init_o_prime,
     poison_mean,
     probe_side,
+    suppression_mask,
 )
 from dapmean.mechanism import Budget, BucketGrid, perturbation_matrix, pm_perturb
 
@@ -121,12 +120,10 @@ class TestStructuredKernel:
         theta0_suppressed[d:][mask] = 0.0
 
         runs = [
-            (emf(transform, counts, tau=0.0, max_iter=n_iter), theta0, plain),
-            (emf_star(transform, counts, gamma, tau=0.0, max_iter=n_iter), theta0, pinned),
+            (em(transform, counts, tau=0.0, max_iter=n_iter), theta0, plain),
+            (em(transform, counts, 0.0, n_iter, gamma=gamma), theta0, pinned),
             (
-                cemf_star(
-                    transform, counts, gamma, tau=0.0, max_iter=n_iter, suppress_mask=mask
-                ),
+                em(transform, counts, 0.0, n_iter, gamma=gamma, suppress=mask),
                 theta0_suppressed,
                 suppressed,
             ),
@@ -189,7 +186,7 @@ def test_default_tolerance():
 class TestEMF:
     def test_outputs_form_distribution(self):
         _, _, counts, transform, _ = make_setup()
-        pair = emf(transform, counts, tau=1e-6)
+        pair = em(transform, counts, tau=1e-6)
         assert np.all(pair.x_hat >= 0) and np.all(pair.y_hat >= 0)
         assert pair.x_hat.sum() + pair.y_hat.sum() == pytest.approx(1.0)
 
@@ -201,18 +198,18 @@ class TestEMF:
         theta0 = np.full(k, 1.0 / k)
         n_iter = 50
         expect = reference_em(transform.matrix, counts.counts.astype(float), theta0, n_iter)
-        pair = emf(transform, counts, tau=0.0, max_iter=n_iter)
+        pair = em(transform, counts, tau=0.0, max_iter=n_iter)
         got = np.concatenate([pair.x_hat, pair.y_hat])
         np.testing.assert_allclose(got, expect, atol=1e-10)
 
     def test_recovers_attacker_proportion(self):
         _, _, counts, transform, gamma = make_setup(eps=1.0 / 16.0, n=100_000)
-        pair = emf(transform, counts, tau=default_tolerance(Budget(1.0 / 16.0)))
+        pair = em(transform, counts, tau=default_tolerance(Budget(1.0 / 16.0)))
         assert pair.poison_mass == pytest.approx(gamma, abs=0.05)
 
     def test_iteration_cap_returns_unconverged(self):
         _, _, counts, transform, _ = make_setup(n=5_000)
-        pair = emf(transform, counts, tau=0.0, max_iter=5)
+        pair = em(transform, counts, tau=0.0, max_iter=5)
         assert not pair.converged
         assert pair.iterations == 5
 
@@ -221,26 +218,26 @@ class TestEMFStar:
     def test_pinned_masses(self):
         _, _, counts, transform, _ = make_setup()
         for gamma_hat in (0.1, 0.25, 0.4):
-            pair = emf_star(transform, counts, gamma_hat, tau=1e-4)
+            pair = em(transform, counts, tau=1e-4, gamma=gamma_hat)
             assert pair.x_hat.sum() == pytest.approx(1.0 - gamma_hat, abs=1e-12)
             assert pair.y_hat.sum() == pytest.approx(gamma_hat, abs=1e-12)
 
     def test_zero_gamma_matches_no_poison(self):
         _, _, counts, transform, _ = make_setup()
-        pair = emf_star(transform, counts, 0.0, tau=1e-4)
+        pair = em(transform, counts, tau=1e-4, gamma=0.0)
         assert pair.y_hat.sum() == 0.0
         assert pair.x_hat.sum() == pytest.approx(1.0)
 
     def test_rejects_bad_gamma(self):
         _, _, counts, transform, _ = make_setup()
         with pytest.raises(ValueError):
-            emf_star(transform, counts, 1.0, tau=1e-4)
+            em(transform, counts, tau=1e-4, gamma=1.0)
 
     def test_likelihood_nondecreasing(self):
         _, _, counts, transform, _ = make_setup(n=5_000)
         lls = []
         for it in range(1, 30, 3):
-            pair = emf_star(transform, counts, 0.25, tau=0.0, max_iter=it)
+            pair = em(transform, counts, tau=0.0, max_iter=it, gamma=0.25)
             lls.append(pair.log_likelihood)
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
@@ -251,7 +248,7 @@ class TestCEMFStar:
         p = transform.n_poison
         mask = np.zeros(p, dtype=bool)
         mask[: p // 2] = True
-        pair = cemf_star(transform, counts, 0.25, tau=1e-4, suppress_mask=mask)
+        pair = em(transform, counts, tau=1e-4, gamma=0.25, suppress=mask)
         np.testing.assert_array_equal(pair.y_hat[mask], 0.0)
         assert pair.y_hat.sum() == pytest.approx(0.25, abs=1e-12)
 
@@ -259,20 +256,41 @@ class TestCEMFStar:
         # Poison occupies only the top quarter of the output range; buckets
         # well below it should be suppressed by the default rule.
         _, grid, counts, transform, _ = make_setup(lo_frac=0.75)
-        pair = cemf_star(transform, counts, 0.25, tau=1e-4)
+        prior_y = em(transform, counts, tau=1e-4).y_hat
+        mask = suppression_mask(prior_y, 0.25)
+        pair = em(transform, counts, tau=1e-4, gamma=0.25, suppress=mask)
         lows = transform.poison_midpoints < 0.25 * grid.c_bound
         assert np.all(pair.y_hat[lows] == 0.0)
+
+    def test_suppression_mask_threshold(self):
+        prior_y = np.array([0.0, 0.01, 0.02, 0.2])
+        # 0.5 * 0.16 / 4 = 0.02: strictly below it is suppressed.
+        np.testing.assert_array_equal(
+            suppression_mask(prior_y, 0.16), [True, True, False, False]
+        )
 
     def test_all_suppressed_is_inconsistent(self):
         _, _, counts, transform, _ = make_setup()
         mask = np.ones(transform.n_poison, dtype=bool)
         with pytest.raises(InconsistentSuppressionError):
-            cemf_star(transform, counts, 0.25, tau=1e-4, suppress_mask=mask)
+            em(transform, counts, tau=1e-4, gamma=0.25, suppress=mask)
 
-    def test_requires_tau(self):
+    def test_suppression_requires_gamma(self):
         _, _, counts, transform, _ = make_setup()
+        mask = np.zeros(transform.n_poison, dtype=bool)
         with pytest.raises(ValueError):
-            cemf_star(transform, counts, 0.25)
+            em(transform, counts, tau=1e-4, suppress=mask)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_nothing_suppressed_is_emf_star_bit_for_bit(self, gamma):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        mask = np.zeros(transform.n_poison, dtype=bool)
+        pinned = em(transform, counts, tau=1e-6, gamma=gamma)
+        none_suppressed = em(transform, counts, tau=1e-6, gamma=gamma, suppress=mask)
+        assert none_suppressed.iterations == pinned.iterations
+        assert none_suppressed.log_likelihood == pinned.log_likelihood
+        np.testing.assert_array_equal(none_suppressed.x_hat, pinned.x_hat)
+        np.testing.assert_array_equal(none_suppressed.y_hat, pinned.y_hat)
 
 
 class TestProbe:
@@ -297,6 +315,7 @@ class TestProbe:
         tr = build_transform(budget, grid, side="right")
         probe = probe_side(tl, tr, counts, tau=default_tolerance(budget))
         assert probe.side == side
+        assert probe.grid is grid and probe.counts is counts
         winner = probe.var_right if side == "right" else probe.var_left
         loser = probe.var_left if side == "right" else probe.var_right
         assert winner < loser
@@ -308,7 +327,7 @@ class TestProbe:
 class TestFeatures:
     def test_m_hat_rounds_gamma_times_reports(self):
         _, _, counts, transform, _ = make_setup()
-        pair = emf(transform, counts, tau=1e-4)
+        pair = em(transform, counts, tau=1e-4)
         feats = estimate_features(pair, "right", counts)
         assert feats.m_hat == np.round(pair.poison_mass * counts.n_reports)
         assert feats.gamma_hat == pair.poison_mass
@@ -343,7 +362,7 @@ class TestInitOPrime:
 class TestPoisonMean:
     def test_weighted_midpoint_mean(self):
         _, _, counts, transform, _ = make_setup(lo_frac=0.75)
-        pair = emf(transform, counts, tau=1e-4)
+        pair = em(transform, counts, tau=1e-4)
         mu = poison_mean(pair, transform)
         expect = np.dot(pair.y_hat, transform.poison_midpoints) / pair.y_hat.sum()
         assert mu == pytest.approx(expect)
@@ -352,6 +371,6 @@ class TestPoisonMean:
 
     def test_zero_mass_rejected(self):
         _, _, counts, transform, _ = make_setup()
-        pair = emf_star(transform, counts, 0.0, tau=1e-4)
+        pair = em(transform, counts, tau=1e-4, gamma=0.0)
         with pytest.raises(NoPoisonMassError):
             poison_mean(pair, transform)

@@ -14,7 +14,6 @@ from dapmean.mechanism import (
     perturbation_matrix,
     pm_perturb,
     transition_column,
-    transition_prob,
     worst_case_variance,
 )
 
@@ -185,13 +184,6 @@ class TestTransitionProbs:
             # Each bucket probability is O(1/d_out); 5 binomial SEs per bucket.
             se = np.sqrt(np.maximum(col * (1 - col), 1e-12) / n)
             assert np.all(np.abs(emp - col) <= 5 * se + 1e-4)
-
-    def test_single_entry_consistent_with_column(self):
-        b = Budget(0.4)
-        g = BucketGrid.for_reports(3_000, b)
-        col = transition_column(2, b, g)
-        for j in range(0, g.d_out, 7):
-            assert transition_prob(2, j, b, g) == pytest.approx(col[j])
 
 
 class TestNormalize:
