@@ -12,8 +12,8 @@ import numpy as np
 from dapmean import (
     Budget,
     PoisonSpec,
+    attacker_count,
     build_transform,
-    estimate_features,
     gen_bba,
     init_o_prime,
     pm_perturb,
@@ -47,9 +47,10 @@ probe = probe_reports(reports, budget)
 print(f"side probe: Var(x | left) = {probe.var_left:.2e}, "
       f"Var(x | right) = {probe.var_right:.2e} -> poisoned side is '{probe.side}'")
 
-features = estimate_features(probe.winning_pair, probe.side, probe.counts)
-print(f"estimated attacker proportion {features.gamma_hat:.3f} (truth {gamma})")
-print(f"estimated attacker report count {features.m_hat:.0f} (truth {m})")
+gamma_hat = probe.winning_pair.poison_mass
+m_hat = attacker_count(gamma_hat, probe.counts.n_reports)
+print(f"estimated attacker proportion {gamma_hat:.3f} (truth {gamma})")
+print(f"estimated attacker report count {m_hat:.0f} (truth {m})")
 
 print()
 print("reconstructed poison histogram, coarsened to eight bands:")

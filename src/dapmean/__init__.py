@@ -17,15 +17,14 @@ from .attacks import (
 )
 from .bench import ExperimentConfig, gen_beta, load_csv, mse, run_experiment
 from .filters import (
-    ByzantineFeatures,
     HistogramPair,
     ObservedCounts,
     TransformMatrix,
+    attacker_count,
     bucket_counts,
     build_transform,
     default_tolerance,
     em,
-    estimate_features,
     init_o_prime,
     poison_mean,
     probe_side,

@@ -27,7 +27,6 @@ class PoisonSpec:
     """One-sided poison value recipe.
 
     Attributes:
-        gamma: attacker proportion m/N in [0, 0.5).
         range_lo, range_hi: poison value range inside [-C, C].
         dist: "uniform", "gaussian" or "point".
         mu, sigma: gaussian parameters (defaults: midpoint and quarter-width
@@ -37,7 +36,6 @@ class PoisonSpec:
         side: "left" or "right" of the reference mean.
     """
 
-    gamma: float = 0.25
     range_lo: float = 0.0
     range_hi: float = 1.0
     dist: str = "uniform"
@@ -48,8 +46,6 @@ class PoisonSpec:
     side: str = "right"
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma < 0.5):
-            raise ValueError(f"gamma must be in [0, 0.5), got {self.gamma}")
         if self.range_lo > self.range_hi:
             raise ValueError("range_lo must not exceed range_hi")
         if self.dist not in ("uniform", "gaussian", "point"):

@@ -35,12 +35,12 @@ def gen_beta(a: float, b: float, n: int, seed) -> Dataset:
     return normalize_dataset(rng.beta(a, b, size=n))
 
 
-def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
-    """Load one numeric column from a CSV file and min-max normalize it.
+def read_column(path, column) -> np.ndarray:
+    """The numeric values of one CSV column, as read (no normalization).
 
-    ``column`` is a header name or a zero-based index.  Rows whose value does
-    not parse are skipped and counted; with ``clip`` set, values outside the
-    interval are dropped before normalization.
+    ``column`` is a header name or a zero-based index; with an index, a
+    first row that does not parse is a header.  Rows whose value does not
+    parse are skipped, with a warning that counts them.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -73,14 +73,21 @@ def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
             bad += 1
     if bad:
         warnings.warn(f"{path}: skipped {bad} unparsable rows", stacklevel=2)
-    arr = np.asarray(values, dtype=float)
+    return np.asarray(values, dtype=float)
+
+
+def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
+    """Load one numeric column from a CSV file (``read_column``) and min-max
+    normalize it; with ``clip`` set, values outside the interval are dropped
+    before normalization.
+    """
+    arr = read_column(path, column)
     if clip is not None:
         lo, hi = clip
         arr = arr[(arr >= lo) & (arr <= hi)]
     if arr.size < 2:
-        raise ValueError(f"{path}: fewer than 2 usable rows ({bad} unparsable)")
-    ds = normalize_dataset(arr)
-    return ds
+        raise ValueError(f"{path}: fewer than 2 usable rows")
+    return normalize_dataset(arr)
 
 
 def mse(estimates, truth: float) -> float:
@@ -291,7 +298,7 @@ def _run_trial(
                     rng=streams["baseline"],
                 )
                 est = res.mean
-                diag = {"gamma_hat": res.features.gamma_hat, "side": res.side}
+                diag = {"gamma_hat": res.gamma_hat, "side": res.side}
             else:
                 variant = scheme.removeprefix("dap_")
                 res = run_dap(
@@ -307,7 +314,7 @@ def _run_trial(
                 diag = {
                     "gamma_hat": res.gamma_hat,
                     "side": res.side,
-                    "group_gamma_hats": [g.features.gamma_hat for g in res.estimates],
+                    "group_gamma_hats": [g.gamma_hat for g in res.estimates],
                 }
             sq = (est - truth) ** 2
         except (ValueError, ArithmeticError) as exc:  # domain failure: record, keep going

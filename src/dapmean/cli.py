@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from .attacks import AttackTrace, reduce_gba_to_bba
-from .bench import ExperimentConfig, FailedCellError, run_experiment
-from .filters import estimate_features
+from .bench import ExperimentConfig, FailedCellError, read_column, run_experiment
+from .filters import attacker_count
 from .mechanism import Budget
 from .protocol import dap_plan, probe_reports
 
@@ -68,22 +68,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_probe(args) -> int:
     # Reports are already perturbed values; read them raw, no normalization.
-    import csv as _csv
-
-    with open(args.reports, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    idx = int(args.column) if str(args.column).lstrip("-").isdigit() else rows[0].index(args.column)
-    start = 0 if str(args.column).lstrip("-").isdigit() else 1
-    reports = np.array([float(r[idx]) for r in rows[start:] if r])
-
+    reports = read_column(args.reports, args.column)
     probe = probe_reports(reports, Budget(args.eps))
-    features = estimate_features(probe.winning_pair, probe.side, probe.counts)
+    gamma_hat = probe.winning_pair.poison_mass
     print(
         json.dumps(
             {
-                "side": features.side,
-                "gamma_hat": features.gamma_hat,
-                "m_hat": features.m_hat,
+                "side": probe.side,
+                "gamma_hat": gamma_hat,
+                "m_hat": attacker_count(gamma_hat, probe.counts.n_reports),
                 "var_left": probe.var_left,
                 "var_right": probe.var_right,
                 "n_reports": probe.counts.n_reports,

@@ -113,16 +113,6 @@ class HistogramPair:
         return float(self.y_hat.sum())
 
 
-@dataclass(frozen=True)
-class ByzantineFeatures:
-    """Probed attacker features: side, proportion, poison histogram, count."""
-
-    side: str
-    gamma_hat: float
-    y_hat: np.ndarray
-    m_hat: float
-
-
 def default_tolerance(budget: Budget) -> float:
     """Log-likelihood convergence tolerance, 0.01 * e^eps."""
     return 0.01 * float(np.exp(budget.epsilon))
@@ -253,17 +243,10 @@ def probe_side(
     )
 
 
-def estimate_features(
-    pair: HistogramPair, side: str, counts: ObservedCounts
-) -> ByzantineFeatures:
-    """Attacker proportion and count from the reconstructed poison histogram."""
-    gamma_hat = pair.poison_mass
-    return ByzantineFeatures(
-        side=side,
-        gamma_hat=gamma_hat,
-        y_hat=pair.y_hat.copy(),
-        m_hat=float(np.round(gamma_hat * counts.n_reports)),
-    )
+def attacker_count(gamma_hat: float, n_reports: int) -> float:
+    """Estimated attacker report count: round(gamma_hat * N) clamped to
+    [0, N - 1], so probe noise can never leave zero honest reports."""
+    return float(np.clip(np.round(gamma_hat * n_reports), 0, n_reports - 1))
 
 
 def init_o_prime(collected, gamma_sup: float = 0.5, side: str = "right") -> float:

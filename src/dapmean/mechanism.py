@@ -9,7 +9,7 @@ domains, dataset normalization, and the piecewise mechanism itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,37 +127,22 @@ class BucketGrid:
     d: int
     d_out: int
     c_bound: float
-    split: int = field(default=-1)
 
     def __post_init__(self) -> None:
         if self.d <= 0 or self.d % 2 != 0:
             raise ValueError(f"d must be a positive even integer, got {self.d}")
         if self.d_out <= 0 or self.d_out % 2 != 0:
             raise ValueError(f"d_out must be a positive even integer, got {self.d_out}")
-        if self.split < 0:
-            object.__setattr__(self, "split", self.d_out // 2)
-        if not (0 < self.split < self.d_out):
-            raise ValueError(f"split index {self.split} out of range")
 
     @classmethod
-    def for_reports(cls, n_reports: int, budget: Budget, o_prime: float = 0.0) -> "BucketGrid":
-        """Default grid: d_out = floor(sqrt(N)) and d scaled by (C-1)/(C+1), both even.
-
-        When ``o_prime`` is nonzero the output grid is split at the bucket
-        edge nearest to it, so the poison half covers the reachable poison
-        range.
-        """
+    def for_reports(cls, n_reports: int, budget: Budget) -> "BucketGrid":
+        """Default grid: d_out = floor(sqrt(N)) and d scaled by (C-1)/(C+1), both even."""
         if n_reports < 16:
             raise ValueError("too few reports to size a bucket grid")
         d_out = max(4, _even_floor(math.sqrt(n_reports)))
         t = math.exp(budget.epsilon / 2.0)
         d = max(2, _even_floor(d_out * (t - 1.0) / (t + 1.0)))
-        c = budget.c_bound
-        split = d_out // 2
-        if o_prime != 0.0:
-            edges = np.linspace(-c, c, d_out + 1)
-            split = int(np.clip(np.argmin(np.abs(edges - o_prime)), 1, d_out - 1))
-        return cls(d=d, d_out=d_out, c_bound=c, split=split)
+        return cls(d=d, d_out=d_out, c_bound=budget.c_bound)
 
     @property
     def input_edges(self) -> np.ndarray:
@@ -178,11 +163,13 @@ class BucketGrid:
         return 0.5 * (e[:-1] + e[1:])
 
     def poison_indices(self, side: str) -> np.ndarray:
-        """Output-bucket indices forming the poison block for the given side."""
+        """Output-bucket indices forming the poison block: the right or left
+        half of the output grid."""
+        half = self.d_out // 2
         if side == "right":
-            return np.arange(self.split, self.d_out)
+            return np.arange(half, self.d_out)
         if side == "left":
-            return np.arange(0, self.split)
+            return np.arange(0, half)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

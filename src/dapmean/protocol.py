@@ -9,19 +9,18 @@ minimum-variance weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import AttackStrategy
 from .filters import (
-    ByzantineFeatures,
     SideProbe,
+    attacker_count,
     bucket_counts,
     build_transform,
     default_tolerance,
     em,
-    estimate_features,
     poison_mean,
     probe_side,
     suppression_mask,
@@ -108,7 +107,8 @@ def dap_collect(
 
     Every user in group t submits ``reports_per_user[t]`` reports; honest
     reports are independent perturbations of the user's value at the group
-    budget, attacker reports are fresh draws from the attack strategy.
+    budget, attacker reports are fresh draws from the attack strategy.  With
+    no attack, attackers perturb their own values like honest users.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
@@ -120,12 +120,13 @@ def dap_collect(
         reps = int(plan.reports_per_user[t])
         members = plan.group_members(t)
         honest = members[~attacker_mask[members]]
-        n_poison = int(attacker_mask[members].sum()) * reps
+        attackers = members[attacker_mask[members]]
+        n_poison = attackers.size * reps
         honest_reports = pm_perturb(np.repeat(values[honest], reps), budget, rng)
         if n_poison and attack is not None:
             poison_reports = np.asarray(attack(n_poison, budget, rng), dtype=float)
         else:
-            poison_reports = np.empty(0)
+            poison_reports = pm_perturb(np.repeat(values[attackers], reps), budget, rng)
         reports = np.concatenate([honest_reports, poison_reports])
         rng.shuffle(reports)
         groups.append(
@@ -138,14 +139,14 @@ def dap_collect(
 
 @dataclass(frozen=True)
 class GroupEstimate:
-    """Intra-group mean estimate with the probed attacker features."""
+    """Intra-group mean estimate with the estimated attacker proportion and count."""
 
     index: int
     budget: Budget
     mean: float
+    gamma_hat: float
     m_hat: float
     n_hat: float
-    features: ByzantineFeatures
     probe: SideProbe | None = None
 
 
@@ -156,20 +157,18 @@ def intra_group_mean(
     budget: Budget,
     eps_total: float,
     index: int = 0,
-    features: ByzantineFeatures | None = None,
     probe: SideProbe | None = None,
 ) -> GroupEstimate:
     """Group mean with the estimated poison contribution removed.
 
     Subtracts N_t * sum_j(y_j * nu_j), the reconstructed poison sum, and
-    divides by the estimated number of honest reports.  The attacker report
-    count is clamped to [0, N_t - 1] so probe noise cannot blow up the
-    denominator.
+    divides by the estimated number of honest reports N_t - m_hat, with
+    m_hat from ``attacker_count``.
     """
     reports = np.asarray(reports, dtype=float)
     n_t = reports.size
     gamma_hat = float(np.sum(y_hat))
-    m_hat = float(np.clip(np.round(gamma_hat * n_t), 0, n_t - 1))
+    m_hat = attacker_count(gamma_hat, n_t)
     if gamma_hat >= 1.0:
         raise DegenerateFilterError("filter attributed all reports to attackers")
     poison_sum = n_t * float(np.dot(y_hat, poison_midpoints))
@@ -178,17 +177,13 @@ def intra_group_mean(
         poison_sum *= m_hat / (gamma_hat * n_t)
     mean = (reports.sum() - poison_sum) / (n_t - m_hat)
     n_hat = max((n_t - m_hat) * budget.epsilon / eps_total, 0.0)
-    if features is None:
-        features = ByzantineFeatures(
-            side="right", gamma_hat=gamma_hat, y_hat=np.asarray(y_hat, float), m_hat=m_hat
-        )
     return GroupEstimate(
         index=index,
         budget=budget,
         mean=float(mean),
+        gamma_hat=gamma_hat,
         m_hat=m_hat,
         n_hat=float(n_hat),
-        features=features,
         probe=probe,
     )
 
@@ -323,7 +318,6 @@ def run_dap(
                 gamma=gamma_hat,
                 suppress=suppress,
             )
-        features = estimate_features(pair, probe.side, probe.counts)
         estimates.append(
             intra_group_mean(
                 g.reports,
@@ -332,7 +326,6 @@ def run_dap(
                 g.budget,
                 eps_total=eps,
                 index=g.index,
-                features=features,
                 probe=probe,
             )
         )
@@ -344,11 +337,12 @@ def run_dap(
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """Two-budget baseline estimate with its probe diagnostics."""
+    """Two-budget baseline estimate with the probed side, proportion and count."""
 
     mean: float
-    features: ByzantineFeatures
     side: str
+    gamma_hat: float
+    m_hat: float
 
 
 def baseline_run(
@@ -392,10 +386,10 @@ def baseline_run(
     probe = probe_reports(alpha_reports, b_alpha)
     side = probe.side
     pair = probe.winning_pair
-    features = estimate_features(pair, side, probe.counts)
-    m_hat = float(np.clip(features.m_hat, 0, n_users - 1))
+    gamma_hat = pair.poison_mass
+    m_hat = attacker_count(gamma_hat, n_users)
 
-    if m_hat > 0 and pair.poison_mass > 0:
+    if m_hat > 0 and gamma_hat > 0:
         transform = build_transform(b_alpha, probe.grid, side=side)
         m_alpha = poison_mean(pair, transform)
         # Poison means on the two streams live on different [-C, C] scales;
@@ -404,4 +398,4 @@ def baseline_run(
         mean = (beta_reports.sum() - m_hat * m_beta) / (n_users - m_hat)
     else:
         mean = beta_reports.mean()
-    return BaselineResult(mean=float(mean), features=features, side=side)
+    return BaselineResult(mean=float(mean), side=side, gamma_hat=gamma_hat, m_hat=m_hat)

@@ -19,7 +19,7 @@ from dapmean.attacks import (
     reduce_gba_to_bba,
 )
 from dapmean.bench import ExperimentConfig, gen_beta, run_experiment
-from dapmean.filters import bucket_counts, build_transform, em, estimate_features
+from dapmean.filters import bucket_counts, build_transform, em
 from dapmean.mechanism import (
     Budget,
     BucketGrid,
@@ -90,15 +90,13 @@ def test_c03_attacker_proportion_estimate():
         hits = 0
         for seed in range(10):
             reports, budget, _ = _poisoned_reports(seed, eps, gamma, half_top)
-            probe = probe_reports(reports, budget)
-            feats = estimate_features(probe.winning_pair, probe.side, probe.counts)
-            hits += abs(feats.gamma_hat - gamma) <= 0.05
+            gamma_hat = probe_reports(reports, budget).winning_pair.poison_mass
+            hits += abs(gamma_hat - gamma) <= 0.05
         assert hits >= 9, f"gamma={gamma}: only {hits}/10 within 0.05"
     for seed in range(10):
         reports, budget, _ = _poisoned_reports(seed, eps, 0.0, half_top)
-        probe = probe_reports(reports, budget)
-        feats = estimate_features(probe.winning_pair, probe.side, probe.counts)
-        assert feats.gamma_hat <= 0.05, f"false positive {feats.gamma_hat:g} at seed {seed}"
+        gamma_hat = probe_reports(reports, budget).winning_pair.poison_mass
+        assert gamma_hat <= 0.05, f"false positive {gamma_hat:g} at seed {seed}"
 
 
 def _project_scaled_simplex(v, total):

@@ -32,8 +32,6 @@ class TestPoisonSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"gamma": 0.5},
-            {"gamma": -0.1},
             {"range_lo": 1.0, "range_hi": 0.5},
             {"dist": "cauchy"},
             {"evasion_fraction": 1.5},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dapmean.cli import main
-from dapmean.filters import estimate_features
+from dapmean.filters import attacker_count
 from dapmean.mechanism import Budget, pm_perturb
 from dapmean.protocol import DegenerateFilterError, probe_reports
 
@@ -78,12 +78,25 @@ class TestProbe:
         assert code == 0
         payload = json.loads(out)
         probe = probe_reports(reports, budget)
-        features = estimate_features(probe.winning_pair, probe.side, probe.counts)
+        gamma_hat = probe.winning_pair.poison_mass
         assert payload["side"] == probe.side
-        assert payload["gamma_hat"] == features.gamma_hat
-        assert payload["m_hat"] == features.m_hat
+        assert payload["gamma_hat"] == gamma_hat
+        assert payload["m_hat"] == attacker_count(gamma_hat, reports.size)
         assert payload["var_left"] == probe.var_left
         assert payload["var_right"] == probe.var_right
+
+    def test_header_row_with_column_index(self, capsys, tmp_path):
+        rng = np.random.default_rng(2)
+        lines = [repr(float(v)) for v in pm_perturb(rng.uniform(-1, 1, 2_000), Budget(1.0), rng)]
+        bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+        bare.write_text("\n".join(lines) + "\n")
+        headed.write_text("value\n" + "\n".join(lines) + "\n")
+        outs = [
+            run_cli(capsys, "probe", "--reports", str(p), "--column", "0", "--eps", "1.0")
+            for p in (bare, headed)
+        ]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
 
 
 class TestSimulate:

@@ -8,11 +8,11 @@ from dapmean.filters import (
     InconsistentSuppressionError,
     NoPoisonMassError,
     ObservedCounts,
+    attacker_count,
     bucket_counts,
     build_transform,
     default_tolerance,
     em,
-    estimate_features,
     init_o_prime,
     poison_mean,
     probe_side,
@@ -145,7 +145,7 @@ class TestTransform:
 
     def test_shape_and_blocks(self):
         budget, grid, _, transform, _ = make_setup()
-        p = grid.d_out - grid.split
+        p = grid.d_out // 2
         assert transform.matrix.shape == (grid.d_out, grid.d + p)
         # Poison block: one unit of mass per poison output bucket.
         block = transform.matrix[:, grid.d :]
@@ -161,7 +161,7 @@ class TestTransform:
     def test_left_side_block(self):
         budget, grid, _, _, _ = make_setup()
         t = build_transform(budget, grid, side="left")
-        assert t.n_poison == grid.split
+        assert t.n_poison == grid.d_out // 2
         np.testing.assert_array_equal(t.poison_output_indices, grid.poison_indices("left"))
 
 
@@ -328,9 +328,12 @@ class TestFeatures:
     def test_m_hat_rounds_gamma_times_reports(self):
         _, _, counts, transform, _ = make_setup()
         pair = em(transform, counts, tau=1e-4)
-        feats = estimate_features(pair, "right", counts)
-        assert feats.m_hat == np.round(pair.poison_mass * counts.n_reports)
-        assert feats.gamma_hat == pair.poison_mass
+        m_hat = attacker_count(pair.poison_mass, counts.n_reports)
+        assert m_hat == np.round(pair.poison_mass * counts.n_reports)
+
+    def test_m_hat_clamped_to_leave_one_honest_report(self):
+        assert attacker_count(0.94, 10) == 9.0
+        assert attacker_count(0.97, 10) == 9.0  # round(9.7) = 10 would leave none
 
 
 class TestInitOPrime:

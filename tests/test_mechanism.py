@@ -102,6 +102,13 @@ class TestPerturb:
         c = pm_perturb(v, b, np.random.default_rng(11))
         np.testing.assert_array_equal(a, c)
 
+    def test_empty_input_draws_nothing(self):
+        # dap_collect perturbs an empty attacker set in every unattacked
+        # group; that must leave the random stream where it was.
+        rng = np.random.default_rng(11)
+        assert pm_perturb(np.empty(0), Budget(0.5), rng).size == 0
+        assert rng.random() == np.random.default_rng(11).random()
+
 
 class TestBucketGrid:
     def test_default_sizes(self):
@@ -129,23 +136,16 @@ class TestBucketGrid:
 
     def test_default_split_is_half(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))
-        assert g.split == g.d_out // 2
-
-    def test_split_tracks_o_prime(self):
-        b = Budget(1.0)
-        g = BucketGrid.for_reports(10_000, b, o_prime=-0.5)
-        # The split sits at the output bucket edge nearest the pessimistic mean.
-        edge = g.output_edges[g.split]
-        others = np.abs(g.output_edges - (-0.5))
-        assert abs(edge - (-0.5)) == pytest.approx(others.min())
+        assert g.poison_indices("right")[0] == g.d_out // 2
 
     def test_poison_indices(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))
+        half = g.d_out // 2
         right = g.poison_indices("right")
         left = g.poison_indices("left")
-        assert right.size == g.d_out - g.split
-        assert left.size == g.split
-        assert right[0] == g.split and left[-1] == g.split - 1
+        assert right.size == g.d_out - half
+        assert left.size == half
+        assert right[0] == half and left[-1] == half - 1
 
 
 class TestTransitionProbs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dapmean.attacks import poison_strategy
-from dapmean.filters import ByzantineFeatures
+from dapmean.filters import attacker_count
 from dapmean.mechanism import Budget, worst_case_variance
 from dapmean.protocol import (
     ConfigurationError,
@@ -67,6 +67,19 @@ class TestCollect:
             assert g.reports.size == plan.expected_reports(t)
             assert g.n_attacker_reports == 0
             assert g.budget.epsilon == pytest.approx(plan.budgets[t])
+
+    def test_unattacked_attackers_report_honestly(self):
+        # With no attack, attackers perturb their own values: every group
+        # holds the plan's full report count.
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.rng.choice(self.n, 1000, replace=False)] = True
+        plan = dap_plan(self.n, 1.0, 0.25, self.rng)
+        groups = dap_collect(self.values, mask, plan, None, self.rng)
+        for g, t in zip(groups, range(plan.h)):
+            assert g.reports.size == plan.expected_reports(t)
+            reps = int(plan.reports_per_user[t])
+            assert g.n_attacker_reports == int(mask[plan.group_members(t)].sum()) * reps
+            assert np.all(np.abs(g.reports) <= g.budget.c_bound)
 
     def test_attacker_fraction_concentrates(self):
         gamma = 0.25
@@ -153,11 +166,9 @@ def make_estimate(eps, n_hat, mean):
         index=0,
         budget=Budget(eps),
         mean=mean,
+        gamma_hat=0.0,
         m_hat=0.0,
         n_hat=n_hat,
-        features=ByzantineFeatures(
-            side="right", gamma_hat=0.0, y_hat=np.zeros(1), m_hat=0.0
-        ),
     )
 
 
@@ -275,7 +286,8 @@ class TestBaselineRun:
         res = baseline_run(values, mask, 1.0 / 16.0, 15.0 / 16.0, None, rng)
         assert np.isfinite(res.mean)
         assert res.side in ("left", "right")
-        assert 0.0 <= res.features.gamma_hat < 1.0
+        assert 0.0 <= res.gamma_hat < 1.0
+        assert res.m_hat == attacker_count(res.gamma_hat, values.size)
 
     def test_deterministic_given_seed(self):
         values = np.random.default_rng(5).uniform(-1, 1, 8_000)
