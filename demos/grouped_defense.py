@@ -7,8 +7,6 @@ per-group estimates.  Compare that against pretending nothing happened
 (ostrich) and against trimming half the reports.
 """
 
-import numpy as np
-
 from dapmean import ExperimentConfig, run_experiment
 
 config = ExperimentConfig(

@@ -26,7 +26,6 @@ from .filters import (
     default_tolerance,
     em,
     init_o_prime,
-    poison_mean,
     probe_side,
     suppression_mask,
 )

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import attacks
 from .attacks import AttackStrategy
-from .mechanism import Budget, Dataset, normalize_dataset, pm_perturb
-from .protocol import ConfigurationError, baseline_run, ostrich, run_dap, trimming
+from .mechanism import Budget, Dataset, normalize_dataset
+from .protocol import ConfigurationError, baseline_run, collect_reports, ostrich, run_dap, trimming
 
 SCHEMES = ("ostrich", "trimming", "baseline", "dap_emf", "dap_emf_star", "dap_cemf_star")
 
@@ -270,15 +270,7 @@ def _run_trial(
     # One shared single-budget collection for the unprotected baselines.
     single = None
     if "ostrich" in config.schemes or "trimming" in config.schemes:
-        budget = Budget(epsilon)
-        rng = streams["single"]
-        honest = pm_perturb(values[~mask], budget, rng)
-        poison = (
-            np.asarray(attack(m, budget, rng), dtype=float)
-            if (m and attack is not None)
-            else pm_perturb(values[mask], budget, rng)
-        )
-        single = np.concatenate([honest, poison])
+        single = collect_reports(values, mask, Budget(epsilon), attack, streams["single"])
 
     records = []
     for scheme in config.schemes:

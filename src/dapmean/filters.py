@@ -22,10 +22,6 @@ import numpy as np
 from .mechanism import Budget, BucketGrid, perturbation_matrix
 
 
-class NoPoisonMassError(ValueError):
-    """Raised when a poison mean is requested from an all-zero poison histogram."""
-
-
 class InconsistentSuppressionError(ValueError):
     """Raised when every poison bucket is suppressed but the poison mass is positive."""
 
@@ -266,11 +262,3 @@ def init_o_prime(collected, gamma_sup: float = 0.5, side: str = "right") -> floa
     t = int(np.ceil(gamma_sup * n))
     top = v[-t:] if side == "right" else v[:t]
     return float((v.mean() - top.sum() / n) / (1.0 - gamma_sup))
-
-
-def poison_mean(pair: HistogramPair, transform: TransformMatrix) -> float:
-    """Mass-weighted mean of the poison histogram over its bucket midpoints."""
-    mass = pair.poison_mass
-    if mass <= 0.0:
-        raise NoPoisonMassError("poison histogram carries no mass")
-    return float(np.dot(pair.y_hat, transform.poison_midpoints) / mass)

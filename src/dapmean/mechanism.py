@@ -119,9 +119,9 @@ class BucketGrid:
     """Uniform discretization of the input and output value domains.
 
     The input domain [-1, 1] is split into ``d`` buckets and the output
-    domain [-C, C] into ``d_out`` buckets.  Both counts are even: the
-    output grid is split into two halves for side probing, and the EM
-    filter's bookkeeping splits the input grid at d/2.
+    domain [-C, C] into ``d_out`` buckets.  ``d_out`` is even because side
+    probing splits the output grid into two halves; ``d`` may be any
+    positive count.
     """
 
     d: int
@@ -129,8 +129,8 @@ class BucketGrid:
     c_bound: float
 
     def __post_init__(self) -> None:
-        if self.d <= 0 or self.d % 2 != 0:
-            raise ValueError(f"d must be a positive even integer, got {self.d}")
+        if self.d <= 0:
+            raise ValueError(f"d must be a positive integer, got {self.d}")
         if self.d_out <= 0 or self.d_out % 2 != 0:
             raise ValueError(f"d_out must be a positive even integer, got {self.d_out}")
 

@@ -21,7 +21,6 @@ from .filters import (
     build_transform,
     default_tolerance,
     em,
-    poison_mean,
     probe_side,
     suppression_mask,
 )
@@ -96,6 +95,36 @@ class GroupReports:
     n_attacker_reports: int  # ground truth, diagnostics only
 
 
+def collect_reports(
+    values: np.ndarray,
+    attacker_mask: np.ndarray,
+    budget: Budget,
+    attack: AttackStrategy | None,
+    rng: np.random.Generator,
+    reps: int = 1,
+) -> np.ndarray:
+    """One budget's reports: honest reports first, then poison reports.
+
+    Honest users perturb their values ``reps`` times each.  Attackers submit
+    ``count * reps`` fresh draws from the attack strategy; with no attack or
+    no attacker they perturb their own values like honest users.
+    """
+    values = np.asarray(values, dtype=float)
+    attacker_mask = np.asarray(attacker_mask, dtype=bool)
+
+    def perturb(own):
+        # np.repeat copies even at reps=1, a cost the single-report streams skip.
+        return pm_perturb(np.repeat(own, reps) if reps > 1 else own, budget, rng)
+
+    honest = perturb(values[~attacker_mask])
+    n_poison = int(np.count_nonzero(attacker_mask)) * reps
+    if n_poison and attack is not None:
+        poison = np.asarray(attack(n_poison, budget, rng), dtype=float)
+    else:
+        poison = perturb(values[attacker_mask])
+    return np.concatenate([honest, poison])
+
+
 def dap_collect(
     values: np.ndarray,
     attacker_mask: np.ndarray,
@@ -103,12 +132,10 @@ def dap_collect(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
 ) -> list[GroupReports]:
-    """Collect per-group reports: honest users perturb, attackers fabricate.
+    """Collect per-group reports with ``collect_reports``, shuffled per group.
 
-    Every user in group t submits ``reports_per_user[t]`` reports; honest
-    reports are independent perturbations of the user's value at the group
-    budget, attacker reports are fresh draws from the attack strategy.  With
-    no attack, attackers perturb their own values like honest users.
+    Every user in group t submits ``reports_per_user[t]`` reports at the
+    group budget.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
@@ -119,15 +146,9 @@ def dap_collect(
         budget = Budget(float(plan.budgets[t]))
         reps = int(plan.reports_per_user[t])
         members = plan.group_members(t)
-        honest = members[~attacker_mask[members]]
-        attackers = members[attacker_mask[members]]
-        n_poison = attackers.size * reps
-        honest_reports = pm_perturb(np.repeat(values[honest], reps), budget, rng)
-        if n_poison and attack is not None:
-            poison_reports = np.asarray(attack(n_poison, budget, rng), dtype=float)
-        else:
-            poison_reports = pm_perturb(np.repeat(values[attackers], reps), budget, rng)
-        reports = np.concatenate([honest_reports, poison_reports])
+        mask = attacker_mask[members]
+        n_poison = int(np.count_nonzero(mask)) * reps
+        reports = collect_reports(values[members], mask, budget, attack, rng, reps)
         rng.shuffle(reports)
         groups.append(
             GroupReports(
@@ -356,46 +377,30 @@ def baseline_run(
 ) -> BaselineResult:
     """Two-budget protocol: probe features on the small budget, estimate on the large.
 
-    Every honest user perturbs twice (eps_alpha and eps_beta).  Attackers
-    inject per their strategy into both streams; with
-    ``attack_on_alpha=False`` they behave honestly on the probing stream,
-    which is the protocol's known flaw.
+    Every user reports once at eps_alpha and once at eps_beta (see
+    ``collect_reports``).  Attackers inject per their strategy into both
+    streams; with ``attack_on_alpha=False`` they behave honestly on the
+    probing stream, which is the protocol's known flaw.  The poison histogram
+    probed on the alpha stream is removed from the beta reports by
+    ``intra_group_mean``, at its bucket midpoints on the alpha grid.
     """
     if eps_alpha > 0.25 * eps_beta:
         raise ConfigurationError("eps_alpha must be at most 0.25 * eps_beta")
-    values = np.asarray(values, dtype=float)
-    attacker_mask = np.asarray(attacker_mask, dtype=bool)
-    n_users = values.size
-    m = int(attacker_mask.sum())
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
-
-    honest = values[~attacker_mask]
-    alpha_honest = pm_perturb(honest, b_alpha, rng)
-    beta_honest = pm_perturb(honest, b_beta, rng)
-    if m and attack is not None and attack_on_alpha:
-        alpha_poison = np.asarray(attack(m, b_alpha, rng), dtype=float)
-    else:
-        alpha_poison = pm_perturb(values[attacker_mask], b_alpha, rng)
-    if m and attack is not None:
-        beta_poison = np.asarray(attack(m, b_beta, rng), dtype=float)
-    else:
-        beta_poison = pm_perturb(values[attacker_mask], b_beta, rng)
-    alpha_reports = np.concatenate([alpha_honest, alpha_poison])
-    beta_reports = np.concatenate([beta_honest, beta_poison])
+    alpha_attack = attack if attack_on_alpha else None
+    alpha_reports = collect_reports(values, attacker_mask, b_alpha, alpha_attack, rng)
+    beta_reports = collect_reports(values, attacker_mask, b_beta, attack, rng)
 
     probe = probe_reports(alpha_reports, b_alpha)
-    side = probe.side
-    pair = probe.winning_pair
-    gamma_hat = pair.poison_mass
-    m_hat = attacker_count(gamma_hat, n_users)
-
-    if m_hat > 0 and gamma_hat > 0:
-        transform = build_transform(b_alpha, probe.grid, side=side)
-        m_alpha = poison_mean(pair, transform)
-        # Poison means on the two streams live on different [-C, C] scales;
-        # map through the shared deviation from the probe reference (0).
-        m_beta = m_alpha
-        mean = (beta_reports.sum() - m_hat * m_beta) / (n_users - m_hat)
-    else:
-        mean = beta_reports.mean()
-    return BaselineResult(mean=float(mean), side=side, gamma_hat=gamma_hat, m_hat=m_hat)
+    transform = build_transform(b_alpha, probe.grid, side=probe.side)
+    # The poison midpoints live on the alpha grid's [-C_alpha, C_alpha] and
+    # are subtracted from the beta reports as they are, without mapping to
+    # the beta scale (ROADMAP item 2).
+    est = intra_group_mean(
+        beta_reports,
+        probe.winning_pair.y_hat,
+        transform.poison_midpoints,
+        b_beta,
+        eps_total=eps_alpha + eps_beta,
+    )
+    return BaselineResult(mean=est.mean, side=probe.side, gamma_hat=est.gamma_hat, m_hat=est.m_hat)

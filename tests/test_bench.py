@@ -14,7 +14,6 @@ from dapmean.bench import (
     mse,
     mse_from_sq,
     run_experiment,
-    write_outputs,
 )
 from dapmean.mechanism import Budget
 from dapmean.protocol import ConfigurationError, DegenerateFilterError

@@ -6,7 +6,6 @@ import pytest
 from dapmean.attacks import PoisonSpec, gen_bba
 from dapmean.filters import (
     InconsistentSuppressionError,
-    NoPoisonMassError,
     ObservedCounts,
     attacker_count,
     bucket_counts,
@@ -14,7 +13,6 @@ from dapmean.filters import (
     default_tolerance,
     em,
     init_o_prime,
-    poison_mean,
     probe_side,
     suppression_mask,
 )
@@ -163,6 +161,18 @@ class TestTransform:
         t = build_transform(budget, grid, side="left")
         assert t.n_poison == grid.d_out // 2
         np.testing.assert_array_equal(t.poison_output_indices, grid.poison_indices("left"))
+
+    def test_odd_input_grid(self):
+        # Only the output grid splits into side halves, so an odd d works.
+        budget = Budget(1.0)
+        grid = BucketGrid(d=5, d_out=8, c_bound=budget.c_bound)
+        transform = build_transform(budget, grid, side="right")
+        np.testing.assert_allclose(transform.perturbation.sum(axis=0), 1.0, atol=1e-12)
+        rng = np.random.default_rng(0)
+        counts = bucket_counts(pm_perturb(rng.uniform(-1, 1, 2_000), budget, rng), grid)
+        pair = em(transform, counts, tau=1e-6)
+        assert pair.x_hat.size == 5 and pair.y_hat.size == 4
+        assert pair.x_hat.sum() + pair.y_hat.sum() == pytest.approx(1.0)
 
 
 class TestCounts:
@@ -360,20 +370,3 @@ class TestInitOPrime:
             init_o_prime([], gamma_sup=0.25)
         with pytest.raises(ValueError):
             init_o_prime([1.0], gamma_sup=0.6)
-
-
-class TestPoisonMean:
-    def test_weighted_midpoint_mean(self):
-        _, _, counts, transform, _ = make_setup(lo_frac=0.75)
-        pair = em(transform, counts, tau=1e-4)
-        mu = poison_mean(pair, transform)
-        expect = np.dot(pair.y_hat, transform.poison_midpoints) / pair.y_hat.sum()
-        assert mu == pytest.approx(expect)
-        # Poison sits in the top quarter of the output range.
-        assert mu > 0.5 * transform.poison_midpoints.max()
-
-    def test_zero_mass_rejected(self):
-        _, _, counts, transform, _ = make_setup()
-        pair = em(transform, counts, tau=1e-4, gamma=0.0)
-        with pytest.raises(NoPoisonMassError):
-            poison_mean(pair, transform)

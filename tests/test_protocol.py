@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from dapmean.attacks import poison_strategy
-from dapmean.filters import attacker_count
-from dapmean.mechanism import Budget, worst_case_variance
+from dapmean.filters import attacker_count, bucket_counts, build_transform, em
+from dapmean.mechanism import BucketGrid, Budget, pm_perturb, worst_case_variance
 from dapmean.protocol import (
     ConfigurationError,
     DegenerateFilterError,
     GroupEstimate,
     aggregate_means,
     baseline_run,
+    collect_reports,
     dap_collect,
     dap_plan,
     intra_group_mean,
     optimal_weights,
     ostrich,
+    probe_reports,
     run_dap,
     trimming,
 )
@@ -51,6 +53,61 @@ class TestPlan:
     def test_rejects_bad_budgets(self, eps, eps0):
         with pytest.raises(ConfigurationError):
             dap_plan(100, eps, eps0, np.random.default_rng(0))
+
+
+def recording_attack(calls):
+    """An attack that logs each requested count and reports 2C, outside [-C, C]."""
+
+    def strategy(count, budget, rng):
+        calls.append(count)
+        return np.full(count, 2.0 * budget.c_bound)
+
+    return strategy
+
+
+class TestCollectReports:
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.values = rng.uniform(-1, 1, 500)
+        self.mask = np.zeros(500, dtype=bool)
+        self.mask[rng.choice(500, 120, replace=False)] = True
+        self.budget = Budget(0.5)
+
+    def test_honest_first_then_attack_draws(self):
+        calls = []
+        rng = np.random.default_rng(8)
+        reports = collect_reports(
+            self.values, self.mask, self.budget, recording_attack(calls), rng, reps=3
+        )
+        ref = np.random.default_rng(8)
+        honest = pm_perturb(np.repeat(self.values[~self.mask], 3), self.budget, ref)
+        assert calls == [120 * 3]
+        np.testing.assert_array_equal(reports[: honest.size], honest)
+        np.testing.assert_array_equal(reports[honest.size :], 2.0 * self.budget.c_bound)
+        assert reports.size == 500 * 3
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    @pytest.mark.parametrize("case", ["no_attack", "no_attacker"])
+    def test_unattacked_streams_perturb_own_values(self, case, reps):
+        # No attack, or an attack with no attacker to run it: every user
+        # perturbs their own value, honest users first.
+        calls = []
+        if case == "no_attack":
+            mask, attack = self.mask, None
+        else:
+            mask, attack = np.zeros(500, dtype=bool), recording_attack(calls)
+        rng = np.random.default_rng(9)
+        reports = collect_reports(self.values, mask, self.budget, attack, rng, reps=reps)
+        ref = np.random.default_rng(9)
+        expect = np.concatenate(
+            [
+                pm_perturb(np.repeat(self.values[~mask], reps), self.budget, ref),
+                pm_perturb(np.repeat(self.values[mask], reps), self.budget, ref),
+            ]
+        )
+        assert calls == []
+        np.testing.assert_array_equal(reports, expect)
+        assert rng.random() == ref.random()
 
 
 class TestCollect:
@@ -107,6 +164,29 @@ class TestCollect:
         for a, b in zip(*out):
             np.testing.assert_array_equal(a, b)
 
+    def test_draw_order_matches_the_inline_sequence(self):
+        # Per group: honest perturbations, then poison, then one shuffle.
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.rng.choice(self.n, 1000, replace=False)] = True
+        attack = poison_strategy()
+        plan = dap_plan(self.n, 1.0, 0.25, self.rng)
+        groups = dap_collect(self.values, mask, plan, attack, np.random.default_rng(21))
+        ref = np.random.default_rng(21)
+        for g, t in zip(groups, range(plan.h)):
+            budget = Budget(float(plan.budgets[t]))
+            reps = int(plan.reports_per_user[t])
+            members = plan.group_members(t)
+            honest = members[~mask[members]]
+            n_poison = (members.size - honest.size) * reps
+            expect = np.concatenate(
+                [
+                    pm_perturb(np.repeat(self.values[honest], reps), budget, ref),
+                    attack(n_poison, budget, ref),
+                ]
+            )
+            ref.shuffle(expect)
+            np.testing.assert_array_equal(g.reports, expect)
+
     def test_plan_must_cover_users(self):
         plan = dap_plan(self.n + 1, 1.0, 0.5, self.rng)
         with pytest.raises(ConfigurationError):
@@ -153,6 +233,33 @@ class TestIntraGroupMean:
             reports, np.array([0.99]), np.array([1.0]), Budget(1.0), eps_total=1.0
         )
         assert est.m_hat == 1.0  # round(1.98) clamped to n - 1
+
+    def test_removal_lowers_the_sum_by_m_hat_times_poison_midpoint(self):
+        # Top-quarter poison on the right: the estimate takes m_hat times the
+        # poison histogram's mass-weighted midpoint out of the report sum.
+        rng = np.random.default_rng(0)
+        budget = Budget(2.0)
+        n = 20_000
+        values = rng.beta(2, 5, n) * 2 - 1
+        mask = np.arange(n) < n // 4
+        reports = collect_reports(values, mask, budget, poison_strategy(), rng)
+        grid = BucketGrid.for_reports(n, budget)
+        transform = build_transform(budget, grid, side="right")
+        pair = em(transform, bucket_counts(reports, grid), tau=1e-4)
+        midpoints = transform.poison_midpoints
+        est = intra_group_mean(reports, pair.y_hat, midpoints, budget, eps_total=2.0)
+        mu = np.dot(pair.y_hat, midpoints) / pair.poison_mass
+        assert est.m_hat == attacker_count(pair.poison_mass, n) > 0
+        assert est.mean * (n - est.m_hat) == pytest.approx(reports.sum() - est.m_hat * mu)
+        assert mu > 0.5 * midpoints.max()
+
+    def test_zero_poison_mass_keeps_the_plain_mean(self):
+        reports = np.array([1.0, 2.0, 6.0])
+        est = intra_group_mean(
+            reports, np.zeros(2), np.array([1.0, 2.0]), Budget(1.0), eps_total=1.0
+        )
+        assert est.m_hat == 0.0
+        assert est.mean == pytest.approx(3.0)
 
     def test_all_poison_is_degenerate(self):
         with pytest.raises(DegenerateFilterError):
@@ -298,6 +405,30 @@ class TestBaselineRun:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_honest_probing_probes_the_unattacked_stream(self):
+        # attack_on_alpha=False: the alpha stream is collect_reports with no
+        # attack, and its probe is removed from the attacked beta stream.
+        rng = np.random.default_rng(6)
+        values = rng.beta(2, 5, 8_000) * 2 - 1
+        mask = np.zeros(values.size, dtype=bool)
+        mask[rng.choice(values.size, 2_000, replace=False)] = True
+        attack = poison_strategy()
+        res = baseline_run(
+            values, mask, 1.0 / 16.0, 15.0 / 16.0, attack,
+            np.random.default_rng(12), attack_on_alpha=False,
+        )
+        ref = np.random.default_rng(12)
+        b_alpha, b_beta = Budget(1.0 / 16.0), Budget(15.0 / 16.0)
+        alpha = collect_reports(values, mask, b_alpha, None, ref)
+        beta = collect_reports(values, mask, b_beta, attack, ref)
+        probe = probe_reports(alpha, b_alpha)
+        transform = build_transform(b_alpha, probe.grid, side=probe.side)
+        est = intra_group_mean(
+            beta, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta, eps_total=1.0
+        )
+        assert (res.side, res.gamma_hat) == (probe.side, probe.winning_pair.poison_mass)
+        assert (res.mean, res.m_hat) == (est.mean, est.m_hat)
 
     def test_honest_probing_flaw(self):
         # Attackers hiding during probing keep more of their injected bias
