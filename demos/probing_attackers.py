@@ -15,7 +15,6 @@ from dapmean import (
     attacker_count,
     build_transform,
     gen_bba,
-    init_o_prime,
     pm_perturb,
     probe_reports,
 )
@@ -38,10 +37,6 @@ rng.shuffle(reports)
 
 print(f"{n} reports at eps = {eps:g}; {gamma:.0%} of them are poison "
       f"uniform on [{0.5 * c:.1f}, {c:.1f}]")
-
-o_prime = init_o_prime(reports, gamma_sup=0.5)
-print(f"pessimistic mean initialization O' = {o_prime:+.3f} on the report scale;")
-print("it deliberately under-shoots so no potential poison value is excluded")
 
 probe = probe_reports(reports, budget)
 print(f"side probe: Var(x | left) = {probe.var_left:.2e}, "

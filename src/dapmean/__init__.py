@@ -15,7 +15,7 @@ from .attacks import (
     gen_input_manipulation,
     reduce_gba_to_bba,
 )
-from .bench import ExperimentConfig, gen_beta, load_csv, mse, run_experiment
+from .bench import ExperimentConfig, gen_beta, load_csv, run_experiment
 from .filters import (
     HistogramPair,
     ObservedCounts,
@@ -25,7 +25,6 @@ from .filters import (
     build_transform,
     default_tolerance,
     em,
-    init_o_prime,
     probe_side,
     suppression_mask,
 )

@@ -198,16 +198,24 @@ def gen_evasive(
     spec: PoisonSpec,
     m: int,
     evasive_value: float,
+    budget: Budget,
     rng: np.random.Generator,
     reference_mean: float = 0.0,
 ) -> AttackTrace:
-    """floor(a*m) copies of the evasive value plus (m - floor(a*m)) true poison values."""
+    """floor(a*m) copies of the evasive value plus (m - floor(a*m)) true poison values.
+
+    The true poison values come from ``gen_bba``, so they pass its checks;
+    the evasive value must lie in [-C, C], on the side opposite the range.
+    """
     if spec.side == "right" and evasive_value > reference_mean:
         raise ValueError("evasive value must lie on the side opposite the poison range")
     if spec.side == "left" and evasive_value < reference_mean:
         raise ValueError("evasive value must lie on the side opposite the poison range")
+    c = budget.c_bound
+    if not (-c <= evasive_value <= c):
+        raise DomainError(f"evasive value outside [-{c}, {c}]")
     n_evasive = int(np.floor(spec.evasion_fraction * m))
-    true_values = _draw(spec, m - n_evasive, rng)
+    true_values = gen_bba(spec, m - n_evasive, budget, rng, reference_mean).values
     values = np.concatenate([np.full(n_evasive, float(evasive_value)), true_values])
     return AttackTrace(values=values, reference_mean=reference_mean)
 
@@ -310,7 +318,7 @@ def poison_strategy(
     return strategy
 
 
-def input_manipulation_strategy(g: float) -> AttackStrategy:
+def input_manipulation_strategy(g: float = 1.0) -> AttackStrategy:
     """Disguised attackers: every report is a normal perturbation of g."""
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
@@ -320,7 +328,7 @@ def input_manipulation_strategy(g: float) -> AttackStrategy:
 
 
 def evasive_strategy(
-    a: float,
+    a: float = 0.2,
     lo="C/2",
     hi="C",
     evasive="-C/2",
@@ -337,6 +345,6 @@ def evasive_strategy(
             side="right",
         )
         ev = resolve_endpoint(evasive, c, reference_mean)
-        return gen_evasive(spec, count, ev, rng, reference_mean).values
+        return gen_evasive(spec, count, ev, budget, rng, reference_mean).values
 
     return strategy

@@ -10,6 +10,7 @@ even when trials execute in parallel.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import warnings
@@ -90,14 +91,6 @@ def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
     return normalize_dataset(arr)
 
 
-def mse(estimates, truth: float) -> float:
-    """Mean squared error of the estimates against the truth."""
-    e = np.asarray(estimates, dtype=float)
-    if e.size == 0:
-        raise ValueError("no estimates")
-    return float(np.mean(np.square(e - truth)))
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; JSON-serializable.
@@ -150,47 +143,61 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
+def _check_keys(what: str, kind: str, keys, takes) -> None:
+    """Raise ConfigurationError naming the first spec key the reader does not take."""
+    unknown = sorted(set(keys) - set(takes))
+    if unknown:
+        raise ConfigurationError(
+            f"{what} {kind!r} does not take the key {unknown[0]!r} (it takes {sorted(takes)})"
+        )
+
+
 def build_attack(spec: dict, default_reference: float = 0.0) -> AttackStrategy | None:
     """Attack strategy from its config dictionary.
 
+    Every key except ``kind`` is a keyword argument of the kind's factory in
+    ``attacks``; a key the factory does not take raises ConfigurationError.
     ``default_reference`` is what "O" resolves to in range expressions when
-    the config does not pin one; the runner passes the dataset's true mean.
+    the config does not pin ``reference_mean``; the runner passes the
+    dataset's true mean.
     """
-    kind = spec.get("kind", "none")
-    ref = spec.get("reference_mean", default_reference)
+    keys = dict(spec)
+    kind = keys.pop("kind", "none")
     if kind == "none":
+        _check_keys("attack kind", kind, keys, ())
         return None
-    if kind in ("uniform", "gaussian", "point"):
-        return attacks.poison_strategy(
-            lo=spec.get("lo", "0.75*C"),
-            hi=spec.get("hi", "C"),
-            dist=kind,
-            mu=spec.get("mu"),
-            sigma=spec.get("sigma"),
-            value=spec.get("value"),
-            reference_mean=ref,
-            side=spec.get("side", "right"),
-        )
-    if kind == "input":
-        return attacks.input_manipulation_strategy(spec.get("g", 1.0))
-    if kind == "evasive":
-        return attacks.evasive_strategy(
-            a=spec.get("a", 0.2),
-            lo=spec.get("lo", "C/2"),
-            hi=spec.get("hi", "C"),
-            evasive=spec.get("evasive", "-C/2"),
-            reference_mean=ref,
-        )
-    raise ConfigurationError(f"unknown attack kind {kind!r}")
+    # Looked up at call time, so that a wrapped factory is the one called.
+    factories = {
+        "uniform": attacks.poison_strategy,
+        "gaussian": attacks.poison_strategy,
+        "point": attacks.poison_strategy,
+        "input": attacks.input_manipulation_strategy,
+        "evasive": attacks.evasive_strategy,
+    }
+    if kind not in factories:
+        raise ConfigurationError(f"unknown attack kind {kind!r}")
+    factory = factories[kind]
+    fixed = {"dist": kind} if factory is attacks.poison_strategy else {}
+    takes = set(inspect.signature(factory).parameters) - set(fixed)
+    _check_keys("attack kind", kind, keys, takes)
+    if "reference_mean" in takes:
+        keys.setdefault("reference_mean", default_reference)
+    return factory(**keys, **fixed)
 
 
-def build_dataset(spec: dict, seed: int) -> Dataset:
-    kind = spec.get("type", "beta")
+def build_dataset(spec: dict, seed) -> Dataset:
+    """Dataset from its config dictionary: ``a``, ``b`` and ``n`` for
+    "beta" (``gen_beta``), ``path``, ``column`` and ``clip`` for "csv"
+    (``load_csv``).  Any other key raises ConfigurationError."""
+    keys = dict(spec)
+    kind = keys.pop("type", "beta")
     if kind == "beta":
-        return gen_beta(spec.get("a", 2.0), spec.get("b", 5.0), int(spec.get("n", 100_000)), seed)
+        _check_keys("dataset type", kind, keys, ("a", "b", "n"))
+        return gen_beta(keys.get("a", 2.0), keys.get("b", 5.0), int(keys.get("n", 100_000)), seed)
     if kind == "csv":
-        clip = spec.get("clip")
-        return load_csv(spec["path"], spec.get("column", 0), tuple(clip) if clip else None)
+        _check_keys("dataset type", kind, keys, ("path", "column", "clip"))
+        clip = keys.get("clip")
+        return load_csv(keys["path"], keys.get("column", 0), tuple(clip) if clip else None)
     raise ConfigurationError(f"unknown dataset type {kind!r}")
 
 
@@ -336,13 +343,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for ei, eps in enumerate(config.eps_list)
         for t in range(config.trials)
     ]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(
-                pool.map(lambda args: _run_trial(config, dataset, attack, *args), tasks)
-            )
-    else:
-        chunks = [_run_trial(config, dataset, attack, *args) for args in tasks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        chunks = list(pool.map(lambda args: _run_trial(config, dataset, attack, *args), tasks))
     records = [r for chunk in chunks for r in chunk]
     result = ExperimentResult(config=config, records=records)
     if config.out:

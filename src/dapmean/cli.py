@@ -12,7 +12,7 @@ from .attacks import AttackTrace, reduce_gba_to_bba
 from .bench import ExperimentConfig, FailedCellError, read_column, run_experiment
 from .filters import attacker_count
 from .mechanism import Budget
-from .protocol import dap_plan, probe_reports
+from .protocol import ConfigurationError, dap_plan, probe_reports
 
 
 def _parse_dataset(text: str) -> dict:
@@ -37,7 +37,12 @@ def _cmd_simulate(args) -> int:
         if args.out:
             cfg.out = args.out
     else:
-        attack = {"kind": args.dist, "lo": args.range.split(":")[0], "hi": args.range.split(":")[1]}
+        ends = args.range.split(":")
+        if len(ends) != 2:
+            raise ConfigurationError(f"--range must have the form lo:hi, got {args.range!r}")
+        attack = {"kind": args.dist}
+        if args.dist != "input":  # input manipulation perturbs a chosen input, no range
+            attack |= {"lo": ends[0], "hi": ends[1]}
         cfg = ExperimentConfig(
             dataset=_parse_dataset(args.dataset),
             eps_list=[float(e) for e in args.eps.split(",")],

@@ -244,21 +244,3 @@ def attacker_count(gamma_hat: float, n_reports: int) -> float:
     [0, N - 1], so probe noise can never leave zero honest reports."""
     return float(np.clip(np.round(gamma_hat * n_reports), 0, n_reports - 1))
 
-
-def init_o_prime(collected, gamma_sup: float = 0.5, side: str = "right") -> float:
-    """Pessimistic initialization of the true mean.
-
-    Discards the ``ceil(gamma_sup * N)`` most extreme values on the poisoned
-    side and rescales, which under-shoots (right side) or over-shoots (left
-    side) the true normal-user mean whenever at most that many reports are
-    poisoned.
-    """
-    v = np.sort(np.asarray(collected, dtype=float))
-    n = v.size
-    if n == 0:
-        raise ValueError("collected set must be nonempty")
-    if not (0.0 < gamma_sup <= 0.5):
-        raise ValueError("gamma_sup must be in (0, 0.5]")
-    t = int(np.ceil(gamma_sup * n))
-    top = v[-t:] if side == "right" else v[:t]
-    return float((v.mean() - top.sum() / n) / (1.0 - gamma_sup))

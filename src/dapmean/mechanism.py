@@ -173,28 +173,12 @@ class BucketGrid:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def transition_column(input_bucket: int, budget: Budget, grid: BucketGrid) -> np.ndarray:
-    """All d_out transition probabilities for one input bucket (sums to 1)."""
-    if not (0 <= input_bucket < grid.d):
-        raise IndexError(f"input bucket {input_bucket} out of range")
-    v = grid.input_midpoints[input_bucket]
-    c = budget.c_bound
-    lo = float(budget.low_edge(v))
-    hi = lo + c - 1.0
-    dens_high = budget.high_band_prob / (c - 1.0)
-    dens_low = (1.0 - budget.high_band_prob) / (c + 1.0)
-    edges = grid.output_edges
-    a, b = edges[:-1], edges[1:]
-    overlap = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
-    probs = overlap * dens_high + (b - a - overlap) * dens_low
-    return np.clip(probs, 0.0, 1.0)
-
-
 def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
     """The d_out x d matrix of bucket transition probabilities for normal users.
 
-    Column k equals ``transition_column(k, budget, grid)`` exactly: the same
-    expressions, broadcast over all input midpoints at once.
+    Column k holds the probability that a user whose value is the midpoint
+    of input bucket k reports into each output bucket; every column sums
+    to 1.
     """
     c = budget.c_bound
     lo = budget.low_edge(grid.input_midpoints)

@@ -151,19 +151,39 @@ class TestInputManipulation:
 class TestEvasive:
     def test_counts(self):
         spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.2)
-        trace = gen_evasive(spec, 100, -0.5 * C, np.random.default_rng(0))
+        trace = gen_evasive(spec, 100, -0.5 * C, BUDGET, np.random.default_rng(0))
         assert np.sum(trace.values == -0.5 * C) == 20
         assert np.sum(trace.values >= 0.5 * C) == 80
 
     def test_all_evasive_at_fraction_one(self):
         spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=1.0)
-        trace = gen_evasive(spec, 37, -1.0, np.random.default_rng(0))
+        trace = gen_evasive(spec, 37, -1.0, BUDGET, np.random.default_rng(0))
         np.testing.assert_array_equal(trace.values, np.full(37, -1.0))
 
     def test_evasive_value_must_oppose_side(self):
         spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.2)
         with pytest.raises(ValueError):
-            gen_evasive(spec, 10, 0.4, np.random.default_rng(0))
+            gen_evasive(spec, 10, 0.4, BUDGET, np.random.default_rng(0))
+
+    def test_true_values_are_gen_bba_draws(self):
+        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.3)
+        trace = gen_evasive(spec, 50, -0.5 * C, BUDGET, np.random.default_rng(4))
+        bba = gen_bba(spec, 35, BUDGET, np.random.default_rng(4))
+        np.testing.assert_array_equal(trace.values[15:], bba.values)
+
+    @pytest.mark.parametrize(
+        "lo, hi, evasive, error",
+        [
+            (0.5 * C, 3 * C, -0.5 * C, DomainError),
+            (-C, C, -C, NotBiasedError),
+            (0.5 * C, C, -2 * C, DomainError),
+        ],
+        ids=["range_outside_domain", "range_crosses_reference", "evasive_outside_domain"],
+    )
+    def test_checked_like_a_one_sided_attack(self, lo, hi, evasive, error):
+        spec = PoisonSpec(range_lo=lo, range_hi=hi, evasion_fraction=0.2)
+        with pytest.raises(error):
+            gen_evasive(spec, 10, evasive, BUDGET, np.random.default_rng(0))
 
 
 class TestEvasionBounds:

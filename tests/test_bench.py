@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -11,7 +12,6 @@ from dapmean.bench import (
     build_dataset,
     gen_beta,
     load_csv,
-    mse,
     mse_from_sq,
     run_experiment,
 )
@@ -63,9 +63,26 @@ class TestDatasets:
         with pytest.raises(ConfigurationError):
             build_dataset({"type": "parquet"}, seed=0)
 
+    def test_build_dataset_csv(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("x\n5\n10\n20\n100\n")
+        ds = build_dataset({"type": "csv", "path": str(p), "column": "x", "clip": [10, 20]}, seed=0)
+        assert ds.n == 2
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"type": "beta", "N": 10}, "N"),
+            ({"type": "csv", "path": "data.csv", "columns": 0}, "columns"),
+        ],
+        ids=["beta", "csv"],
+    )
+    def test_build_dataset_rejects_unknown_key(self, spec, key):
+        with pytest.raises(ConfigurationError, match=f"{spec['type']!r}.*{key!r}"):
+            build_dataset(spec, seed=0)
+
 
 def test_mse():
-    assert mse([1.0, 3.0], truth=2.0) == pytest.approx(1.0)
     assert mse_from_sq([1.0, 3.0]) == pytest.approx(2.0)
     assert math.isnan(mse_from_sq([]))
 
@@ -145,6 +162,39 @@ class TestBuildAttack:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             build_attack({"kind": "ddos"})
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "none", "lo": "0.5*C"}, "lo"),
+            ({"kind": "uniform", "low": "0.5*C"}, "low"),
+            ({"kind": "gaussian", "lo": "0.5*C", "mean": 3.0}, "mean"),
+            ({"kind": "point", "dist": "uniform"}, "dist"),
+            ({"kind": "input", "lo": "0.5*C"}, "lo"),
+            ({"kind": "evasive", "side": "left"}, "side"),
+        ],
+        ids=["none", "uniform", "gaussian", "point", "input", "evasive"],
+    )
+    def test_unknown_key_rejected(self, spec, key):
+        with pytest.raises(ConfigurationError, match=f"{spec['kind']!r}.*{key!r}"):
+            build_attack(spec)
+
+    def test_factory_looked_up_at_call_time(self, monkeypatch):
+        # A wrapped factory (as a tracer installs) must be the one called,
+        # with only the keys the spec gives plus the default reference.
+        import dapmean.attacks as attacks
+
+        calls = []
+        real = attacks.evasive_strategy
+
+        @functools.wraps(real)
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(attacks, "evasive_strategy", spy)
+        build_attack({"kind": "evasive", "a": 0.5}, default_reference=-0.1)
+        assert calls == [{"a": 0.5, "reference_mean": -0.1}]
 
     def test_reference_mean_default_applies(self):
         # A range written relative to O must resolve against the supplied

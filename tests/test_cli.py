@@ -116,6 +116,23 @@ class TestSimulate:
         assert out_path.with_suffix(".json").exists()
         assert "mse scheme=ostrich" in out
 
+    def test_input_attack_writes_no_range(self, capsys, tmp_path):
+        out_path = tmp_path / "res.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate",
+            "--dataset", "beta:2,5,2000",
+            "--trials", "1",
+            "--schemes", "ostrich",
+            "--dist", "input",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        row = out_path.read_text().splitlines()[1].split(",")
+        assert row[3:5] == ["", ""]  # range_lo, range_hi
+        summary = json.loads(out_path.with_suffix(".json").read_text())
+        assert summary["config"]["attack"] == {"kind": "input"}
+
     def test_config_file(self, capsys, tmp_path):
         cfg = {
             "dataset": {"type": "beta", "a": 2, "b": 5, "n": 2000},
@@ -177,6 +194,17 @@ class TestErrors:
         assert "scheme=dap_emf_star eps=1" in payload["message"]
         assert "ostrich" not in payload["message"]
         assert "mse scheme=ostrich" in out
+
+    @pytest.mark.parametrize("value", ["0.5", "0.5*C:C:2"])
+    def test_range_needs_lo_and_hi(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--dataset", "beta:2,5,2000", "--trials", "1", "--range", value
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "--range" in payload["message"] and "lo:hi" in payload["message"]
+        assert "mse" not in out
 
     def test_unknown_dataset_spec(self, capsys):
         code, _, err = run_cli(

@@ -12,7 +12,6 @@ from dapmean.filters import (
     build_transform,
     default_tolerance,
     em,
-    init_o_prime,
     probe_side,
     suppression_mask,
 )
@@ -345,28 +344,3 @@ class TestFeatures:
         assert attacker_count(0.94, 10) == 9.0
         assert attacker_count(0.97, 10) == 9.0  # round(9.7) = 10 would leave none
 
-
-class TestInitOPrime:
-    def test_hand_example(self):
-        # {1,2,3,4}, gamma_sup=0.25: drop the single largest value 4;
-        # (2.5 - 4/4) / 0.75 = 2.0
-        assert init_o_prime([1, 2, 3, 4], gamma_sup=0.25) == pytest.approx(2.0)
-
-    def test_left_side_mirrors(self):
-        assert init_o_prime([1, 2, 3, 4], gamma_sup=0.25, side="left") == pytest.approx(
-            (2.5 - 1 / 4) / 0.75
-        )
-
-    def test_pessimistic_under_right_poison(self):
-        rng = np.random.default_rng(0)
-        honest = rng.uniform(-1, 1, 900)
-        poison = rng.uniform(2, 3, 100)
-        collected = np.concatenate([honest, poison])
-        o_prime = init_o_prime(collected, gamma_sup=0.5, side="right")
-        assert o_prime <= honest.mean()
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            init_o_prime([], gamma_sup=0.25)
-        with pytest.raises(ValueError):
-            init_o_prime([1.0], gamma_sup=0.6)

@@ -1,8 +1,11 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so the unused-import rule is checked here:
-every name a module imports must be read somewhere in that module.
-``__init__.py`` is skipped because its imports are the package's exports.
+No linter ships with the project, so two rules are checked here.  Every
+name a module imports must be read somewhere in that module.  Every public
+top-level function or class of ``src/dapmean`` must be read by the package,
+a demo, the benchmark or a README example, unless it is on ``TESTED_ONLY``.
+``__init__.py`` is skipped by both rules because its imports are the
+package's exports, not uses.
 """
 
 import ast
@@ -54,3 +57,64 @@ def test_scanner_flags_only_unread_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Paper constructions that no pipeline runs but the tests exercise.
+TESTED_ONLY = {
+    "gen_gba": "the paper's two-sided general attack; test_attacks pins its draws",
+    "evasion_bounds": "the paper's evasion utility bounds; c09 checks their identity",
+    "optimal_weights": "the weights aggregate_means applies; c05 checks them by grid search",
+}
+READERS = sorted(
+    [p for p in (ROOT / "src" / "dapmean").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "perfbench").glob("*.py"))
+)
+
+
+def public_definitions(source: str) -> list[str]:
+    """Top-level functions and classes whose names do not start with ``_``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the code loads, bare (``f``) or as an attribute (``mod.f``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def readme_python_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    return [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+
+
+def test_public_name_scanner():
+    assert public_definitions("def f(): pass\nclass K: pass\ndef _g(): pass\n") == ["f", "K"]
+    # ``y.h = 1`` stores h: it reads y, not h.
+    assert read_names("import m\nx = m.f(g)\ny.h = 1\n") == {"m", "f", "g", "y"}
+
+
+def test_every_public_name_is_read():
+    read = set()
+    for source in [p.read_text() for p in READERS] + readme_python_blocks():
+        read |= read_names(source)
+    unread = {
+        f"{path.stem}.{name}": name
+        for path in SOURCES
+        if path.parent.name == "dapmean"
+        for name in public_definitions(path.read_text())
+        if name not in read
+    }
+    assert [where for where, name in unread.items() if name not in TESTED_ONLY] == []
+    # A listed name that is now read somewhere, or gone, leaves the list.
+    assert sorted(set(TESTED_ONLY) - set(unread.values())) == []

@@ -13,7 +13,6 @@ from dapmean.mechanism import (
     normalize_dataset,
     perturbation_matrix,
     pm_perturb,
-    transition_column,
     worst_case_variance,
 )
 
@@ -146,6 +145,22 @@ class TestBucketGrid:
         assert right.size == g.d_out - half
         assert left.size == half
         assert right[0] == half and left[-1] == half - 1
+
+
+def transition_column(input_bucket: int, budget: Budget, grid: BucketGrid) -> np.ndarray:
+    """Oracle for one column of ``perturbation_matrix``: all d_out transition
+    probabilities of one input bucket's midpoint, written per column."""
+    v = grid.input_midpoints[input_bucket]
+    c = budget.c_bound
+    lo = float(budget.low_edge(v))
+    hi = lo + c - 1.0
+    dens_high = budget.high_band_prob / (c - 1.0)
+    dens_low = (1.0 - budget.high_band_prob) / (c + 1.0)
+    edges = grid.output_edges
+    a, b = edges[:-1], edges[1:]
+    overlap = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
+    probs = overlap * dens_high + (b - a - overlap) * dens_low
+    return np.clip(probs, 0.0, 1.0)
 
 
 class TestTransitionProbs:
