@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +135,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from a dictionary; an unknown or missing key raises ConfigurationError."""
+        spec = fields(cls)
+        takes = sorted(f.name for f in spec)
+        unknown = sorted(set(d) - set(takes))
+        if unknown:
+            raise ConfigurationError(
+                f"config does not take the key {unknown[0]!r} (it takes {takes})"
+            )
+        missing = [
+            f.name
+            for f in spec
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ConfigurationError(f"config is missing the key {missing[0]!r}")
         return cls(**d)
 
     @classmethod
@@ -196,6 +211,8 @@ def build_dataset(spec: dict, seed) -> Dataset:
         return gen_beta(keys.get("a", 2.0), keys.get("b", 5.0), int(keys.get("n", 100_000)), seed)
     if kind == "csv":
         _check_keys("dataset type", kind, keys, ("path", "column", "clip"))
+        if "path" not in keys:
+            raise ConfigurationError(f"dataset type {kind!r} needs the key 'path'")
         clip = keys.get("clip")
         return load_csv(keys["path"], keys.get("column", 0), tuple(clip) if clip else None)
     raise ConfigurationError(f"unknown dataset type {kind!r}")

@@ -5,12 +5,13 @@ values and models the bucket frequencies as the mixture ``P x + I_S y``:
 ``P`` is the d_out x d perturbation block that routes the normal-user input
 histogram ``x`` through the piecewise mechanism, and the unit vectors
 ``I_S`` place each entry of the poison histogram ``y`` directly in its
-bucket on the poisoned side ``S``.  ``I_S`` is never stored: the EM loop
-multiplies only ``P`` and adds (or gathers) ``y`` at the poison bucket
-indices, so an iteration costs O(d_out * d) however many poison buckets
-there are.  One EM function covers every variant: its constraints pin the
-total poison mass to a probed attacker proportion and optionally suppress
-near-empty poison buckets.
+bucket on the poisoned side ``S``.  ``I_S`` is never stored: the poisoned side
+is one contiguous half of the output grid, so the EM loop multiplies only
+``P`` and adds (or reads) ``y`` on that slice, and an iteration costs
+O(d_out * d) however many poison buckets there are.  One EM function covers
+every variant: its constraints pin the total poison mass to a probed attacker
+proportion, optionally suppress near-empty poison buckets, and optionally
+start from an earlier run's histograms.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ class TransformMatrix:
     ``perturbation`` is the C-contiguous d_out x d block ``P``: column k holds
     the output-bucket probabilities of input bucket k.  The poison block
     ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands in output
-    bucket ``poison_output_indices[j]`` with probability 1.  ``matrix``
+    bucket ``poison_output_indices[j]`` with probability 1; those buckets are
+    one half of the output grid, ``grid.poison_slice(side)``.  ``matrix``
     assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
-    for inspection only; the EM loop works on the block and the indices.
+    for inspection only; the EM loop works on the block and the slice.
     """
 
     perturbation: np.ndarray
@@ -121,12 +123,14 @@ def em(
     max_iter: int = 10_000,
     gamma: float | None = None,
     suppress: np.ndarray | None = None,
+    start: HistogramPair | None = None,
 ) -> HistogramPair:
     """Reconstruct the normal-user and poison histograms by EM.
 
-    Starts from the uniform mixture and stops when the log-likelihood change
-    drops below ``tau``; a run that hits ``max_iter`` returns its last iterate
-    with ``converged=False``.  The M-step depends on the constraints:
+    Starts from ``start``'s histograms, or from the uniform mixture when
+    ``start`` is None, and stops when the log-likelihood change drops below
+    ``tau``; a run that hits ``max_iter`` returns its last iterate with
+    ``converged=False``.  The M-step depends on the constraints:
 
     - ``gamma=None`` (EMF): global renormalization, so the two histograms
       sum to 1 together.
@@ -136,58 +140,95 @@ def em(
     - ``gamma`` and a boolean ``suppress`` mask over the poison buckets
       (CEMF*): suppressed buckets start and stay at zero and the others share
       the pinned mass.
+
+    A start needs no rescaling, since the first M-step imposes the masses.
+    Multiplicative updates never revive a zero entry, so a start histogram
+    whose kept entries hold no mass, where the constraints give it mass,
+    starts uniform instead, as the cold start does.
     """
-    # theta = [x | y]: P @ x spreads the normal mass, y lands on its own
-    # buckets; the transposed product splits the same way.
     if gamma is not None and not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     block = transform.perturbation
-    pois = transform.poison_output_indices
-    d = block.shape[1]
-    k = d + pois.size
-    theta = np.full(k, 1.0 / k)
+    block_t = block.T
+    sl = transform.grid.poison_slice(transform.side)
+    d_out, d = block.shape
+    p = transform.n_poison
+    k = d + p
+    keep = None
     if suppress is not None:
         if gamma is None:
             raise ValueError("suppression needs a pinned poison mass gamma")
         suppress = np.asarray(suppress, dtype=bool)
+        if suppress.shape != (p,):
+            raise ValueError(f"suppress must have {p} entries, got shape {suppress.shape}")
         if suppress.all() and gamma > 0.0:
             raise InconsistentSuppressionError(
                 "all poison buckets suppressed while the poison mass is positive"
             )
         keep = ~suppress
-        theta[d:][suppress] = 0.0
+
+    # theta = [x | y]: P @ x spreads the normal mass, y lands on its own
+    # slice; the transposed product splits the same way.  Every buffer is
+    # allocated once and each iteration writes into it.
+    theta = np.full(k, 1.0 / k)
+    x, y = theta[:d], theta[d:]
+    if start is not None:
+        for name, h, size in (("x_hat", start.x_hat, d), ("y_hat", start.y_hat, p)):
+            h = np.asarray(h)
+            if h.shape != (size,):
+                raise ValueError(f"start {name} must have {size} entries, got shape {h.shape}")
+            if not np.all(np.isfinite(h)) or np.any(h < 0.0):
+                raise ValueError(f"start {name} must be finite and nonnegative")
+        x[:], y[:] = start.x_hat, start.y_hat
+        if x.sum() == 0.0:
+            x.fill(1.0 / k)
+        if gamma != 0.0 and (y if keep is None else y[keep]).sum() == 0.0:
+            y.fill(1.0 / k)
+    if suppress is not None:
+        y[suppress] = 0.0
+        kept = np.empty(int(keep.sum()))
 
     c = counts.counts
+    mixture = np.empty(d_out)
+    log = np.empty(d_out)
+    ratio = np.empty(d_out)
+    resp = np.empty(k)
+    rx, ry = resp[:d], resp[d:]
+    mixture_pois, ratio_pois = mixture[sl], ratio[sl]
     ll_prev = ll = -np.inf
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        mixture = block @ theta[:d]
-        mixture[pois] += theta[d:]
-        safe = np.maximum(mixture, 1e-300)
-        ll = float(c @ np.log(safe))
+        np.matmul(block, x, out=mixture)
+        mixture_pois += y
+        np.maximum(mixture, 1e-300, out=mixture)
+        np.log(mixture, out=log)
+        ll = float(c @ log)
         if abs(ll - ll_prev) < tau:
             converged = True
             break
         ll_prev = ll
-        ratio = c / safe
-        resp = theta * np.concatenate([block.T @ ratio, ratio[pois]])
+        np.divide(c, mixture, out=ratio)
+        np.matmul(block_t, ratio, out=rx)
+        ry[:] = ratio_pois
+        resp *= theta
         if gamma is None:
-            theta = resp / resp.sum()
+            np.divide(resp, resp.sum(), out=theta)
             continue
-        px, py = resp[:d], resp[d:]
-        x = (1.0 - gamma) * px / px.sum()
-        if suppress is None:
-            sy = py.sum()
-            y = gamma * py / sy if sy > 0.0 else np.zeros_like(py)
+        sx = rx.sum()
+        np.multiply(rx, 1.0 - gamma, out=x)
+        x /= sx
+        if keep is None:
+            sy = ry.sum()
         else:
-            sy = py[keep].sum()
-            y = np.zeros_like(py)
-            if sy > 0.0:
-                y[keep] = gamma * py[keep] / sy
-        theta = np.concatenate([x, y])
+            sy = np.compress(keep, ry, out=kept).sum()
+        if sy > 0.0:
+            np.multiply(ry, gamma, out=y)
+            y /= sy
+        else:
+            y.fill(0.0)
     return HistogramPair(
-        x_hat=theta[:d], y_hat=theta[d:], iterations=it, converged=converged, log_likelihood=ll
+        x_hat=x.copy(), y_hat=y.copy(), iterations=it, converged=converged, log_likelihood=ll
     )
 
 

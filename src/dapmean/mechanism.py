@@ -162,15 +162,18 @@ class BucketGrid:
         e = self.output_edges
         return 0.5 * (e[:-1] + e[1:])
 
-    def poison_indices(self, side: str) -> np.ndarray:
-        """Output-bucket indices forming the poison block: the right or left
-        half of the output grid."""
+    def poison_slice(self, side: str) -> slice:
+        """The poison block as a slice of the output grid: its right or left half."""
         half = self.d_out // 2
         if side == "right":
-            return np.arange(half, self.d_out)
+            return slice(half, self.d_out)
         if side == "left":
-            return np.arange(0, half)
+            return slice(0, half)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    def poison_indices(self, side: str) -> np.ndarray:
+        """Output-bucket indices forming the poison block."""
+        return np.arange(self.d_out)[self.poison_slice(side)]
 
 
 def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:

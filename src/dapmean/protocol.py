@@ -308,7 +308,9 @@ def run_dap(
 
     The poisoned side is probed in every group; the attacker proportion fed
     to the constrained filters comes from the smallest-budget group, where
-    the probe is most accurate.
+    the probe is most accurate.  Each group's constrained filter starts from
+    that group's probe pair on the winning side, which is already an EM
+    fixed point at its own poison mass, so it needs few iterations.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
@@ -338,6 +340,7 @@ def run_dap(
                 default_tolerance(g.budget),
                 gamma=gamma_hat,
                 suppress=suppress,
+                start=probe.winning_pair,
             )
         estimates.append(
             intra_group_mean(

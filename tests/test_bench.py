@@ -81,6 +81,10 @@ class TestDatasets:
         with pytest.raises(ConfigurationError, match=f"{spec['type']!r}.*{key!r}"):
             build_dataset(spec, seed=0)
 
+    def test_csv_dataset_needs_a_path(self):
+        with pytest.raises(ConfigurationError, match="'csv'.*'path'"):
+            build_dataset({"type": "csv", "column": 0}, seed=0)
+
 
 def test_mse():
     assert mse_from_sq([1.0, 3.0]) == pytest.approx(2.0)
@@ -130,6 +134,17 @@ class TestConfig:
     def test_all_schemes_known(self):
         cfg = ExperimentConfig.from_dict(self.base(schemes=list(SCHEMES)))
         assert set(cfg.schemes) == set(SCHEMES)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="'trails'"):
+            ExperimentConfig.from_dict(self.base(trails=5))
+
+    @pytest.mark.parametrize("key", ["dataset", "eps_list"])
+    def test_missing_key_rejected(self, key):
+        d = self.base()
+        del d[key]
+        with pytest.raises(ConfigurationError, match=f"missing the key {key!r}"):
+            ExperimentConfig.from_dict(d)
 
 
 class TestBuildAttack:

@@ -206,6 +206,16 @@ class TestErrors:
         assert "--range" in payload["message"] and "lo:hi" in payload["message"]
         assert "mse" not in out
 
+    def test_misspelled_config_key(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"dataset": {"type": "beta"}, "eps_list": [1.0], "trails": 5}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "'trails'" in payload["message"]
+        assert "mse" not in out
+
     def test_unknown_dataset_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--dataset", "movies:1", "--trials", "1"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dapmean.attacks import PoisonSpec, gen_bba
 from dapmean.filters import (
+    HistogramPair,
     InconsistentSuppressionError,
     ObservedCounts,
     attacker_count,
@@ -300,6 +302,104 @@ class TestCEMFStar:
         assert none_suppressed.log_likelihood == pinned.log_likelihood
         np.testing.assert_array_equal(none_suppressed.x_hat, pinned.x_hat)
         np.testing.assert_array_equal(none_suppressed.y_hat, pinned.y_hat)
+
+
+def same_bits(a, b):
+    return (
+        a.iterations == b.iterations
+        and a.converged == b.converged
+        and a.log_likelihood == b.log_likelihood
+        and a.x_hat.tobytes() == b.x_hat.tobytes()
+        and a.y_hat.tobytes() == b.y_hat.tobytes()
+    )
+
+
+class TestWarmStart:
+    def test_no_start_is_the_uniform_start_bit_for_bit(self):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        d, p = transform.n_normal, transform.n_poison
+        k = d + p
+        uniform = HistogramPair(
+            x_hat=np.full(d, 1.0 / k), y_hat=np.full(p, 1.0 / k),
+            iterations=0, converged=False, log_likelihood=-math.inf,
+        )
+        mask = np.zeros(p, dtype=bool)
+        mask[::3] = True
+        for kw in ({}, {"gamma": 0.25}, {"gamma": 0.25, "suppress": mask}):
+            cold = em(transform, counts, 1e-6, **kw)
+            warm = em(transform, counts, 1e-6, start=uniform, **kw)
+            assert same_bits(cold, warm), kw
+
+    def test_emf_pair_is_a_fixed_point_at_its_own_mass(self):
+        budget, _, counts, transform, _ = make_setup()
+        tau = default_tolerance(budget)
+        pair = em(transform, counts, tau)
+        kept = dataclasses.replace(pair, x_hat=pair.x_hat.copy(), y_hat=pair.y_hat.copy())
+        warm = em(transform, counts, tau, gamma=pair.poison_mass, start=pair)
+        assert warm.converged and warm.iterations <= 2
+        assert warm.y_hat.sum() == pytest.approx(pair.poison_mass, abs=1e-12)
+        cold = em(transform, counts, tau, gamma=pair.poison_mass)
+        assert cold.iterations > warm.iterations
+        # The start is read, not written, and the result shares no buffer.
+        assert same_bits(pair, kept)
+        assert not np.shares_memory(warm.x_hat, warm.y_hat)
+
+    @pytest.mark.parametrize("suppressed", [False, True])
+    def test_start_without_kept_poison_mass_still_pins_gamma(self, suppressed):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        pair = em(transform, counts, tau=1e-4)
+        p = transform.n_poison
+        mask = np.zeros(p, dtype=bool)
+        y0 = np.zeros(p)
+        if suppressed:
+            mask[: p // 2] = True
+            y0[mask] = 0.1  # mass only where it is suppressed
+        start = dataclasses.replace(pair, y_hat=y0)
+        got = em(transform, counts, 1e-4, gamma=0.25, suppress=mask, start=start)
+        assert got.y_hat.sum() == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_array_equal(got.y_hat[mask], 0.0)
+
+    def test_start_without_normal_mass_still_pins_it(self):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        pair = em(transform, counts, tau=1e-4)
+        start = dataclasses.replace(pair, x_hat=np.zeros_like(pair.x_hat))
+        got = em(transform, counts, 1e-4, gamma=0.25, start=start)
+        assert got.x_hat.sum() == pytest.approx(0.75, abs=1e-12)
+
+    def test_suppressed_entries_of_a_start_come_back_zero(self):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        pair = em(transform, counts, tau=1e-4)
+        assert np.all(pair.y_hat > 0)
+        mask = np.zeros(transform.n_poison, dtype=bool)
+        mask[1::2] = True
+        got = em(transform, counts, 1e-4, gamma=0.25, suppress=mask, start=pair)
+        np.testing.assert_array_equal(got.y_hat[mask], 0.0)
+        assert got.y_hat.sum() == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("x_hat", lambda h: h[:-1]),
+            ("y_hat", lambda h: np.append(h, 0.0)),
+            ("x_hat", lambda h: np.where(np.arange(h.size) == 0, -1e-3, h)),
+            ("y_hat", lambda h: np.where(np.arange(h.size) == 0, np.nan, h)),
+            ("y_hat", lambda h: np.where(np.arange(h.size) == 0, np.inf, h)),
+        ],
+        ids=["short-x", "long-y", "negative", "nan", "inf"],
+    )
+    def test_rejects_a_malformed_start(self, field, value):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        pair = em(transform, counts, tau=1e-4)
+        bad = dataclasses.replace(pair, **{field: value(getattr(pair, field))})
+        with pytest.raises(ValueError, match=f"start {field}"):
+            em(transform, counts, 1e-4, gamma=0.25, start=bad)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rejects_a_mask_of_the_wrong_length(self, delta):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        mask = np.zeros(transform.n_poison + delta, dtype=bool)
+        with pytest.raises(ValueError, match="suppress"):
+            em(transform, counts, 1e-4, gamma=0.25, suppress=mask)
 
 
 class TestProbe:

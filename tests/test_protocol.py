@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,52 @@ class TestRunDap:
         a = run_dap(values, mask, 0.5, 0.25, None, np.random.default_rng(77), "emf_star")
         b = run_dap(values, mask, 0.5, 0.25, None, np.random.default_rng(77), "emf_star")
         assert a.mean == b.mean
+
+
+def pinned_reports(eps, n=20_000, seed=41):
+    """Honest beta(2, 5) reports with a quarter of default uniform poison."""
+    rng = np.random.default_rng(seed)
+    budget = Budget(eps)
+    m = n // 4
+    honest = pm_perturb(rng.beta(2, 5, n - m) * 2 - 1, budget, rng)
+    return np.concatenate([honest, poison_strategy()(m, budget, rng)])
+
+
+def bits(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+class TestPinnedBits:
+    """Bits of the side probe and of the EMF variant, recorded before the EM
+    loop wrote into preallocated buffers.  That rewrite keeps every operation
+    and its order, so it must reproduce them exactly.  Recorded with numpy
+    2.4 on x86-64 OpenBLAS; another BLAS build may round differently."""
+
+    PROBES = {
+        1.0: {
+            "left": (259, "16315d76c7c02752", "539c0881351b675f"),
+            "right": (128, "11f059352976f637", "97093ab9cb022502"),
+        },
+        1.0 / 16.0: {
+            "left": (48, "55afe4e71bc7d630", "8b794447251b9dbd"),
+            "right": (95, "cf09ed8f7c98315c", "f2d36bfbe4bddff2"),
+        },
+    }
+
+    @pytest.mark.parametrize("eps", sorted(PROBES))
+    def test_probe_reports(self, eps):
+        probe = probe_reports(pinned_reports(eps), Budget(eps))
+        for side, pair in (("left", probe.pair_left), ("right", probe.pair_right)):
+            got = (pair.iterations, bits(pair.x_hat), bits(pair.y_hat))
+            assert got == self.PROBES[eps][side], side
+
+    def test_run_dap_emf_mean(self):
+        rng = np.random.default_rng(43)
+        values = rng.beta(2, 5, 20_000) * 2 - 1
+        mask = np.zeros(values.size, dtype=bool)
+        mask[rng.choice(values.size, 5_000, replace=False)] = True
+        res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), rng, "emf")
+        assert res.mean.hex() == "-0x1.f642164de7e9ep-2"
 
 
 class TestBaselineRun:
