@@ -169,7 +169,8 @@ def em(
 
     # theta = [x | y]: P @ x spreads the normal mass, y lands on its own
     # slice; the transposed product splits the same way.  Every buffer is
-    # allocated once and each iteration writes into it.
+    # allocated once and each iteration writes into it.  Sums call
+    # np.add.reduce, the reduction ndarray.sum runs through a Python wrapper.
     theta = np.full(k, 1.0 / k)
     x, y = theta[:d], theta[d:]
     if start is not None:
@@ -213,15 +214,15 @@ def em(
         ry[:] = ratio_pois
         resp *= theta
         if gamma is None:
-            np.divide(resp, resp.sum(), out=theta)
+            np.divide(resp, np.add.reduce(resp), out=theta)
             continue
-        sx = rx.sum()
+        sx = np.add.reduce(rx)
         np.multiply(rx, 1.0 - gamma, out=x)
         x /= sx
         if keep is None:
-            sy = ry.sum()
+            sy = np.add.reduce(ry)
         else:
-            sy = np.compress(keep, ry, out=kept).sum()
+            sy = np.add.reduce(np.compress(keep, ry, out=kept))
         if sy > 0.0:
             np.multiply(ry, gamma, out=y)
             y /= sy

@@ -72,12 +72,23 @@ def worst_case_variance(epsilon: float) -> float:
     return 1.0 / (t - 1.0) + (t + 3.0) / (3.0 * (t - 1.0) ** 2)
 
 
+PM_BLOCK = 1 << 16
+"""Values per block in ``pm_perturb``: a block's temporaries stay in cache."""
+
+
 def pm_perturb(v, budget: Budget, rng: np.random.Generator):
     """Perturb values in [-1, 1] with the piecewise mechanism.
 
     With probability ``e^(eps/2)/(e^(eps/2)+1)`` the output is uniform on
     the band [l(v), r(v)]; otherwise it is uniform on the complement
     ``[-C, l(v)) U (r(v), C]``.  The output is an unbiased estimator of v.
+
+    Three uniform streams are drawn, each over all values in C order: the
+    in-band test, the band position, then the tail position.  Each stream is
+    drawn and used in consecutive blocks of ``PM_BLOCK`` values, which return
+    the same doubles as one full-length draw, so the outputs and the
+    generator's final state do not depend on the block size.  Only the
+    output and the in-band mask are full length.
 
     Args:
         v: scalar or array of values in [-1, 1].
@@ -91,19 +102,33 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator):
     if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
         raise DomainError("input values must lie in [-1, 1]")
     c = budget.c_bound
-    lo = budget.low_edge(arr)
-    hi = lo + c - 1.0
-    in_band = rng.random(arr.shape) < budget.high_band_prob
+    flat = arr.reshape(-1)
+    n = flat.size
+    blocks = [slice(i, min(i + PM_BLOCK, n)) for i in range(0, n, PM_BLOCK)]
+    in_band = np.empty(n, dtype=bool)
+    out = np.empty(n)
+    buf = np.empty(min(n, PM_BLOCK))
 
-    # High-probability band: uniform on [l(v), r(v)].
-    u = rng.random(arr.shape)
-    out = lo + u * (c - 1.0)
+    for s in blocks:
+        u = rng.random(out=buf[: s.stop - s.start])
+        np.less(u, budget.high_band_prob, out=in_band[s])
+
+    # High-probability band: uniform on [l(v), r(v)], written as l(v) + u (C - 1).
+    for s in blocks:
+        band = rng.random(out=out[s])
+        band *= c - 1.0
+        band += budget.low_edge(flat[s])
 
     # Low-probability tails: uniform on [-C, l(v)) U (r(v), C], total length C+1.
-    w = rng.random(arr.shape) * (c + 1.0)
-    left_len = lo + c
-    tail = np.where(w < left_len, -c + w, hi + (w - left_len))
-    out = np.where(in_band, out, tail)
+    for s in blocks:
+        w = rng.random(out=buf[: s.stop - s.start])
+        w *= c + 1.0
+        left_len = budget.low_edge(flat[s]) + c
+        hi = left_len - 1.0
+        tail = np.where(w < left_len, -c + w, hi + (w - left_len))
+        np.copyto(out[s], tail, where=~in_band[s])
+
+    out = out.reshape(arr.shape)
     if np.isscalar(v):
         return float(out)
     return out

@@ -263,12 +263,20 @@ def ostrich(reports) -> float:
 
 
 def trimming(reports, side: str = "right") -> float:
-    """Drop the extreme 50% of reports on the poisoned side, average the rest."""
-    r = np.sort(np.asarray(reports, dtype=float))
+    """Drop the extreme 50% of reports on the poisoned side, average the rest.
+
+    The kept reports are selected by partition and then sorted, so they are
+    averaged in ascending order, as after a full sort.
+    """
+    r = np.asarray(reports, dtype=float).ravel()
     if r.size == 0:
         raise ValueError("no reports")
     half = r.size // 2
-    kept = r[: r.size - half] if side == "right" else r[half:]
+    if side == "right":
+        kept = np.partition(r, r.size - half - 1)[: r.size - half]
+    else:
+        kept = np.partition(r, half)[half:]
+    kept.sort()
     return float(kept.mean())
 
 

@@ -334,6 +334,20 @@ class TestBaselines:
     def test_trimming_odd_count(self):
         assert trimming([1.0, 2.0, 3.0], side="right") == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 100_001])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_trimming_equals_full_sort(self, n, side, ties):
+        # Oracle: sort everything, keep the half away from the poisoned
+        # side, average it in ascending order.  Bit-equal, not approximate.
+        r = np.random.default_rng(n).normal(size=n)
+        if ties:
+            r = np.round(r, 1)  # a few dozen distinct values, many at the cut
+        s = np.sort(r)
+        half = n // 2
+        expect = float((s[: n - half] if side == "right" else s[half:]).mean())
+        assert trimming(r, side=side) == expect
+
 
 class TestRunDap:
     def test_no_attack_recovers_mean(self):
