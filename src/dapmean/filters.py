@@ -90,8 +90,15 @@ class ObservedCounts:
 
 
 def bucket_counts(reports, grid: BucketGrid) -> ObservedCounts:
-    """Histogram collected values over the output grid (values clipped to [-C, C])."""
-    v = np.clip(np.asarray(reports, dtype=float), -grid.c_bound, grid.c_bound)
+    """Histogram collected values over the output grid (values clipped to [-C, C]).
+
+    Only input with a value outside [-C, C] is clipped, into a copy; clipping
+    in-range input would copy it unchanged.
+    """
+    v = np.asarray(reports, dtype=float)
+    c = grid.c_bound
+    if v.size and (v.min() < -c or v.max() > c):
+        v = np.clip(v, -c, c)
     counts, _ = np.histogram(v, bins=grid.output_edges)
     return ObservedCounts(counts=counts)
 

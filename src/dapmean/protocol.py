@@ -9,12 +9,14 @@ minimum-variance weights.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import AttackStrategy
 from .filters import (
+    ObservedCounts,
     SideProbe,
     attacker_count,
     bucket_counts,
@@ -129,33 +131,26 @@ def dap_collect(
     values: np.ndarray,
     attacker_mask: np.ndarray,
     plan: GroupPlan,
+    t: int,
     attack: AttackStrategy | None,
     rng: np.random.Generator,
-) -> list[GroupReports]:
-    """Collect per-group reports with ``collect_reports``, shuffled per group.
+) -> GroupReports:
+    """Collect group t's reports with ``collect_reports``, unshuffled.
 
     Every user in group t submits ``reports_per_user[t]`` reports at the
-    group budget.
+    group budget, honest reports first, then poison reports.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
     if values.size != plan.n_users or attacker_mask.size != plan.n_users:
         raise ConfigurationError("plan does not cover all users")
-    groups = []
-    for t in range(plan.h):
-        budget = Budget(float(plan.budgets[t]))
-        reps = int(plan.reports_per_user[t])
-        members = plan.group_members(t)
-        mask = attacker_mask[members]
-        n_poison = int(np.count_nonzero(mask)) * reps
-        reports = collect_reports(values[members], mask, budget, attack, rng, reps)
-        rng.shuffle(reports)
-        groups.append(
-            GroupReports(
-                index=t, budget=budget, reports=reports, n_attacker_reports=n_poison
-            )
-        )
-    return groups
+    budget = Budget(float(plan.budgets[t]))
+    reps = int(plan.reports_per_user[t])
+    members = plan.group_members(t)
+    mask = attacker_mask[members]
+    n_poison = int(np.count_nonzero(mask)) * reps
+    reports = collect_reports(values[members], mask, budget, attack, rng, reps)
+    return GroupReports(index=t, budget=budget, reports=reports, n_attacker_reports=n_poison)
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,11 @@ def trimming(reports, side: str = "right") -> float:
 def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
     """Bucket the reports on their budget's grid and probe both sides by EM."""
     grid = BucketGrid.for_reports(reports.size, budget)
-    counts = bucket_counts(reports, grid)
+    return probe_counts(bucket_counts(reports, grid), grid, budget)
+
+
+def probe_counts(counts: ObservedCounts, grid: BucketGrid, budget: Budget) -> SideProbe:
+    """Probe both sides by EM from the bucket counts on the budget's grid."""
     return probe_side(
         build_transform(budget, grid, side="left"),
         build_transform(budget, grid, side="right"),
@@ -314,6 +313,12 @@ def run_dap(
 ) -> DapResult:
     """Full grouped run: plan, collect, probe, filter, estimate, aggregate.
 
+    Each group's reports are shuffled, as the collector receives them.  The
+    probe reads only bucket counts, which the order leaves unchanged, so a
+    helper thread shuffles group t (``Generator.shuffle`` releases the GIL)
+    while its probe runs, and finishes before group t + 1 draws: the
+    generator takes the same draws in the same order as a sequential run.
+
     The poisoned side is probed in every group; the attacker proportion fed
     to the constrained filters comes from the smallest-budget group, where
     the probe is most accurate.  Each group's constrained filter starts from
@@ -323,9 +328,16 @@ def run_dap(
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
     plan = dap_plan(values.size, eps, eps0, rng)
-    groups = dap_collect(values, attacker_mask, plan, attack, rng)
-
-    probes = [probe_reports(g.reports, g.budget) for g in groups]
+    groups, probes = [], []
+    with ThreadPoolExecutor(max_workers=1) as shuffler:
+        for t in range(plan.h):
+            g = dap_collect(values, attacker_mask, plan, t, attack, rng)
+            grid = BucketGrid.for_reports(g.reports.size, g.budget)
+            counts = bucket_counts(g.reports, grid)  # before the shuffle moves them
+            shuffled = shuffler.submit(rng.shuffle, g.reports)
+            probes.append(probe_counts(counts, grid, g.budget))
+            shuffled.result()
+            groups.append(g)
 
     # The attacker proportion comes from the smallest-budget (last) group,
     # where the probe sees the most reports per user; the poisoned side is

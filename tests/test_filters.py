@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,32 @@ class TestCounts:
         counts = bucket_counts(np.array([-2 * c, 2 * c, 0.0]), grid)
         assert counts.counts.sum() == 3
         assert counts.counts[0] >= 1 and counts.counts[-1] >= 1
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
+    def test_counts_equal_clipped_histogram(self, scale):
+        # Oracle: clip every report, then histogram.  Scale 1.0 puts reports
+        # on both edges, 1.5 puts some outside [-C, C].
+        budget = Budget(1.0)
+        grid = BucketGrid.for_reports(10_000, budget)
+        c = budget.c_bound
+        r = np.random.default_rng(0).uniform(-scale * c, scale * c, 10_000)
+        r[:2] = -scale * c, scale * c
+        expect, _ = np.histogram(np.clip(r, -c, c), bins=grid.output_edges)
+        np.testing.assert_array_equal(bucket_counts(r, grid).counts, expect)
+
+    def test_in_range_reports_are_not_copied(self):
+        budget = Budget(1.0 / 16.0)
+        grid = BucketGrid.for_reports(1_000_000, budget)
+        c = budget.c_bound
+        r = np.random.default_rng(0).uniform(-c, c, 1_000_000)
+        tracemalloc.start()
+        try:
+            counts = bucket_counts(r, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.n_reports == r.size
+        assert peak < r.nbytes / 2
 
 
 def test_default_tolerance():

@@ -1,11 +1,22 @@
 import hashlib
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dapmean.attacks import poison_strategy
-from dapmean.filters import attacker_count, bucket_counts, build_transform, em
-from dapmean.mechanism import BucketGrid, Budget, pm_perturb, worst_case_variance
+from dapmean.filters import (
+    attacker_count,
+    bucket_counts,
+    build_transform,
+    default_tolerance,
+    em,
+    suppression_mask,
+)
+from dapmean.mechanism import BucketGrid, Budget, DomainError, pm_perturb, worst_case_variance
 from dapmean.protocol import (
     ConfigurationError,
     DegenerateFilterError,
@@ -112,6 +123,10 @@ class TestCollectReports:
         assert rng.random() == ref.random()
 
 
+def collect_all(values, mask, plan, attack, rng):
+    return [dap_collect(values, mask, plan, t, attack, rng) for t in range(plan.h)]
+
+
 class TestCollect:
     def setup_method(self):
         self.rng = np.random.default_rng(7)
@@ -121,8 +136,9 @@ class TestCollect:
     def test_no_attack_report_counts(self):
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
         mask = np.zeros(self.n, dtype=bool)
-        groups = dap_collect(self.values, mask, plan, None, self.rng)
+        groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
+            assert g.index == t
             assert g.reports.size == plan.expected_reports(t)
             assert g.n_attacker_reports == 0
             assert g.budget.epsilon == pytest.approx(plan.budgets[t])
@@ -133,7 +149,7 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, 1000, replace=False)] = True
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
-        groups = dap_collect(self.values, mask, plan, None, self.rng)
+        groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
             assert g.reports.size == plan.expected_reports(t)
             reps = int(plan.reports_per_user[t])
@@ -146,9 +162,7 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, m, replace=False)] = True
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
-        groups = dap_collect(
-            self.values, mask, plan, poison_strategy(), self.rng
-        )
+        groups = collect_all(self.values, mask, plan, poison_strategy(), self.rng)
         for g in groups:
             n_members = g.reports.size / (2 ** g.index)
             frac = g.n_attacker_reports / g.reports.size
@@ -161,20 +175,21 @@ class TestCollect:
         for _ in range(2):
             rng = np.random.default_rng(99)
             plan = dap_plan(self.n, 0.5, 0.125, rng)
-            groups = dap_collect(self.values, mask, plan, None, rng)
+            groups = collect_all(self.values, mask, plan, None, rng)
             out.append([g.reports for g in groups])
         for a, b in zip(*out):
             np.testing.assert_array_equal(a, b)
 
     def test_draw_order_matches_the_inline_sequence(self):
-        # Per group: honest perturbations, then poison, then one shuffle.
+        # One group's draws: honest perturbations, then poison, unshuffled.
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, 1000, replace=False)] = True
         attack = poison_strategy()
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
-        groups = dap_collect(self.values, mask, plan, attack, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
         ref = np.random.default_rng(21)
-        for g, t in zip(groups, range(plan.h)):
+        for t in range(plan.h):
+            g = dap_collect(self.values, mask, plan, t, attack, rng)
             budget = Budget(float(plan.budgets[t]))
             reps = int(plan.reports_per_user[t])
             members = plan.group_members(t)
@@ -186,13 +201,14 @@ class TestCollect:
                     attack(n_poison, budget, ref),
                 ]
             )
-            ref.shuffle(expect)
             np.testing.assert_array_equal(g.reports, expect)
+            assert rng.random() == ref.random()
 
     def test_plan_must_cover_users(self):
-        plan = dap_plan(self.n + 1, 1.0, 0.5, self.rng)
-        with pytest.raises(ConfigurationError):
-            dap_collect(self.values, np.zeros(self.n, bool), plan, None, self.rng)
+        plan = dap_plan(self.n + 1, 1.0, 0.25, self.rng)
+        for t in range(plan.h):
+            with pytest.raises(ConfigurationError):
+                dap_collect(self.values, np.zeros(self.n, bool), plan, t, None, self.rng)
 
 
 class TestIntraGroupMean:
@@ -394,6 +410,163 @@ class TestRunDap:
         assert a.mean == b.mean
 
 
+def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
+    """run_dap's steps one after another on one thread: the plan, then per
+    group honest reports, poison reports and the shuffle, then the probes,
+    filters, group means and their aggregate."""
+    plan = dap_plan(values.size, eps, eps0, rng)
+    groups = []
+    for t in range(plan.h):
+        members = plan.group_members(t)
+        budget = Budget(float(plan.budgets[t]))
+        reps = int(plan.reports_per_user[t])
+        reports = collect_reports(values[members], mask[members], budget, attack, rng, reps)
+        rng.shuffle(reports)
+        groups.append((budget, reports))
+    probes = [probe_reports(reports, budget) for budget, reports in groups]
+    gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
+    estimates = []
+    for t, ((budget, reports), probe) in enumerate(zip(groups, probes)):
+        transform = build_transform(budget, probe.grid, side=probe.side)
+        pair = probe.winning_pair
+        if variant != "emf":
+            suppress = None
+            if variant == "cemf_star":
+                suppress = suppression_mask(pair.y_hat, gamma_hat)
+            pair = em(
+                transform, probe.counts, default_tolerance(budget),
+                gamma=gamma_hat, suppress=suppress, start=pair,
+            )
+        midpoints = transform.poison_midpoints
+        estimates.append(intra_group_mean(reports, pair.y_hat, midpoints, budget, eps, index=t))
+    return aggregate_means(estimates), estimates
+
+
+class TestRunDapReplay:
+    @pytest.mark.parametrize("variant", ["emf", "emf_star", "cemf_star"])
+    def test_equals_the_sequential_composition(self, variant):
+        rng = np.random.default_rng(8)
+        values = rng.beta(2, 5, 20_000) * 2 - 1
+        mask = np.zeros(values.size, dtype=bool)
+        mask[rng.choice(values.size, 5_000, replace=False)] = True
+        attack = poison_strategy()
+        got_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        res = run_dap(values, mask, 1.0, 0.125, attack, got_rng, variant)
+        agg, estimates = sequential_run_dap(values, mask, 1.0, 0.125, attack, ref_rng, variant)
+        assert [e.mean for e in res.estimates] == [e.mean for e in estimates]
+        assert res.mean == agg.mean
+        assert got_rng.random() == ref_rng.random()
+
+    def test_a_late_shuffle_still_ends_before_its_group_is_read(self):
+        # Each shuffle starts 20 ms late, so it outlasts these small groups'
+        # probes: the group mean and the next group's draws must still wait.
+        class LateShuffle(np.random.Generator):
+            def shuffle(self, x, axis=0):
+                time.sleep(0.02)
+                super().shuffle(x, axis)
+
+        rng = np.random.default_rng(8)
+        values = rng.uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        attack = poison_strategy()
+        got_rng, ref_rng = LateShuffle(np.random.PCG64(5)), np.random.default_rng(5)
+        res = run_dap(values, mask, 1.0, 0.125, attack, got_rng, "emf_star")
+        agg, estimates = sequential_run_dap(values, mask, 1.0, 0.125, attack, ref_rng, "emf_star")
+        assert [e.mean for e in res.estimates] == [e.mean for e in estimates]
+        assert got_rng.random() == ref_rng.random()
+
+
+def failing_on_call(k, exc):
+    """An attack that draws default poison but raises ``exc`` on its k-th call."""
+    calls = []
+    attack = poison_strategy()
+
+    def strategy(count, budget, rng):
+        calls.append(count)
+        if len(calls) == k:
+            raise exc
+        return attack(count, budget, rng)
+
+    return strategy
+
+
+class AttackFailed(RuntimeError):
+    pass
+
+
+class TestRunDapThreads:
+    """run_dap joins its shuffle thread on every exit and re-raises what
+    collection raised, with its type."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(9)
+        self.values = rng.uniform(-1, 1, 8_000)
+        self.mask = np.zeros(self.values.size, dtype=bool)
+        self.mask[rng.choice(self.values.size, 2_000, replace=False)] = True
+
+    def run(self, values, attack):
+        before = threading.active_count()
+        mask = self.mask[: values.size]
+        try:
+            return run_dap(values, mask, 1.0, 0.125, attack, np.random.default_rng(0))
+        finally:
+            assert threading.active_count() == before
+
+    def test_no_thread_left_after_success(self):
+        assert np.isfinite(self.run(self.values, poison_strategy()).mean)
+
+    def test_out_of_domain_value_in_the_last_group(self):
+        # run_dap's first draws are the plan's, so this plan is its plan.
+        plan = dap_plan(self.values.size, 1.0, 0.125, np.random.default_rng(0))
+        last = plan.group_members(plan.h - 1)
+        values = self.values.copy()
+        values[last[~self.mask[last]][0]] = 1.5
+        with pytest.raises(DomainError) as err:
+            self.run(values, None)
+        assert err.type is DomainError
+
+    def test_attack_error_in_a_later_group(self):
+        exc = AttackFailed("boom")
+        with pytest.raises(AttackFailed) as err:
+            self.run(self.values, failing_on_call(3, exc))
+        assert err.value is exc
+
+    def test_concurrent_callers_match_the_sequential_run(self):
+        # More callers than cores, each with its own generator, switching
+        # threads as often as the interpreter allows: a shuffle that overlapped
+        # the bucketing, the group mean or the next group's draws would move
+        # some result off its sequential replay.
+        seeds = range(40, 46)
+        attack = poison_strategy()
+        expect = [
+            sequential_run_dap(
+                self.values, self.mask, 1.0, 0.125, attack, np.random.default_rng(s), "emf_star"
+            )[0].mean
+            for s in seeds
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [
+                    pool.submit(
+                        run_dap, self.values, self.mask, 1.0, 0.125, attack,
+                        np.random.default_rng(s),
+                    )
+                    for s in seeds
+                ]
+                got = [f.result(timeout=120).mean for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expect
+
+    def test_too_few_reports(self):
+        with pytest.raises(ValueError, match="too few reports") as err:
+            self.run(self.values[:40], None)
+        assert err.type is ValueError
+
+
 def pinned_reports(eps, n=20_000, seed=41):
     """Honest beta(2, 5) reports with a quarter of default uniform poison."""
     rng = np.random.default_rng(seed)
@@ -438,6 +611,24 @@ class TestPinnedBits:
         mask[rng.choice(values.size, 5_000, replace=False)] = True
         res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), rng, "emf")
         assert res.mean.hex() == "-0x1.f642164de7e9ep-2"
+
+    # run_dap means of every variant and the generator's next draw after the
+    # call, recorded before the shuffle moved to a helper thread.
+    RUN_DAP = {
+        "emf": "-0x1.f642164de7e9ep-2",
+        "emf_star": "-0x1.12f3f263673c7p-1",
+        "cemf_star": "-0x1.4a9e3162ae9aap-1",
+    }
+    NEXT_DRAW = "0x1.efb8c89c46945p-1"
+
+    @pytest.mark.parametrize("variant", sorted(RUN_DAP))
+    def test_run_dap_mean_and_final_state(self, variant):
+        rng = np.random.default_rng(43)
+        values = rng.beta(2, 5, 20_000) * 2 - 1
+        mask = np.zeros(values.size, dtype=bool)
+        mask[rng.choice(values.size, 5_000, replace=False)] = True
+        res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), rng, variant)
+        assert (res.mean.hex(), rng.random().hex()) == (self.RUN_DAP[variant], self.NEXT_DRAW)
 
 
 class TestBaselineRun:
