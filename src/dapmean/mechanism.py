@@ -76,7 +76,7 @@ PM_BLOCK = 1 << 16
 """Values per block in ``pm_perturb``: a block's temporaries stay in cache."""
 
 
-def pm_perturb(v, budget: Budget, rng: np.random.Generator):
+def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: int = 1):
     """Perturb values in [-1, 1] with the piecewise mechanism.
 
     With probability ``e^(eps/2)/(e^(eps/2)+1)`` the output is uniform on
@@ -85,29 +85,58 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator):
 
     Three uniform streams are drawn, each over all values in C order: the
     in-band test, the band position, then the tail position.  Each stream is
-    drawn and used in consecutive blocks of ``PM_BLOCK`` values, which return
-    the same doubles as one full-length draw, so the outputs and the
+    drawn and used in consecutive blocks of about ``PM_BLOCK`` values, which
+    return the same doubles as one full-length draw, so the outputs and the
     generator's final state do not depend on the block size.  Only the
     output and the in-band mask are full length.
+
+    With ``reps=r`` every value is perturbed r times, in ``np.repeat``
+    order: the result equals ``pm_perturb(np.repeat(v, r), ...)`` bit for
+    bit.  Blocks then hold whole users (``max(PM_BLOCK // r, 1) * r``
+    values), and each block's values are repeated in the block, so the
+    full repeated input is never built.
 
     Args:
         v: scalar or array of values in [-1, 1].
         budget: privacy budget.
         rng: seeded random generator.
+        out: optional C-contiguous float64 array of shape ``(v.size * reps,)``
+            to write the reports into.
+        reps: reports per value, at least 1.
 
     Returns:
-        Perturbed value(s) in [-C, C], same shape as ``v``.
+        Perturbed value(s) in [-C, C]: ``out`` when given, else an array of
+        the shape of ``v`` (a float for scalar ``v``) when ``reps`` is 1,
+        else a 1-D array of ``v.size * reps`` values.
     """
     arr = np.asarray(v, dtype=float)
     if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
         raise DomainError("input values must lie in [-1, 1]")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     c = budget.c_bound
     flat = arr.reshape(-1)
-    n = flat.size
-    blocks = [slice(i, min(i + PM_BLOCK, n)) for i in range(0, n, PM_BLOCK)]
+    n = flat.size * reps
+    if out is None:
+        result = np.empty(n)
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.dtype != np.float64
+        or out.shape != (n,)
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape ({n},)")
+    else:
+        result = out
+    step = max(PM_BLOCK // reps, 1) * reps
+    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
     in_band = np.empty(n, dtype=bool)
-    out = np.empty(n)
-    buf = np.empty(min(n, PM_BLOCK))
+    buf = np.empty(min(n, step))
+
+    def low_edges(s):
+        # l(v) of block s's reports; blocks start and end on user boundaries.
+        lo = budget.low_edge(flat[s.start // reps : s.stop // reps])
+        return np.repeat(lo, reps) if reps > 1 else lo
 
     for s in blocks:
         u = rng.random(out=buf[: s.stop - s.start])
@@ -115,23 +144,24 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator):
 
     # High-probability band: uniform on [l(v), r(v)], written as l(v) + u (C - 1).
     for s in blocks:
-        band = rng.random(out=out[s])
+        band = rng.random(out=result[s])
         band *= c - 1.0
-        band += budget.low_edge(flat[s])
+        band += low_edges(s)
 
     # Low-probability tails: uniform on [-C, l(v)) U (r(v), C], total length C+1.
     for s in blocks:
         w = rng.random(out=buf[: s.stop - s.start])
         w *= c + 1.0
-        left_len = budget.low_edge(flat[s]) + c
+        left_len = low_edges(s) + c
         hi = left_len - 1.0
         tail = np.where(w < left_len, -c + w, hi + (w - left_len))
-        np.copyto(out[s], tail, where=~in_band[s])
+        np.copyto(result[s], tail, where=~in_band[s])
 
-    out = out.reshape(arr.shape)
+    if out is not None or reps > 1:
+        return result
     if np.isscalar(v):
-        return float(out)
-    return out
+        return float(result[0])
+    return result.reshape(arr.shape)
 
 
 def _even_floor(x: float) -> int:

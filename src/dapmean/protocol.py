@@ -8,6 +8,7 @@ minimum-variance weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,11 +57,23 @@ class GroupPlan:
     def n_users(self) -> int:
         return int(self.assignment.size)
 
+    @functools.cached_property
+    def _members(self) -> list[np.ndarray]:
+        # One stable sort lists every group's users in ascending order.  Keys
+        # narrowed to the smallest unsigned type that holds every group index
+        # take numpy's radix sort instead of a comparison sort.
+        keys = self.assignment.astype(np.min_scalar_type(self.h - 1))
+        order = np.argsort(keys, kind="stable")
+        order.flags.writeable = False
+        sizes = np.bincount(self.assignment, minlength=self.h)
+        return np.split(order, np.cumsum(sizes)[:-1])
+
     def group_members(self, t: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == t)
+        """Indices of group t's users, ascending (read-only)."""
+        return self._members[t]
 
     def expected_reports(self, t: int) -> int:
-        return int(np.sum(self.assignment == t)) * int(self.reports_per_user[t])
+        return self.group_members(t).size * int(self.reports_per_user[t])
 
 
 def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) -> GroupPlan:
@@ -109,22 +122,30 @@ def collect_reports(
 
     Honest users perturb their values ``reps`` times each.  Attackers submit
     ``count * reps`` fresh draws from the attack strategy; with no attack or
-    no attacker they perturb their own values like honest users.
+    no attacker they perturb their own values like honest users.  The
+    stream is allocated once: honest reports are written into its head and
+    the poison reports into its tail.
+
+    Raises:
+        ValueError: if the attack does not return exactly ``count * reps``
+            values.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
-
-    def perturb(own):
-        # np.repeat copies even at reps=1, a cost the single-report streams skip.
-        return pm_perturb(np.repeat(own, reps) if reps > 1 else own, budget, rng)
-
-    honest = perturb(values[~attacker_mask])
     n_poison = int(np.count_nonzero(attacker_mask)) * reps
+    out = np.empty(values.size * reps)
+    head, tail = out[: out.size - n_poison], out[out.size - n_poison :]
+    pm_perturb(values[~attacker_mask], budget, rng, out=head, reps=reps)
     if n_poison and attack is not None:
         poison = np.asarray(attack(n_poison, budget, rng), dtype=float)
+        if poison.shape != (n_poison,):
+            raise ValueError(
+                f"attack returned an array of shape {poison.shape}, expected ({n_poison},)"
+            )
+        tail[:] = poison
     else:
-        poison = perturb(values[attacker_mask])
-    return np.concatenate([honest, poison])
+        pm_perturb(values[attacker_mask], budget, rng, out=tail, reps=reps)
+    return out
 
 
 def dap_collect(
@@ -167,7 +188,8 @@ class GroupEstimate:
 
 
 def intra_group_mean(
-    reports: np.ndarray,
+    report_sum: float,
+    n_reports: int,
     y_hat: np.ndarray,
     poison_midpoints: np.ndarray,
     budget: Budget,
@@ -177,12 +199,13 @@ def intra_group_mean(
 ) -> GroupEstimate:
     """Group mean with the estimated poison contribution removed.
 
-    Subtracts N_t * sum_j(y_j * nu_j), the reconstructed poison sum, and
-    divides by the estimated number of honest reports N_t - m_hat, with
-    m_hat from ``attacker_count``.
+    Subtracts N_t * sum_j(y_j * nu_j), the reconstructed poison sum, from
+    the sum of the group's N_t reports and divides by the estimated number
+    of honest reports N_t - m_hat, with m_hat from ``attacker_count``.  The
+    reports themselves are not needed, only ``report_sum`` and
+    ``n_reports`` (N_t).
     """
-    reports = np.asarray(reports, dtype=float)
-    n_t = reports.size
+    n_t = int(n_reports)
     gamma_hat = float(np.sum(y_hat))
     m_hat = attacker_count(gamma_hat, n_t)
     if gamma_hat >= 1.0:
@@ -191,7 +214,7 @@ def intra_group_mean(
     # Rescale the poison sum to the clamped count so both terms stay consistent.
     if gamma_hat > 0.0:
         poison_sum *= m_hat / (gamma_hat * n_t)
-    mean = (reports.sum() - poison_sum) / (n_t - m_hat)
+    mean = (report_sum - poison_sum) / (n_t - m_hat)
     n_hat = max((n_t - m_hat) * budget.epsilon / eps_total, 0.0)
     return GroupEstimate(
         index=index,
@@ -318,6 +341,8 @@ def run_dap(
     helper thread shuffles group t (``Generator.shuffle`` releases the GIL)
     while its probe runs, and finishes before group t + 1 draws: the
     generator takes the same draws in the same order as a sequential run.
+    Once its shuffle ends, only the group's report sum and count are kept,
+    so at most one group's reports exist at a time.
 
     The poisoned side is probed in every group; the attacker proportion fed
     to the constrained filters comes from the smallest-budget group, where
@@ -328,7 +353,7 @@ def run_dap(
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
     plan = dap_plan(values.size, eps, eps0, rng)
-    groups, probes = [], []
+    totals, probes = [], []
     with ThreadPoolExecutor(max_workers=1) as shuffler:
         for t in range(plan.h):
             g = dap_collect(values, attacker_mask, plan, t, attack, rng)
@@ -337,7 +362,10 @@ def run_dap(
             shuffled = shuffler.submit(rng.shuffle, g.reports)
             probes.append(probe_counts(counts, grid, g.budget))
             shuffled.result()
-            groups.append(g)
+            # The group mean needs only the (shuffled) reports' sum and count,
+            # so the reports go before the next group is collected.
+            totals.append((g.budget, g.reports.sum(), g.reports.size))
+            del g
 
     # The attacker proportion comes from the smallest-budget (last) group,
     # where the probe sees the most reports per user; the poisoned side is
@@ -346,8 +374,8 @@ def run_dap(
     gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
 
     estimates = []
-    for g, probe in zip(groups, probes):
-        transform = build_transform(g.budget, probe.grid, side=probe.side)
+    for t, ((budget, report_sum, n_reports), probe) in enumerate(zip(totals, probes)):
+        transform = build_transform(budget, probe.grid, side=probe.side)
         if filter_variant == "emf":
             pair = probe.winning_pair
         else:
@@ -357,19 +385,20 @@ def run_dap(
             pair = em(
                 transform,
                 probe.counts,
-                default_tolerance(g.budget),
+                default_tolerance(budget),
                 gamma=gamma_hat,
                 suppress=suppress,
                 start=probe.winning_pair,
             )
         estimates.append(
             intra_group_mean(
-                g.reports,
+                report_sum,
+                n_reports,
                 pair.y_hat,
                 transform.poison_midpoints,
-                g.budget,
+                budget,
                 eps_total=eps,
-                index=g.index,
+                index=t,
                 probe=probe,
             )
         )
@@ -420,7 +449,8 @@ def baseline_run(
     # are subtracted from the beta reports as they are, without mapping to
     # the beta scale (ROADMAP item 2).
     est = intra_group_mean(
-        beta_reports,
+        beta_reports.sum(),
+        beta_reports.size,
         probe.winning_pair.y_hat,
         transform.poison_midpoints,
         b_beta,

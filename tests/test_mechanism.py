@@ -226,6 +226,47 @@ class TestBlockedPerturb:
         assert peak <= 2 * out.nbytes
 
 
+class TestRepeatedPerturb:
+    @pytest.mark.parametrize(
+        "reps,n",
+        [(1, PM_BLOCK + 5), (3, 30_000), (16, 4_097), (2 * PM_BLOCK, 3)],
+        ids=["1", "3", "16", "2block"],
+    )
+    def test_equals_perturbing_the_repeated_values(self, reps, n):
+        v = np.random.default_rng(reps).uniform(-1.0, 1.0, n)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = pm_perturb(v, Budget(0.5), rng, reps=reps)
+        expect = pm_perturb(np.repeat(v, reps), Budget(0.5), ref_rng)
+        assert got.shape == (n * reps,)
+        assert np.array_equal(got, expect)
+        assert rng.random() == ref_rng.random()
+
+    def test_writes_into_out(self):
+        v = np.random.default_rng(1).uniform(-1.0, 1.0, 500)
+        stream = np.full(1_600, 7.0)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        got = pm_perturb(v, Budget(1.0), rng, out=stream[100:1_100], reps=2)
+        assert got.base is stream
+        assert np.array_equal(stream[100:1_100], pm_perturb(v, Budget(1.0), ref_rng, reps=2))
+        assert np.all(stream[:100] == 7.0) and np.all(stream[1_100:] == 7.0)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(999), np.empty(1_001), np.empty((500, 2)), np.empty(1_000, np.float32),
+         np.empty(2_000)[::2], [0.0] * 1_000],
+        ids=["short", "long", "2d", "float32", "strided", "list"],
+    )
+    def test_rejects_an_out_of_the_wrong_kind(self, out):
+        v = np.zeros(500)
+        with pytest.raises(ValueError, match="out must be"):
+            pm_perturb(v, Budget(1.0), np.random.default_rng(0), out=out, reps=2)
+
+    def test_rejects_zero_reps(self):
+        with pytest.raises(ValueError, match="reps"):
+            pm_perturb(np.zeros(3), Budget(1.0), np.random.default_rng(0), reps=0)
+
+
 class TestBucketGrid:
     def test_default_sizes(self):
         # d_out = even floor of sqrt(N); d = even floor of the shrunken count.

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestPlan:
         # A sorted assignment would make the first block all group 0.
         assert len(set(plan.assignment[:100])) > 1
 
+    def test_group_members_are_each_groups_users_in_order(self):
+        plan = dap_plan(10_003, 1.0, 1.0 / 16.0, np.random.default_rng(4))
+        for t in range(plan.h):
+            members = plan.group_members(t)
+            np.testing.assert_array_equal(members, np.flatnonzero(plan.assignment == t))
+            assert members.dtype == np.intp
+            assert plan.expected_reports(t) == members.size * 2**t
+            assert not members.flags.writeable
+
     @pytest.mark.parametrize("eps,eps0", [(0.5, 1.0), (0.0, 0.5), (1.0, 0.0)])
     def test_rejects_bad_budgets(self, eps, eps0):
         with pytest.raises(ConfigurationError):
@@ -121,6 +131,78 @@ class TestCollectReports:
         assert calls == []
         np.testing.assert_array_equal(reports, expect)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("returned", [1, 120 * 2 - 1, 120 * 2 + 1])
+    def test_attack_must_return_every_poison_report(self, returned):
+        # A length-1 result would otherwise broadcast over the poison tail.
+        def strategy(count, budget, rng):
+            return np.full(returned, budget.c_bound)
+
+        with pytest.raises(ValueError, match="expected \\(240,\\)"):
+            collect_reports(
+                self.values, self.mask, self.budget, strategy, np.random.default_rng(0), reps=2
+            )
+
+    def test_peak_memory_within_one_and_three_quarter_outputs(self):
+        # Honest and poison reports are written into one preallocated stream:
+        # no repeated copy of the values and no concatenation.
+        rng = np.random.default_rng(0)
+        n = 62_500
+        values = rng.uniform(-1.0, 1.0, n)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, n // 4, replace=False)] = True
+        attack = poison_strategy()
+        tracemalloc.start()
+        try:
+            out = collect_reports(
+                values, mask, Budget(1.0 / 16.0), attack, np.random.default_rng(1), reps=16
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * out.nbytes
+
+
+def pin_collect_inputs(n):
+    rng = np.random.default_rng(n)
+    return rng.uniform(-1.0, 1.0, n), rng.random(n) < 0.25
+
+
+class TestPinnedCollectBits:
+    """``collect_reports`` outputs (sha256 prefix of the float64 bytes) and the
+    generator's next double, recorded when the collector repeated each
+    user's value with ``np.repeat`` and concatenated honest and poison
+    reports.  Users x reps straddle the 2^16-value perturbation block.
+    Recorded with numpy 2.4 on x86-64."""
+
+    PINS = {
+        (300, 1, False): ("59aedbb664efcff9", "0x1.ce2452e2870c8p-4"),
+        (300, 1, True): ("2735d2d6234796f0", "0x1.a46e6b9f59e88p-1"),
+        (300, 2, False): ("db4b4ff1c22e948d", "0x1.a8459e558694ap-1"),
+        (300, 2, True): ("90e71130bdccfcf6", "0x1.cfde7b47d6450p-5"),
+        (300, 16, False): ("4e9c224d0a1fc94e", "0x1.0cdc30f754bffp-1"),
+        (300, 16, True): ("8929bc76d3276553", "0x1.6711c33e1d34cp-2"),
+        (4_097, 1, False): ("3288ddf2c112f476", "0x1.1cadd41f2a064p-1"),
+        (4_097, 1, True): ("c443c21490a41422", "0x1.879f202525276p-2"),
+        (4_097, 2, False): ("dcadaf0e3bd84159", "0x1.7b2e8e5f42fa0p-2"),
+        (4_097, 2, True): ("aeed9256ac7690c9", "0x1.f10a7a7159f88p-3"),
+        (4_097, 16, False): ("0abafc46ede65df6", "0x1.bbe71661bdc30p-1"),
+        (4_097, 16, True): ("b1da2af05e280ca3", "0x1.e069d7bce8aacp-3"),
+        (65_537, 1, False): ("96b918faab1ac1f5", "0x1.1c0ac70fe639cp-3"),
+        (65_537, 1, True): ("0343ed52350e246c", "0x1.35d6049b7e10dp-1"),
+        (65_537, 2, False): ("99f09af482aea200", "0x1.5bbfc1b4bbd00p-7"),
+        (65_537, 2, True): ("4d429f22dc2052e8", "0x1.2e1198e223960p-3"),
+        (65_537, 16, False): ("51f7df5dc337512a", "0x1.07a093ee71d50p-5"),
+        (65_537, 16, True): ("89f9873ff034894e", "0x1.7a3ca8a90b2e0p-1"),
+    }
+
+    @pytest.mark.parametrize("n,reps,attacked", list(PINS), ids=str)
+    def test_output_and_stream(self, n, reps, attacked):
+        values, mask = pin_collect_inputs(n)
+        rng = np.random.default_rng(2025)
+        attack = poison_strategy() if attacked else None
+        out = collect_reports(values, mask, Budget(1.0 / reps), attack, rng, reps=reps)
+        assert (bits(out), rng.random().hex()) == self.PINS[(n, reps, attacked)]
 
 
 def collect_all(values, mask, plan, attack, rng):
@@ -217,7 +299,8 @@ class TestIntraGroupMean:
         # attackers, so the honest mean is (5 - 3) / 2 = 1.
         reports = np.array([1.0, 1.0, 3.0])
         est = intra_group_mean(
-            reports,
+            reports.sum(),
+            reports.size,
             y_hat=np.array([1.0 / 3.0]),
             poison_midpoints=np.array([3.0]),
             budget=Budget(1.0),
@@ -235,20 +318,24 @@ class TestIntraGroupMean:
         poison = np.concatenate([np.full(60, 2.0), np.full(40, 3.0)])
         reports = np.concatenate([honest, poison])
         y_hat = np.array([0.06, 0.04])
-        est = intra_group_mean(reports, y_hat, midpoints, Budget(1.0), eps_total=1.0)
+        est = intra_group_mean(
+            reports.sum(), reports.size, y_hat, midpoints, Budget(1.0), eps_total=1.0
+        )
         assert est.mean == pytest.approx(honest.mean())
 
     def test_n_hat_scales_with_budget_share(self):
         reports = np.zeros(100)
         est = intra_group_mean(
-            reports, np.array([0.0]), np.array([1.0]), Budget(0.25), eps_total=1.0
+            reports.sum(), reports.size, np.array([0.0]), np.array([1.0]), Budget(0.25),
+            eps_total=1.0,
         )
         assert est.n_hat == pytest.approx(25.0)
 
     def test_m_hat_clamped_below_report_count(self):
         reports = np.array([1.0, 1.0])
         est = intra_group_mean(
-            reports, np.array([0.99]), np.array([1.0]), Budget(1.0), eps_total=1.0
+            reports.sum(), reports.size, np.array([0.99]), np.array([1.0]), Budget(1.0),
+            eps_total=1.0,
         )
         assert est.m_hat == 1.0  # round(1.98) clamped to n - 1
 
@@ -265,7 +352,9 @@ class TestIntraGroupMean:
         transform = build_transform(budget, grid, side="right")
         pair = em(transform, bucket_counts(reports, grid), tau=1e-4)
         midpoints = transform.poison_midpoints
-        est = intra_group_mean(reports, pair.y_hat, midpoints, budget, eps_total=2.0)
+        est = intra_group_mean(
+            reports.sum(), reports.size, pair.y_hat, midpoints, budget, eps_total=2.0
+        )
         mu = np.dot(pair.y_hat, midpoints) / pair.poison_mass
         assert est.m_hat == attacker_count(pair.poison_mass, n) > 0
         assert est.mean * (n - est.m_hat) == pytest.approx(reports.sum() - est.m_hat * mu)
@@ -274,15 +363,18 @@ class TestIntraGroupMean:
     def test_zero_poison_mass_keeps_the_plain_mean(self):
         reports = np.array([1.0, 2.0, 6.0])
         est = intra_group_mean(
-            reports, np.zeros(2), np.array([1.0, 2.0]), Budget(1.0), eps_total=1.0
+            reports.sum(), reports.size, np.zeros(2), np.array([1.0, 2.0]), Budget(1.0),
+            eps_total=1.0,
         )
         assert est.m_hat == 0.0
         assert est.mean == pytest.approx(3.0)
 
     def test_all_poison_is_degenerate(self):
+        reports = np.ones(10)
         with pytest.raises(DegenerateFilterError):
             intra_group_mean(
-                np.ones(10), np.array([1.0]), np.array([1.0]), Budget(1.0), eps_total=1.0
+                reports.sum(), reports.size, np.array([1.0]), np.array([1.0]), Budget(1.0),
+                eps_total=1.0,
             )
 
 
@@ -387,6 +479,24 @@ class TestRunDap:
         assert res.gamma_hat == pytest.approx(0.25, abs=0.1)
         assert naive >= 0  # sanity on the fixture
 
+    def test_peak_memory_set_by_the_largest_group(self):
+        # Each group's reports are dropped once their sum is taken, so the
+        # peak is set by the largest (last) group alone, not by all of them.
+        rng = np.random.default_rng(0)
+        values = rng.beta(2, 5, 200_000) * 2 - 1
+        mask = np.zeros(values.size, dtype=bool)
+        mask[rng.choice(values.size, values.size // 4, replace=False)] = True
+        # run_dap's first draws are the plan's, so this plan is its plan.
+        plan = dap_plan(values.size, 1.0, 1.0 / 16.0, np.random.default_rng(1))
+        largest = max(plan.expected_reports(t) for t in range(plan.h)) * 8
+        tracemalloc.start()
+        try:
+            run_dap(values, mask, 1.0, 1.0 / 16.0, poison_strategy(), np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * largest
+
     @pytest.mark.parametrize("variant", ["emf", "emf_star", "cemf_star"])
     def test_variants_run(self, variant):
         rng = np.random.default_rng(2)
@@ -438,7 +548,11 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
                 gamma=gamma_hat, suppress=suppress, start=pair,
             )
         midpoints = transform.poison_midpoints
-        estimates.append(intra_group_mean(reports, pair.y_hat, midpoints, budget, eps, index=t))
+        estimates.append(
+            intra_group_mean(
+                reports.sum(), reports.size, pair.y_hat, midpoints, budget, eps, index=t
+            )
+        )
     return aggregate_means(estimates), estimates
 
 
@@ -678,7 +792,8 @@ class TestBaselineRun:
         probe = probe_reports(alpha, b_alpha)
         transform = build_transform(b_alpha, probe.grid, side=probe.side)
         est = intra_group_mean(
-            beta, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta, eps_total=1.0
+            beta.sum(), beta.size, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta,
+            eps_total=1.0,
         )
         assert (res.side, res.gamma_hat) == (probe.side, probe.winning_pair.poison_mass)
         assert (res.mean, res.m_hat) == (est.mean, est.m_hat)
