@@ -119,7 +119,7 @@ def _cmd_plan(args) -> int:
     plan = dap_plan(args.n, args.eps, args.eps0, rng)
     print(f"h={plan.h}")
     for t in range(plan.h):
-        size = int(np.sum(plan.assignment == t))
+        size = plan.group_members(t).size
         print(
             f"group {t}: eps={plan.budgets[t]:g} users={size} "
             f"reports_per_user={plan.reports_per_user[t]} "

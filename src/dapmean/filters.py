@@ -33,9 +33,9 @@ class TransformMatrix:
 
     ``perturbation`` is the C-contiguous d_out x d block ``P``: column k holds
     the output-bucket probabilities of input bucket k.  The poison block
-    ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands in output
-    bucket ``poison_output_indices[j]`` with probability 1; those buckets are
-    one half of the output grid, ``grid.poison_slice(side)``.  ``matrix``
+    ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands with
+    probability 1 in the j-th output bucket of ``grid.poison_slice(side)``,
+    one half of the output grid.  ``matrix``
     assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
     for inspection only; the EM loop works on the block and the slice.
     """
@@ -50,28 +50,25 @@ class TransformMatrix:
 
     @property
     def n_poison(self) -> int:
-        return self.poison_output_indices.size
-
-    @property
-    def poison_output_indices(self) -> np.ndarray:
-        return self.grid.poison_indices(self.side)
+        sl = self.grid.poison_slice(self.side)
+        return sl.stop - sl.start
 
     @property
     def poison_midpoints(self) -> np.ndarray:
-        return self.grid.output_midpoints[self.poison_output_indices]
+        return self.grid.output_midpoints[self.grid.poison_slice(self.side)]
 
     @property
     def matrix(self) -> np.ndarray:
-        d, pois = self.n_normal, self.poison_output_indices
-        dense = np.zeros((self.grid.d_out, d + pois.size))
+        d, p = self.n_normal, self.n_poison
+        dense = np.zeros((self.grid.d_out, d + p))
         dense[:, :d] = self.perturbation
-        dense[pois, d + np.arange(pois.size)] = 1.0
+        np.fill_diagonal(dense[self.grid.poison_slice(self.side), d:], 1.0)
         return dense
 
 
 def build_transform(budget: Budget, grid: BucketGrid, side: str = "right") -> TransformMatrix:
     """The perturbation block of the grid; the poison side only selects indices."""
-    grid.poison_indices(side)  # raises on an unknown side
+    grid.poison_slice(side)  # raises on an unknown side
     return TransformMatrix(perturbation=perturbation_matrix(budget, grid), side=side, grid=grid)
 
 

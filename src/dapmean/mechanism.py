@@ -226,10 +226,6 @@ class BucketGrid:
             return slice(0, half)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def poison_indices(self, side: str) -> np.ndarray:
-        """Output-bucket indices forming the poison block."""
-        return np.arange(self.d_out)[self.poison_slice(side)]
-
 
 def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
     """The d_out x d matrix of bucket transition probabilities for normal users.

@@ -155,6 +155,13 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "ConfigurationError"
 
+    @pytest.mark.parametrize("eps,eps0", [("nan", "0.5"), ("1", "nan"), ("inf", "1")])
+    def test_non_finite_plan_budget_exits_nonzero(self, capsys, eps, eps0):
+        code, out, err = run_cli(capsys, "plan", "--eps", eps, "--eps0", eps0, "--n", "10")
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigurationError"
+        assert out == ""
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--gamma", "not-a-number"])

@@ -151,7 +151,7 @@ class TestTransform:
         block = transform.matrix[:, grid.d :]
         np.testing.assert_allclose(block.sum(axis=0), 1.0)
         rows = np.flatnonzero(block.sum(axis=1))
-        np.testing.assert_array_equal(rows, grid.poison_indices("right"))
+        np.testing.assert_array_equal(rows, np.arange(grid.d_out)[grid.poison_slice("right")])
 
     def test_all_columns_stochastic(self):
         _, _, _, transform, _ = make_setup(eps=0.5)
@@ -162,7 +162,11 @@ class TestTransform:
         budget, grid, _, _, _ = make_setup()
         t = build_transform(budget, grid, side="left")
         assert t.n_poison == grid.d_out // 2
-        np.testing.assert_array_equal(t.poison_output_indices, grid.poison_indices("left"))
+        # One unit of mass per poison bucket, on the left half's rows only.
+        expected = np.zeros((grid.d_out, t.n_poison))
+        expected[: grid.d_out // 2] = np.eye(t.n_poison)
+        np.testing.assert_array_equal(t.matrix[:, grid.d :], expected)
+        np.testing.assert_array_equal(t.poison_midpoints, grid.output_midpoints[: grid.d_out // 2])
 
     def test_odd_input_grid(self):
         # Only the output grid splits into side halves, so an odd d works.

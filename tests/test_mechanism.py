@@ -293,13 +293,13 @@ class TestBucketGrid:
 
     def test_default_split_is_half(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))
-        assert g.poison_indices("right")[0] == g.d_out // 2
+        assert g.poison_slice("right").start == g.d_out // 2
 
     def test_poison_indices(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))
         half = g.d_out // 2
-        right = g.poison_indices("right")
-        left = g.poison_indices("left")
+        right = np.arange(g.d_out)[g.poison_slice("right")]
+        left = np.arange(g.d_out)[g.poison_slice("left")]
         assert right.size == g.d_out - half
         assert left.size == half
         assert right[0] == half and left[-1] == half - 1

@@ -70,9 +70,61 @@ class TestPlan:
             np.testing.assert_array_equal(members, np.flatnonzero(plan.assignment == t))
             assert members.dtype == np.intp
             assert plan.expected_reports(t) == members.size * 2**t
-            assert not members.flags.writeable
 
-    @pytest.mark.parametrize("eps,eps0", [(0.5, 1.0), (0.0, 0.5), (1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "n,eps,eps0,h,dtype",
+        [
+            (1_000, 0.5, 0.5, 1, np.uint8),
+            (100_003, 1.0, 1.0 / 16.0, 5, np.uint8),
+            (10_007, 1.0, 2.0**-300, 301, np.uint16),
+        ],
+    )
+    def test_narrow_assignment_matches_the_int64_plan(self, n, eps, eps0, h, dtype):
+        # The shuffle takes the same draws whatever the assignment's dtype, so
+        # the narrow plan is the int64 plan, and the generator ends in the
+        # same state.
+        rng = np.random.default_rng(7)
+        plan = dap_plan(n, eps, eps0, rng)
+        sizes = np.full(h, n // h)
+        sizes[: n - (n // h) * h] += 1
+        ref = np.repeat(np.arange(h, dtype=np.int64), sizes)
+        ref_rng = np.random.default_rng(7)
+        ref_rng.shuffle(ref)
+        assert plan.h == h
+        assert plan.assignment.dtype == dtype
+        np.testing.assert_array_equal(plan.assignment, ref)
+        assert rng.random() == ref_rng.random()
+        for t in range(h):
+            np.testing.assert_array_equal(plan.group_members(t), np.flatnonzero(ref == t))
+
+    def test_plan_keeps_one_byte_per_user(self):
+        # One uint8 group index per user; each group's members are scanned on
+        # demand and not kept by the plan.
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            plan = dap_plan(n, 1.0, 1.0 / 16.0, np.random.default_rng(0))
+            for t in range(plan.h):
+                plan.group_members(t)
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert alive <= 1.1 * n
+
+    @pytest.mark.parametrize(
+        "eps,eps0",
+        [
+            (0.5, 1.0),
+            (0.0, 0.5),
+            (1.0, 0.0),
+            (1.0, float("nan")),
+            (float("nan"), 0.5),
+            (float("nan"), float("nan")),
+            (float("inf"), 1.0),
+            (float("inf"), float("inf")),
+            (1.0, float("-inf")),
+        ],
+    )
     def test_rejects_bad_budgets(self, eps, eps0):
         with pytest.raises(ConfigurationError):
             dap_plan(100, eps, eps0, np.random.default_rng(0))
