@@ -9,14 +9,12 @@ minimum-variance weights.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import AttackStrategy
 from .filters import (
-    ObservedCounts,
     SideProbe,
     attacker_count,
     bucket_counts,
@@ -74,13 +72,19 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     Group budgets halve from eps down to eps0; users in group t report
     eps/eps_t times so every user spends exactly eps.  If eps/eps0 is not a
     power of two, eps0 is rounded down until it is.  Remainder users go to
-    the largest-budget groups.
+    the largest-budget groups.  A ratio eps/eps0 that overflows, or more
+    groups than users, raises ``ConfigurationError``.
     """
     if not 0 < eps0 <= eps < math.inf:
         raise ConfigurationError(
             f"budgets must satisfy 0 < eps0 <= eps < inf, got eps={eps}, eps0={eps0}"
         )
-    h = int(math.ceil(math.log2(eps / eps0))) + 1 if eps0 < eps else 1
+    ratio = eps / eps0
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"eps / eps0 overflows, got eps={eps}, eps0={eps0}")
+    h = int(math.ceil(math.log2(ratio))) + 1 if eps0 < eps else 1
+    if h > n_users:
+        raise ConfigurationError(f"{h} groups need at least {h} users, got {n_users}")
     budgets = eps / np.power(2.0, np.arange(h))
     reports = np.power(2, np.arange(h))
 
@@ -292,17 +296,16 @@ def trimming(reports, side: str = "right") -> float:
 
 
 def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
-    """Bucket the reports on their budget's grid and probe both sides by EM."""
+    """Bucket the reports on their budget's grid and probe both sides by EM.
+
+    The probe reads only the bucket counts, so the reports' order does not
+    change its result.
+    """
     grid = BucketGrid.for_reports(reports.size, budget)
-    return probe_counts(bucket_counts(reports, grid), grid, budget)
-
-
-def probe_counts(counts: ObservedCounts, grid: BucketGrid, budget: Budget) -> SideProbe:
-    """Probe both sides by EM from the bucket counts on the budget's grid."""
     return probe_side(
         build_transform(budget, grid, side="left"),
         build_transform(budget, grid, side="right"),
-        counts,
+        bucket_counts(reports, grid),
         tau=default_tolerance(budget),
     )
 
@@ -329,13 +332,10 @@ def run_dap(
 ) -> DapResult:
     """Full grouped run: plan, collect, probe, filter, estimate, aggregate.
 
-    Each group's reports are shuffled, as the collector receives them.  The
-    probe reads only bucket counts, which the order leaves unchanged, so a
-    helper thread shuffles group t (``Generator.shuffle`` releases the GIL)
-    while its probe runs, and finishes before group t + 1 draws: the
-    generator takes the same draws in the same order as a sequential run.
-    Once its shuffle ends, only the group's report sum and count are kept,
-    so at most one group's reports exist at a time.
+    Groups run one after another on the caller's thread.  Each group's
+    reports are shuffled, as the collector receives them, then probed.  Only
+    the group's report sum and count are kept after its probe, so at most
+    one group's reports exist at a time.
 
     The poisoned side is probed in every group; the attacker proportion fed
     to the constrained filters comes from the smallest-budget group, where
@@ -347,18 +347,14 @@ def run_dap(
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
     plan = dap_plan(values.size, eps, eps0, rng)
     totals, probes = [], []
-    with ThreadPoolExecutor(max_workers=1) as shuffler:
-        for t in range(plan.h):
-            g = dap_collect(values, attacker_mask, plan, t, attack, rng)
-            grid = BucketGrid.for_reports(g.reports.size, g.budget)
-            counts = bucket_counts(g.reports, grid)  # before the shuffle moves them
-            shuffled = shuffler.submit(rng.shuffle, g.reports)
-            probes.append(probe_counts(counts, grid, g.budget))
-            shuffled.result()
-            # The group mean needs only the (shuffled) reports' sum and count,
-            # so the reports go before the next group is collected.
-            totals.append((g.budget, g.reports.sum(), g.reports.size))
-            del g
+    for t in range(plan.h):
+        g = dap_collect(values, attacker_mask, plan, t, attack, rng)
+        rng.shuffle(g.reports)
+        probes.append(probe_reports(g.reports, g.budget))
+        # The group mean needs only the reports' sum and count, so the
+        # reports go before the next group is collected.
+        totals.append((g.budget, g.reports.sum(), g.reports.size))
+        del g
 
     # The attacker proportion comes from the smallest-budget (last) group,
     # where the probe sees the most reports per user; the poisoned side is

@@ -155,7 +155,10 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "ConfigurationError"
 
-    @pytest.mark.parametrize("eps,eps0", [("nan", "0.5"), ("1", "nan"), ("inf", "1")])
+    @pytest.mark.parametrize(
+        "eps,eps0",
+        [("nan", "0.5"), ("1", "nan"), ("inf", "1"), ("1e308", "1e-10"), ("1", "1e-300")],
+    )
     def test_non_finite_plan_budget_exits_nonzero(self, capsys, eps, eps0):
         code, out, err = run_cli(capsys, "plan", "--eps", eps, "--eps0", eps0, "--n", "10")
         assert code == 1

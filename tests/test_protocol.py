@@ -123,6 +123,8 @@ class TestPlan:
             (float("inf"), 1.0),
             (float("inf"), float("inf")),
             (1.0, float("-inf")),
+            (1e308, 1e-10),
+            (1.0, 1e-300),
         ],
     )
     def test_rejects_bad_budgets(self, eps, eps0):
@@ -624,8 +626,8 @@ class TestRunDapReplay:
         assert got_rng.random() == ref_rng.random()
 
     def test_a_late_shuffle_still_ends_before_its_group_is_read(self):
-        # Each shuffle starts 20 ms late, so it outlasts these small groups'
-        # probes: the group mean and the next group's draws must still wait.
+        # Each shuffle starts 20 ms late: the group's probe, its mean and the
+        # next group's draws must still see the shuffled reports, in order.
         class LateShuffle(np.random.Generator):
             def shuffle(self, x, axis=0):
                 time.sleep(0.02)
@@ -641,6 +643,26 @@ class TestRunDapReplay:
         agg, estimates = sequential_run_dap(values, mask, 1.0, 0.125, attack, ref_rng, "emf_star")
         assert [e.mean for e in res.estimates] == [e.mean for e in estimates]
         assert got_rng.random() == ref_rng.random()
+
+    def test_every_draw_happens_on_the_callers_thread(self):
+        idents = set()
+
+        class RecordingThreads(np.random.Generator):
+            def shuffle(self, x, axis=0):
+                idents.add(threading.get_ident())
+                super().shuffle(x, axis)
+
+            def random(self, *args, **kwargs):
+                idents.add(threading.get_ident())
+                return super().random(*args, **kwargs)
+
+        rng = np.random.default_rng(8)
+        values = rng.uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        got_rng = RecordingThreads(np.random.PCG64(5))
+        run_dap(values, mask, 1.0, 0.125, poison_strategy(), got_rng, "emf_star")
+        assert idents == {threading.get_ident()}
 
 
 def failing_on_call(k, exc):
@@ -662,8 +684,9 @@ class AttackFailed(RuntimeError):
 
 
 class TestRunDapThreads:
-    """run_dap joins its shuffle thread on every exit and re-raises what
-    collection raised, with its type."""
+    """run_dap leaves no thread behind on any exit, re-raises what collection
+    raised, with its type, and keeps every caller's draws in order when
+    several threads call it at once."""
 
     def setup_method(self):
         rng = np.random.default_rng(9)
@@ -700,9 +723,9 @@ class TestRunDapThreads:
 
     def test_concurrent_callers_match_the_sequential_run(self):
         # More callers than cores, each with its own generator, switching
-        # threads as often as the interpreter allows: a shuffle that overlapped
-        # the bucketing, the group mean or the next group's draws would move
-        # some result off its sequential replay.
+        # threads as often as the interpreter allows: run_dap must be
+        # re-entrant, and any state shared between callers, or a draw out of
+        # order, would move some result off its sequential replay.
         seeds = range(40, 46)
         attack = poison_strategy()
         expect = [
@@ -765,10 +788,14 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("eps", sorted(PROBES))
     def test_probe_reports(self, eps):
-        probe = probe_reports(pinned_reports(eps), Budget(eps))
-        for side, pair in (("left", probe.pair_left), ("right", probe.pair_right)):
-            got = (pair.iterations, bits(pair.x_hat), bits(pair.y_hat))
-            assert got == self.PROBES[eps][side], side
+        # The probe reads only bucket counts, so permuted reports give the
+        # same bits.
+        reports = pinned_reports(eps)
+        for given in (reports, np.random.default_rng(12).permutation(reports)):
+            probe = probe_reports(given, Budget(eps))
+            for side, pair in (("left", probe.pair_left), ("right", probe.pair_right)):
+                got = (pair.iterations, bits(pair.x_hat), bits(pair.y_hat))
+                assert got == self.PROBES[eps][side], side
 
     def test_run_dap_emf_mean(self):
         rng = np.random.default_rng(43)
@@ -779,7 +806,7 @@ class TestPinnedBits:
         assert res.mean.hex() == "-0x1.f642164de7e9ep-2"
 
     # run_dap means of every variant and the generator's next draw after the
-    # call, recorded before the shuffle moved to a helper thread.
+    # call.
     RUN_DAP = {
         "emf": "-0x1.f642164de7e9ep-2",
         "emf_star": "-0x1.12f3f263673c7p-1",
