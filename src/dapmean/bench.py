@@ -2,9 +2,12 @@
 
 A run compares defense schemes on identical per-trial inputs (same attacker
 identities, same honest values) and reports per-trial estimates plus the
-MSE against the honest users' true mean.  All randomness derives from one
-master seed via counter-based spawn keys, so results are byte-reproducible
-even when trials execute in parallel.
+MSE against the honest users' true mean.  The DAP variants (EMF, EMF* and
+CEMF*) differ only in how they post-process one probe, so in each (epsilon,
+trial) cell they share one DAP collection and probe: ``run_dap`` runs once
+and ``DapResult.refilter`` gives the other variants.  All randomness
+derives from one master seed via counter-based spawn keys, so results are
+byte-reproducible even when trials execute in parallel.
 """
 
 from __future__ import annotations
@@ -121,6 +124,8 @@ class ExperimentConfig:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigurationError(f"schemes must not repeat, got {self.schemes}")
         if not (0.0 <= self.gamma < 0.5):
             raise ConfigurationError("gamma must be in [0, 0.5)")
         if not self.eps_list:
@@ -128,6 +133,8 @@ class ExperimentConfig:
         bad = [e for e in self.eps_list if not (math.isfinite(e) and e > 0)]
         if bad:
             raise ConfigurationError(f"every epsilon must be finite and positive, got {bad}")
+        if len(set(self.eps_list)) < len(self.eps_list):
+            raise ConfigurationError(f"eps_list must not repeat, got {self.eps_list}")
         if not (self.eps0 > 0):
             raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
         if self.workers < 1:
@@ -274,19 +281,22 @@ def _run_trial(
     epsilon: float,
     trial: int,
 ) -> list[TrialRecord]:
-    """All schemes on one (epsilon, trial) cell, sharing identities and values."""
+    """All schemes on one (epsilon, trial) cell, sharing identities and values.
+
+    The DAP schemes also share one collection and probe: the first DAP
+    scheme to succeed runs ``run_dap`` and every later one refilters its
+    result.  Each ``run_dap`` attempt starts a fresh generator on the DAP
+    stream, so each DAP record equals a solo run of its variant on that
+    stream, whichever sibling failed before it.
+    """
     ss = np.random.SeedSequence(config.seed, spawn_key=(1 + eps_index, trial))
-    streams = {
-        name: np.random.default_rng(child)
-        for name, child in zip(
-            ("identity", "single", "baseline", "dap_emf", "dap_emf_star", "dap_cemf_star"),
-            ss.spawn(6),
-        )
-    }
+    # Child 3 is left unused, so that the DAP stream is child 4, the one
+    # dap_emf_star has always drawn from: its estimates keep their bits.
+    identity, single_child, baseline_child, _, dap_child = ss.spawn(5)
     values = dataset.values
     n_users = values.size
     m = int(math.floor(config.gamma * n_users))
-    attacker_idx = streams["identity"].choice(n_users, size=m, replace=False)
+    attacker_idx = np.random.default_rng(identity).choice(n_users, size=m, replace=False)
     mask = np.zeros(n_users, dtype=bool)
     mask[attacker_idx] = True
     truth = float(values[~mask].mean()) if m else float(values.mean())
@@ -294,8 +304,11 @@ def _run_trial(
     # One shared single-budget collection for the unprotected baselines.
     single = None
     if "ostrich" in config.schemes or "trimming" in config.schemes:
-        single = collect_reports(values, mask, Budget(epsilon), attack, streams["single"])
+        single = collect_reports(
+            values, mask, Budget(epsilon), attack, np.random.default_rng(single_child)
+        )
 
+    dap = None  # the trial's first successful DAP result
     records = []
     for scheme in config.schemes:
         diag: dict = {}
@@ -311,21 +324,25 @@ def _run_trial(
                     eps_alpha=epsilon / 16.0,
                     eps_beta=epsilon * 15.0 / 16.0,
                     attack=attack,
-                    rng=streams["baseline"],
+                    rng=np.random.default_rng(baseline_child),
                 )
                 est = res.mean
                 diag = {"gamma_hat": res.gamma_hat, "side": res.side}
             else:
                 variant = scheme.removeprefix("dap_")
-                res = run_dap(
-                    values,
-                    mask,
-                    eps=epsilon,
-                    eps0=min(config.eps0, epsilon),
-                    attack=attack,
-                    rng=streams[scheme],
-                    filter_variant=variant,
-                )
+                if dap is None:
+                    dap = run_dap(
+                        values,
+                        mask,
+                        eps=epsilon,
+                        eps0=min(config.eps0, epsilon),
+                        attack=attack,
+                        rng=np.random.default_rng(dap_child),
+                        filter_variant=variant,
+                    )
+                    res = dap
+                else:
+                    res = dap.refilter(variant)
                 est = res.mean
                 diag = {
                     "gamma_hat": res.gamma_hat,

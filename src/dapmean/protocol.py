@@ -9,13 +9,14 @@ minimum-variance weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attacks import AttackStrategy
 from .filters import (
     SideProbe,
+    TransformMatrix,
     attacker_count,
     bucket_counts,
     build_transform,
@@ -311,14 +312,87 @@ def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
 
 
 @dataclass(frozen=True)
+class GroupFilterInput:
+    """What one group's filter stage reads: the group's report sum and count,
+    its side probe and the transform of the probe's winning side."""
+
+    budget: Budget
+    report_sum: float
+    n_reports: int
+    probe: SideProbe
+    transform: TransformMatrix
+
+
+def _filter_groups(
+    groups: tuple[GroupFilterInput, ...], gamma_hat: float, eps_total: float, filter_variant: str
+) -> list[GroupEstimate]:
+    """Each group's mean after the filter variant removes its probed poison.
+
+    Draws nothing and builds no transform.  Each group's constrained filter
+    starts from that group's probe pair on the winning side, which is
+    already an EM fixed point at its own poison mass, so it needs few
+    iterations.
+    """
+    if filter_variant not in FILTER_VARIANTS:
+        raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
+    estimates = []
+    for t, g in enumerate(groups):
+        pair = g.probe.winning_pair
+        if filter_variant != "emf":
+            suppress = None
+            if filter_variant == "cemf_star":
+                suppress = suppression_mask(pair.y_hat, gamma_hat)
+            pair = em(
+                g.transform,
+                g.probe.counts,
+                default_tolerance(g.budget),
+                gamma=gamma_hat,
+                suppress=suppress,
+                start=pair,
+            )
+        estimates.append(
+            intra_group_mean(
+                g.report_sum,
+                g.n_reports,
+                pair.y_hat,
+                g.transform.poison_midpoints,
+                g.budget,
+                eps_total=eps_total,
+                index=t,
+                probe=g.probe,
+            )
+        )
+    return estimates
+
+
+@dataclass(frozen=True)
 class DapResult:
-    """Aggregated mean plus per-group diagnostics."""
+    """Aggregated mean plus per-group diagnostics.
+
+    ``groups`` keeps what the filter stage read, per group, so that
+    ``refilter`` derives another variant from the same collection and probe.
+    """
 
     mean: float
     aggregate: AggregateResult
     estimates: list[GroupEstimate]
     side: str
     gamma_hat: float
+    eps_total: float
+    groups: tuple[GroupFilterInput, ...]
+
+    def refilter(self, filter_variant: str) -> DapResult:
+        """This run's result under another filter variant.
+
+        Reruns only the filter, ``intra_group_mean`` and ``aggregate_means``
+        on the stored groups.  It builds no transform and draws nothing, so
+        it equals, bit for bit, ``run_dap`` with ``filter_variant`` on the
+        same generator state.  An unknown variant raises
+        ``ConfigurationError``.
+        """
+        estimates = _filter_groups(self.groups, self.gamma_hat, self.eps_total, filter_variant)
+        agg = aggregate_means(estimates)
+        return replace(self, mean=agg.mean, aggregate=agg, estimates=estimates)
 
 
 def run_dap(
@@ -339,9 +413,8 @@ def run_dap(
 
     The poisoned side is probed in every group; the attacker proportion fed
     to the constrained filters comes from the smallest-budget group, where
-    the probe is most accurate.  Each group's constrained filter starts from
-    that group's probe pair on the winning side, which is already an EM
-    fixed point at its own poison mass, so it needs few iterations.
+    the probe is most accurate.  The filter stage draws nothing, so the
+    result's ``refilter`` gives the other variants of the same run.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
@@ -362,38 +435,28 @@ def run_dap(
     side = probes[-1].side
     gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
 
-    estimates = []
-    for t, ((budget, report_sum, n_reports), probe) in enumerate(zip(totals, probes)):
-        transform = build_transform(budget, probe.grid, side=probe.side)
-        if filter_variant == "emf":
-            pair = probe.winning_pair
-        else:
-            suppress = None
-            if filter_variant == "cemf_star":
-                suppress = suppression_mask(probe.winning_pair.y_hat, gamma_hat)
-            pair = em(
-                transform,
-                probe.counts,
-                default_tolerance(budget),
-                gamma=gamma_hat,
-                suppress=suppress,
-                start=probe.winning_pair,
-            )
-        estimates.append(
-            intra_group_mean(
-                report_sum,
-                n_reports,
-                pair.y_hat,
-                transform.poison_midpoints,
-                budget,
-                eps_total=eps,
-                index=t,
-                probe=probe,
-            )
+    # Built after the last collection, so that no transform is alive at the
+    # collector's peak.
+    groups = tuple(
+        GroupFilterInput(
+            budget=budget,
+            report_sum=report_sum,
+            n_reports=n_reports,
+            probe=probe,
+            transform=build_transform(budget, probe.grid, side=probe.side),
         )
+        for (budget, report_sum, n_reports), probe in zip(totals, probes)
+    )
+    estimates = _filter_groups(groups, gamma_hat, eps, filter_variant)
     agg = aggregate_means(estimates)
     return DapResult(
-        mean=agg.mean, aggregate=agg, estimates=estimates, side=side, gamma_hat=gamma_hat
+        mean=agg.mean,
+        aggregate=agg,
+        estimates=estimates,
+        side=side,
+        gamma_hat=gamma_hat,
+        eps_total=eps,
+        groups=groups,
     )
 
 

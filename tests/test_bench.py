@@ -16,7 +16,7 @@ from dapmean.bench import (
     run_experiment,
 )
 from dapmean.mechanism import Budget
-from dapmean.protocol import ConfigurationError, DegenerateFilterError
+from dapmean.protocol import ConfigurationError, DegenerateFilterError, run_dap
 
 
 class TestDatasets:
@@ -125,6 +125,9 @@ class TestConfig:
             {"eps0": float("nan")},
             {"workers": 0},
             {"workers": -2},
+            {"schemes": ["dap_emf_star", "dap_emf_star", "ostrich"]},
+            {"eps_list": [1.0, 1.0]},
+            {"schemes": ["dap_emf_star", "dap_emf_star", "ostrich"], "eps_list": [1.0, 1.0]},
         ],
     )
     def test_validation(self, over):
@@ -285,3 +288,117 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "run_dap", bug)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(ExperimentConfig.from_dict(SMALL | {"workers": workers}))
+
+
+# Every scheme on a small run, two epsilons and two trials.
+SIX = {
+    "dataset": {"type": "beta", "a": 2, "b": 5, "n": 3000},
+    "eps_list": [1.0, 0.5],
+    "gamma": 0.25,
+    "schemes": list(SCHEMES),
+    "trials": 2,
+    "seed": 21,
+}
+DAP_SCHEMES = ("dap_emf", "dap_emf_star", "dap_cemf_star")
+
+
+def estimates(config: dict) -> dict:
+    """{(scheme, epsilon, trial): estimate} of one run_experiment call."""
+    res = run_experiment(ExperimentConfig.from_dict(config))
+    return {(r.scheme, r.epsilon, r.trial): r.estimate for r in res.records}
+
+
+@functools.cache
+def solo_dap_estimates() -> dict:
+    """Each DAP variant's run_dap estimate per SIX cell, run alone on a fresh
+    generator from the cell's DAP stream (child 4 of the cell's seed)."""
+    cfg = ExperimentConfig.from_dict(SIX)
+    ds = build_dataset(cfg.dataset, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    attack = build_attack(cfg.attack, default_reference=ds.true_mean)
+    n = ds.values.size
+    out = {}
+    for ei, eps in enumerate(cfg.eps_list):
+        for t in range(cfg.trials):
+            children = np.random.SeedSequence(cfg.seed, spawn_key=(1 + ei, t)).spawn(5)
+            mask = np.zeros(n, dtype=bool)
+            identity = np.random.default_rng(children[0])
+            mask[identity.choice(n, size=int(cfg.gamma * n), replace=False)] = True
+            for scheme in DAP_SCHEMES:
+                res = run_dap(
+                    ds.values, mask, eps, min(cfg.eps0, eps), attack,
+                    np.random.default_rng(children[4]), scheme.removeprefix("dap_"),
+                )
+                out[(scheme, eps, t)] = res.mean
+    return out
+
+
+class TestSharedDapRun:
+    """The DAP schemes of a trial share one collection and probe, and each
+    record equals a solo run_dap of its variant on the trial's DAP stream."""
+
+    # ostrich, trimming, baseline and dap_emf_star estimates of SIX, recorded
+    # when each DAP scheme drew from its own stream: sharing the DAP run
+    # leaves them bit-identical.
+    PINNED = {
+        ("ostrich", 1.0, 0): "0x1.505dc097b186cp-1",
+        ("trimming", 1.0, 0): "-0x1.84e1cdd840f20p+0",
+        ("baseline", 1.0, 0): "0x1.6b025d789d857p-1",
+        ("dap_emf_star", 1.0, 0): "0x1.09def91a31665p+0",
+        ("ostrich", 1.0, 1): "0x1.5ac9f1b6aa038p-1",
+        ("trimming", 1.0, 1): "-0x1.81ad3773378a8p+0",
+        ("baseline", 1.0, 1): "0x1.6335841a15f70p-1",
+        ("dap_emf_star", 1.0, 1): "0x1.0efdef5cab301p+0",
+        ("ostrich", 0.5, 0): "0x1.79aa9f80d2bd6p+0",
+        ("trimming", 0.5, 0): "-0x1.76f0f4fc6300ap+1",
+        ("baseline", 0.5, 0): "0x1.8b34ab41287f4p+0",
+        ("dap_emf_star", 0.5, 0): "0x1.178182551dd92p+1",
+        ("ostrich", 0.5, 1): "0x1.7daf548c90ea4p+0",
+        ("trimming", 0.5, 1): "-0x1.6e5a6cbcec0bep+1",
+        ("baseline", 0.5, 1): "0x1.ddf4147e18abep+0",
+        ("dap_emf_star", 0.5, 1): "0x1.1fff161659135p+1",
+    }
+
+    def test_undefended_baseline_and_emf_star_keep_their_bits(self):
+        got = estimates(SIX)
+        assert {cell: got[cell].hex() for cell in self.PINNED} == self.PINNED
+
+    def test_every_dap_record_equals_a_solo_run(self):
+        got = estimates(SIX)
+        solo = solo_dap_estimates()
+        assert {cell: got[cell] for cell in solo} == solo
+
+    @pytest.mark.parametrize(
+        "schemes",
+        [
+            ["dap_emf"],
+            ["dap_emf_star"],
+            ["dap_cemf_star"],
+            ["dap_cemf_star", "dap_emf"],
+            ["dap_emf", "dap_emf_star", "dap_cemf_star"],
+            ["dap_emf_star", "dap_cemf_star", "dap_emf"],
+            ["dap_cemf_star", "dap_emf", "dap_emf_star"],
+        ],
+    )
+    def test_independent_of_selection_and_order(self, schemes):
+        got = estimates(SIX | {"schemes": schemes})
+        solo = solo_dap_estimates()
+        assert got == {cell: v for cell, v in solo.items() if cell[0] in schemes}
+
+    @pytest.mark.parametrize("cemf_first", [True, False])
+    def test_a_failing_variant_leaves_its_siblings_draws(self, monkeypatch, cemf_first):
+        # Suppressing every bucket fails only CEMF*, in its filter stage.
+        import dapmean.protocol as protocol
+
+        solo = solo_dap_estimates()
+        monkeypatch.setattr(
+            protocol, "suppression_mask", lambda prior_y, gamma: np.ones(len(prior_y), bool)
+        )
+        schemes = ["dap_emf", "dap_emf_star"]
+        schemes = ["dap_cemf_star", *schemes] if cemf_first else [*schemes, "dap_cemf_star"]
+        res = run_experiment(ExperimentConfig.from_dict(SIX | {"schemes": schemes}))
+        for r in res.records:
+            if r.scheme == "dap_cemf_star":
+                assert math.isnan(r.estimate)
+                assert r.diagnostics["error"].startswith("InconsistentSuppressionError")
+            else:
+                assert r.estimate == solo[(r.scheme, r.epsilon, r.trial)]

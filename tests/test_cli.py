@@ -170,7 +170,10 @@ class TestErrors:
             main(["simulate", "--gamma", "not-a-number"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--eps=-1", "--eps=0", "--eps0=0", "--workers=0"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--eps=-1", "--eps=0", "--eps0=0", "--workers=0", "--schemes=ostrich,ostrich", "--eps=1,1"],
+    )
     def test_invalid_config_exits_nonzero(self, capsys, flag):
         code, out, err = run_cli(
             capsys,

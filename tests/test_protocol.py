@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import sys
 import threading
@@ -663,6 +664,55 @@ class TestRunDapReplay:
         got_rng = RecordingThreads(np.random.PCG64(5))
         run_dap(values, mask, 1.0, 0.125, poison_strategy(), got_rng, "emf_star")
         assert idents == {threading.get_ident()}
+
+
+VARIANTS = ("emf", "emf_star", "cemf_star")
+
+
+@functools.cache
+def refilter_fixture_run(variant):
+    """A run_dap result of one variant."""
+    rng = np.random.default_rng(17)
+    values = rng.beta(2, 5, 8_000) * 2 - 1
+    mask = np.zeros(values.size, dtype=bool)
+    mask[rng.choice(values.size, 2_000, replace=False)] = True
+    return run_dap(values, mask, 1.0, 0.25, poison_strategy(), np.random.default_rng(5), variant)
+
+
+class TestRefilter:
+    """refilter gives, from one run, what run_dap gives for another variant on
+    the same generator state, bit for bit, and draws nothing."""
+
+    @pytest.mark.parametrize("target", VARIANTS)
+    @pytest.mark.parametrize("source", VARIANTS)
+    def test_equals_a_direct_run(self, source, target):
+        res, direct = refilter_fixture_run(source), refilter_fixture_run(target)
+        got = res.refilter(target)
+        # The fixture's variants disagree, so a refilter that kept its
+        # source's estimates would show.
+        assert (res.mean == direct.mean) == (source == target)
+        assert got.mean.hex() == direct.mean.hex()
+        assert [g.mean.hex() for g in got.estimates] == [g.mean.hex() for g in direct.estimates]
+        assert [g.gamma_hat for g in got.estimates] == [g.gamma_hat for g in direct.estimates]
+        assert bits(got.aggregate.weights) == bits(direct.aggregate.weights)
+        assert (got.side, got.gamma_hat) == (direct.side, direct.gamma_hat)
+
+    def test_draws_nothing(self):
+        rng = np.random.default_rng(17)
+        values = rng.uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), got_rng, "emf")
+        run_dap(values, mask, 1.0, 0.125, poison_strategy(), ref_rng, "emf")
+        for variant in VARIANTS:
+            res.refilter(variant)
+        assert got_rng.random() == ref_rng.random()
+
+    def test_unknown_variant_rejected(self):
+        res = refilter_fixture_run("emf_star")
+        with pytest.raises(ConfigurationError, match="mystery"):
+            res.refilter("mystery")
 
 
 def failing_on_call(k, exc):
