@@ -16,6 +16,7 @@ import csv
 import inspect
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -26,9 +27,17 @@ import numpy as np
 from . import attacks
 from .attacks import AttackStrategy
 from .mechanism import Budget, Dataset, normalize_dataset
-from .protocol import ConfigurationError, baseline_run, collect_reports, ostrich, run_dap, trimming
+from .protocol import (
+    FILTER_VARIANTS,
+    ConfigurationError,
+    baseline_run,
+    collect_reports,
+    ostrich,
+    run_dap,
+    trimming,
+)
 
-SCHEMES = ("ostrich", "trimming", "baseline", "dap_emf", "dap_emf_star", "dap_cemf_star")
+SCHEMES = ("ostrich", "trimming", "baseline", *(f"dap_{v}" for v in FILTER_VARIANTS))
 
 
 def gen_beta(a: float, b: float, n: int, seed) -> Dataset:
@@ -94,6 +103,14 @@ def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
     return normalize_dataset(arr)
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; JSON-serializable.
@@ -117,8 +134,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        if not (_is_integer(self.trials) and self.trials >= 1):
+            raise ConfigurationError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.schemes:
             raise ConfigurationError("schemes must be nonempty")
         unknown = set(self.schemes) - set(SCHEMES)
@@ -126,19 +145,19 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigurationError(f"schemes must not repeat, got {self.schemes}")
-        if not (0.0 <= self.gamma < 0.5):
-            raise ConfigurationError("gamma must be in [0, 0.5)")
+        if not (_is_real(self.gamma) and 0.0 <= self.gamma < 0.5):
+            raise ConfigurationError(f"gamma must be a number in [0, 0.5), got {self.gamma!r}")
         if not self.eps_list:
             raise ConfigurationError("eps_list must be nonempty")
-        bad = [e for e in self.eps_list if not (math.isfinite(e) and e > 0)]
+        bad = [e for e in self.eps_list if not (_is_real(e) and math.isfinite(e) and e > 0)]
         if bad:
-            raise ConfigurationError(f"every epsilon must be finite and positive, got {bad}")
+            raise ConfigurationError(f"eps_list entries must be finite positive numbers, got {bad}")
         if len(set(self.eps_list)) < len(self.eps_list):
             raise ConfigurationError(f"eps_list must not repeat, got {self.eps_list}")
-        if not (self.eps0 > 0):
-            raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if not (_is_real(self.eps0) and self.eps0 > 0):
+            raise ConfigurationError(f"eps0 must be a positive number, got {self.eps0!r}")
+        if not (_is_integer(self.workers) and self.workers >= 1):
+            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -244,33 +263,22 @@ class ExperimentResult:
     config: ExperimentConfig
     records: list[TrialRecord]
 
+    def _cell(self, scheme: str, epsilon: float) -> list[TrialRecord]:
+        return [r for r in self.records if r.scheme == scheme and r.epsilon == epsilon]
+
+    def cell_mse(self, scheme: str, epsilon: float) -> float:
+        """Mean squared error over the cell's trials that did not fail; NaN if all failed."""
+        errs = [r.sq_error for r in self._cell(scheme, epsilon) if not math.isnan(r.sq_error)]
+        return float(np.mean(errs)) if errs else float("nan")
+
     def failed_cells(self) -> list[tuple[str, float]]:
         """(scheme, epsilon) cells in which every trial failed (NaN squared error)."""
         return [
             (scheme, eps)
             for eps in self.config.eps_list
             for scheme in self.config.schemes
-            if all(
-                math.isnan(r.sq_error)
-                for r in self.records
-                if r.scheme == scheme and r.epsilon == eps
-            )
+            if math.isnan(self.cell_mse(scheme, eps))
         ]
-
-    def cell_mse(self, scheme: str, epsilon: float) -> float:
-        errs = [
-            r.sq_error
-            for r in self.records
-            if r.scheme == scheme and r.epsilon == epsilon and not math.isnan(r.sq_error)
-        ]
-        return mse_from_sq(errs)
-
-
-def mse_from_sq(sq_errors) -> float:
-    e = np.asarray(list(sq_errors), dtype=float)
-    if e.size == 0:
-        return float("nan")
-    return float(e.mean())
 
 
 def _run_trial(
@@ -283,9 +291,11 @@ def _run_trial(
 ) -> list[TrialRecord]:
     """All schemes on one (epsilon, trial) cell, sharing identities and values.
 
+    The two-budget baseline gets the cell's epsilon and splits it itself.
     The DAP schemes also share one collection and probe: the first DAP
-    scheme to succeed runs ``run_dap`` and every later one refilters its
-    result.  Each ``run_dap`` attempt starts a fresh generator on the DAP
+    scheme to succeed runs ``run_dap`` and every later one takes its
+    result's ``refilter``, which reruns only the filter stage on the same
+    groups.  Each ``run_dap`` attempt starts a fresh generator on the DAP
     stream, so each DAP record equals a solo run of its variant on that
     stream, whichever sibling failed before it.
     """
@@ -319,12 +329,7 @@ def _run_trial(
                 est = trimming(single, side=config.attack.get("side", "right"))
             elif scheme == "baseline":
                 res = baseline_run(
-                    values,
-                    mask,
-                    eps_alpha=epsilon / 16.0,
-                    eps_beta=epsilon * 15.0 / 16.0,
-                    attack=attack,
-                    rng=np.random.default_rng(baseline_child),
+                    values, mask, epsilon, attack, np.random.default_rng(baseline_child)
                 )
                 est = res.mean
                 diag = {"gamma_hat": res.gamma_hat, "side": res.side}
@@ -417,15 +422,15 @@ def write_outputs(result: ExperimentResult) -> tuple[Path, Path]:
     cells = []
     for eps in cfg.eps_list:
         for scheme in cfg.schemes:
-            cell = [r for r in result.records if r.scheme == scheme and r.epsilon == eps]
-            errs = [r.sq_error for r in cell if not math.isnan(r.sq_error)]
+            cell = result._cell(scheme, eps)
+            mse = result.cell_mse(scheme, eps)
             cells.append(
                 {
                     "scheme": scheme,
                     "epsilon": eps,
-                    "mse": mse_from_sq(errs) if errs else None,
+                    "mse": None if math.isnan(mse) else mse,
                     "trials": len(cell),
-                    "failed": len(cell) - len(errs),
+                    "failed": sum(math.isnan(r.sq_error) for r in cell),
                     "diagnostics": [r.diagnostics for r in cell],
                 }
             )

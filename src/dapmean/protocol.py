@@ -9,7 +9,7 @@ minimum-variance weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -323,76 +323,84 @@ class GroupFilterInput:
     transform: TransformMatrix
 
 
-def _filter_groups(
-    groups: tuple[GroupFilterInput, ...], gamma_hat: float, eps_total: float, filter_variant: str
-) -> list[GroupEstimate]:
-    """Each group's mean after the filter variant removes its probed poison.
-
-    Draws nothing and builds no transform.  Each group's constrained filter
-    starts from that group's probe pair on the winning side, which is
-    already an EM fixed point at its own poison mass, so it needs few
-    iterations.
-    """
-    if filter_variant not in FILTER_VARIANTS:
-        raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
-    estimates = []
-    for t, g in enumerate(groups):
-        pair = g.probe.winning_pair
-        if filter_variant != "emf":
-            suppress = None
-            if filter_variant == "cemf_star":
-                suppress = suppression_mask(pair.y_hat, gamma_hat)
-            pair = em(
-                g.transform,
-                g.probe.counts,
-                default_tolerance(g.budget),
-                gamma=gamma_hat,
-                suppress=suppress,
-                start=pair,
-            )
-        estimates.append(
-            intra_group_mean(
-                g.report_sum,
-                g.n_reports,
-                pair.y_hat,
-                g.transform.poison_midpoints,
-                g.budget,
-                eps_total=eps_total,
-                index=t,
-                probe=g.probe,
-            )
-        )
-    return estimates
-
-
 @dataclass(frozen=True)
 class DapResult:
-    """Aggregated mean plus per-group diagnostics.
+    """A grouped run's groups and the filter variant applied to them.
 
-    ``groups`` keeps what the filter stage read, per group, so that
-    ``refilter`` derives another variant from the same collection and probe.
+    ``groups`` keeps what the filter stage reads, per group.  Constructing a
+    result runs that stage: each group's filter, ``intra_group_mean`` and
+    ``aggregate_means``, which set ``estimates`` and ``aggregate``.  The
+    stage draws nothing and builds no transform.  Each group's constrained
+    filter starts from that group's probe pair on the winning side, which is
+    already an EM fixed point at its own poison mass, so it needs few
+    iterations.  An unknown variant raises ``ConfigurationError``.
     """
 
-    mean: float
-    aggregate: AggregateResult
-    estimates: list[GroupEstimate]
-    side: str
-    gamma_hat: float
     eps_total: float
     groups: tuple[GroupFilterInput, ...]
+    filter_variant: str
+    estimates: list[GroupEstimate] = field(init=False)
+    aggregate: AggregateResult = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.filter_variant not in FILTER_VARIANTS:
+            raise ConfigurationError(f"unknown filter variant {self.filter_variant!r}")
+        gamma_hat, estimates = self.gamma_hat, []
+        for t, g in enumerate(self.groups):
+            pair = g.probe.winning_pair
+            if self.filter_variant != "emf":
+                suppress = None
+                if self.filter_variant == "cemf_star":
+                    suppress = suppression_mask(pair.y_hat, gamma_hat)
+                pair = em(
+                    g.transform,
+                    g.probe.counts,
+                    default_tolerance(g.budget),
+                    gamma=gamma_hat,
+                    suppress=suppress,
+                    start=pair,
+                )
+            estimates.append(
+                intra_group_mean(
+                    g.report_sum,
+                    g.n_reports,
+                    pair.y_hat,
+                    g.transform.poison_midpoints,
+                    g.budget,
+                    eps_total=self.eps_total,
+                    index=t,
+                    probe=g.probe,
+                )
+            )
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "aggregate", aggregate_means(estimates))
+
+    @property
+    def mean(self) -> float:
+        return self.aggregate.mean
+
+    @property
+    def side(self) -> str:
+        """The poisoned side probed in the smallest-budget (last) group."""
+        return self.groups[-1].probe.side
+
+    @property
+    def gamma_hat(self) -> float:
+        """The attacker proportion fed to the constrained filters.
+
+        It comes from the smallest-budget (last) group, where the probe sees
+        the most reports per user, capped below 1.
+        """
+        return min(self.groups[-1].probe.winning_pair.poison_mass, 0.999)
 
     def refilter(self, filter_variant: str) -> DapResult:
         """This run's result under another filter variant.
 
-        Reruns only the filter, ``intra_group_mean`` and ``aggregate_means``
-        on the stored groups.  It builds no transform and draws nothing, so
-        it equals, bit for bit, ``run_dap`` with ``filter_variant`` on the
-        same generator state.  An unknown variant raises
-        ``ConfigurationError``.
+        It reruns only the filter stage on the stored groups, so it equals,
+        bit for bit, ``run_dap`` with ``filter_variant`` on the same
+        generator state.
         """
-        estimates = _filter_groups(self.groups, self.gamma_hat, self.eps_total, filter_variant)
-        agg = aggregate_means(estimates)
-        return replace(self, mean=agg.mean, aggregate=agg, estimates=estimates)
+        return replace(self, filter_variant=filter_variant)
 
 
 def run_dap(
@@ -404,17 +412,15 @@ def run_dap(
     rng: np.random.Generator,
     filter_variant: str = "emf_star",
 ) -> DapResult:
-    """Full grouped run: plan, collect, probe, filter, estimate, aggregate.
+    """Full grouped run: plan, collect and probe each group, then filter.
 
     Groups run one after another on the caller's thread.  Each group's
     reports are shuffled, as the collector receives them, then probed.  Only
     the group's report sum and count are kept after its probe, so at most
-    one group's reports exist at a time.
-
-    The poisoned side is probed in every group; the attacker proportion fed
-    to the constrained filters comes from the smallest-budget group, where
-    the probe is most accurate.  The filter stage draws nothing, so the
-    result's ``refilter`` gives the other variants of the same run.
+    one group's reports exist at a time.  The returned ``DapResult`` runs
+    the filter stage on the groups; that stage draws nothing, so the
+    result's ``refilter`` gives the other variants of the same run.  An
+    unknown variant raises ``ConfigurationError`` before any collection.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
@@ -429,12 +435,6 @@ def run_dap(
         totals.append((g.budget, g.reports.sum(), g.reports.size))
         del g
 
-    # The attacker proportion comes from the smallest-budget (last) group,
-    # where the probe sees the most reports per user; the poisoned side is
-    # each group's own call.
-    side = probes[-1].side
-    gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
-
     # Built after the last collection, so that no transform is alive at the
     # collector's peak.
     groups = tuple(
@@ -447,17 +447,7 @@ def run_dap(
         )
         for (budget, report_sum, n_reports), probe in zip(totals, probes)
     )
-    estimates = _filter_groups(groups, gamma_hat, eps, filter_variant)
-    agg = aggregate_means(estimates)
-    return DapResult(
-        mean=agg.mean,
-        aggregate=agg,
-        estimates=estimates,
-        side=side,
-        gamma_hat=gamma_hat,
-        eps_total=eps,
-        groups=groups,
-    )
+    return DapResult(eps_total=eps, groups=groups, filter_variant=filter_variant)
 
 
 @dataclass(frozen=True)
@@ -473,23 +463,22 @@ class BaselineResult:
 def baseline_run(
     values: np.ndarray,
     attacker_mask: np.ndarray,
-    eps_alpha: float,
-    eps_beta: float,
+    eps: float,
     attack: AttackStrategy | None,
     rng: np.random.Generator,
     attack_on_alpha: bool = True,
 ) -> BaselineResult:
     """Two-budget protocol: probe features on the small budget, estimate on the large.
 
-    Every user reports once at eps_alpha and once at eps_beta (see
-    ``collect_reports``).  Attackers inject per their strategy into both
-    streams; with ``attack_on_alpha=False`` they behave honestly on the
-    probing stream, which is the protocol's known flaw.  The poison histogram
-    probed on the alpha stream is removed from the beta reports by
-    ``intra_group_mean``, at its bucket midpoints on the alpha grid.
+    The total budget ``eps`` splits into eps_alpha = eps/16 and eps_beta =
+    15*eps/16.  Every user reports once at each (see ``collect_reports``).
+    Attackers inject per their strategy into both streams; with
+    ``attack_on_alpha=False`` they behave honestly on the probing stream,
+    which is the protocol's known flaw.  The poison histogram probed on the
+    alpha stream is removed from the beta reports by ``intra_group_mean``,
+    at its bucket midpoints on the alpha grid.
     """
-    if eps_alpha > 0.25 * eps_beta:
-        raise ConfigurationError("eps_alpha must be at most 0.25 * eps_beta")
+    eps_alpha, eps_beta = eps / 16.0, eps * 15.0 / 16.0
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
     alpha_attack = attack if attack_on_alpha else None
     alpha_reports = collect_reports(values, attacker_mask, b_alpha, alpha_attack, rng)

@@ -8,11 +8,12 @@ import pytest
 from dapmean.bench import (
     SCHEMES,
     ExperimentConfig,
+    ExperimentResult,
+    TrialRecord,
     build_attack,
     build_dataset,
     gen_beta,
     load_csv,
-    mse_from_sq,
     run_experiment,
 )
 from dapmean.mechanism import Budget
@@ -86,9 +87,21 @@ class TestDatasets:
             build_dataset({"type": "csv", "column": 0}, seed=0)
 
 
-def test_mse():
-    assert mse_from_sq([1.0, 3.0]) == pytest.approx(2.0)
-    assert math.isnan(mse_from_sq([]))
+def test_cell_mse():
+    cfg = ExperimentConfig(
+        dataset={"type": "beta"}, eps_list=[1.0], schemes=["ostrich", "trimming"]
+    )
+    nan = float("nan")
+    records = [
+        TrialRecord(scheme, 1.0, trial, 0.0, sq, {})
+        for trial, (scheme, sq) in enumerate(
+            [("ostrich", 1.0), ("ostrich", nan), ("ostrich", 3.0), ("trimming", nan)]
+        )
+    ]
+    res = ExperimentResult(config=cfg, records=records)
+    assert res.cell_mse("ostrich", 1.0) == pytest.approx(2.0)
+    assert math.isnan(res.cell_mse("trimming", 1.0))
+    assert res.failed_cells() == [("trimming", 1.0)]
 
 
 class TestConfig:
@@ -133,6 +146,33 @@ class TestConfig:
     def test_validation(self, over):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(self.base(**over))
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"trials": 1.5},
+            {"trials": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": True},
+            {"gamma": "0.1"},
+            {"gamma": False},
+            {"eps_list": [True]},
+            {"eps_list": ["1.0"]},
+            {"eps0": True},
+            {"eps0": "0.0625"},
+            {"workers": 1.5},
+            {"workers": True},
+        ],
+    )
+    def test_wrong_types_rejected(self, over):
+        [key] = over
+        with pytest.raises(ConfigurationError, match=f"^{key}"):
+            ExperimentConfig.from_dict(self.base(**over))
+
+    def test_integer_numbers_accepted(self):
+        cfg = ExperimentConfig.from_dict(self.base(eps_list=[1, 2], eps0=1, gamma=0, seed=3))
+        assert (cfg.eps_list, cfg.eps0, cfg.gamma, cfg.seed) == ([1, 2], 1, 0, 3)
 
     def test_all_schemes_known(self):
         cfg = ExperimentConfig.from_dict(self.base(schemes=list(SCHEMES)))

@@ -714,6 +714,18 @@ class TestRefilter:
         with pytest.raises(ConfigurationError, match="mystery"):
             res.refilter("mystery")
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_result_records_its_variant(self, variant):
+        assert refilter_fixture_run(variant).filter_variant == variant
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refilter_back_is_bit_identical(self, variant):
+        res = refilter_fixture_run(variant)
+        back = res.refilter("cemf_star").refilter(res.filter_variant)
+        assert back.mean.hex() == res.mean.hex()
+        assert [g.mean.hex() for g in back.estimates] == [g.mean.hex() for g in res.estimates]
+        assert back.gamma_hat.hex() == res.gamma_hat.hex()
+
 
 def failing_on_call(k, exc):
     """An attack that draws default poison but raises ``exc`` on its k-th call."""
@@ -875,18 +887,11 @@ class TestPinnedBits:
 
 
 class TestBaselineRun:
-    def test_budget_split_validated(self):
-        with pytest.raises(ConfigurationError):
-            baseline_run(
-                np.zeros(10), np.zeros(10, bool), 0.5, 1.0, None,
-                np.random.default_rng(0),
-            )
-
     def test_returns_finite_estimate_and_features(self):
         rng = np.random.default_rng(3)
         values = rng.beta(2, 5, 30_000) * 2 - 1
         mask = np.zeros(values.size, dtype=bool)
-        res = baseline_run(values, mask, 1.0 / 16.0, 15.0 / 16.0, None, rng)
+        res = baseline_run(values, mask, 1.0, None, rng)
         assert np.isfinite(res.mean)
         assert res.side in ("left", "right")
         assert 0.0 <= res.gamma_hat < 1.0
@@ -896,8 +901,7 @@ class TestBaselineRun:
         values = np.random.default_rng(5).uniform(-1, 1, 8_000)
         mask = np.zeros(values.size, dtype=bool)
         runs = [
-            baseline_run(values, mask, 1.0 / 16.0, 15.0 / 16.0, None,
-                         np.random.default_rng(42)).mean
+            baseline_run(values, mask, 1.0, None, np.random.default_rng(42)).mean
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -911,8 +915,7 @@ class TestBaselineRun:
         mask[rng.choice(values.size, 2_000, replace=False)] = True
         attack = poison_strategy()
         res = baseline_run(
-            values, mask, 1.0 / 16.0, 15.0 / 16.0, attack,
-            np.random.default_rng(12), attack_on_alpha=False,
+            values, mask, 1.0, attack, np.random.default_rng(12), attack_on_alpha=False
         )
         ref = np.random.default_rng(12)
         b_alpha, b_beta = Budget(1.0 / 16.0), Budget(15.0 / 16.0)
@@ -936,11 +939,11 @@ class TestBaselineRun:
         mask[rng.choice(values.size, 7_500, replace=False)] = True
         truth = values[~mask].mean()
         visible = baseline_run(
-            values, mask, 1.0 / 16.0, 15.0 / 16.0, poison_strategy(),
+            values, mask, 1.0, poison_strategy(),
             np.random.default_rng(10),
         )
         hidden = baseline_run(
-            values, mask, 1.0 / 16.0, 15.0 / 16.0, poison_strategy(),
+            values, mask, 1.0, poison_strategy(),
             np.random.default_rng(10), attack_on_alpha=False,
         )
         assert hidden.mean - truth > visible.mean - truth
