@@ -70,10 +70,6 @@ class AttackTrace:
     def deviation_sum(self) -> float:
         return float(np.sum(self.values - self.reference_mean))
 
-    def is_one_sided(self) -> bool:
-        v = self.values
-        return not (np.any(v < self.reference_mean) and np.any(v > self.reference_mean))
-
 
 def _draw(spec: PoisonSpec, m: int, rng: np.random.Generator) -> np.ndarray:
     lo, hi = spec.range_lo, spec.range_hi
@@ -189,8 +185,6 @@ def gen_input_manipulation(
     """Attackers disguise as honest users: perturb the chosen input g normally."""
     if not (-1.0 <= g <= 1.0):
         raise DomainError("manipulated input must lie in [-1, 1]")
-    if m == 0:
-        return AttackTrace(values=np.empty(0))
     return AttackTrace(values=pm_perturb(np.full(m, float(g)), budget, rng))
 
 

@@ -42,8 +42,6 @@ SCHEMES = ("ostrich", "trimming", "baseline", *(f"dap_{v}" for v in FILTER_VARIA
 
 def gen_beta(a: float, b: float, n: int, seed) -> Dataset:
     """n Beta(a, b) samples, min-max normalized onto [-1, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta shape parameters must be positive")
     rng = np.random.default_rng(seed)
     return normalize_dataset(rng.beta(a, b, size=n))
 
@@ -134,6 +132,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        shapes = {"dataset": dict, "attack": dict, "eps_list": list, "schemes": list}
+        for name, kind in shapes.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not (_is_integer(self.trials) and self.trials >= 1):
             raise ConfigurationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (_is_integer(self.seed) and self.seed >= 0):
@@ -229,12 +232,22 @@ def build_attack(spec: dict, default_reference: float = 0.0) -> AttackStrategy |
 def build_dataset(spec: dict, seed) -> Dataset:
     """Dataset from its config dictionary: ``a``, ``b`` and ``n`` for
     "beta" (``gen_beta``), ``path``, ``column`` and ``clip`` for "csv"
-    (``load_csv``).  Any other key raises ConfigurationError."""
+    (``load_csv``).  An unknown key, a missing "beta" key or a "beta" value
+    of the wrong type or range raises ConfigurationError."""
     keys = dict(spec)
     kind = keys.pop("type", "beta")
     if kind == "beta":
         _check_keys("dataset type", kind, keys, ("a", "b", "n"))
-        return gen_beta(keys.get("a", 2.0), keys.get("b", 5.0), int(keys.get("n", 100_000)), seed)
+        shape = (lambda x: _is_real(x) and math.isfinite(x) and x > 0, "a finite positive number")
+        count = (lambda n: _is_integer(n) and n >= 2, "an integer >= 2")
+        for key, (ok, what) in {"a": shape, "b": shape, "n": count}.items():
+            if key not in keys:
+                raise ConfigurationError(f"dataset type {kind!r} needs the key {key!r}")
+            if not ok(keys[key]):
+                raise ConfigurationError(
+                    f"dataset type {kind!r} key {key!r} must be {what}, got {keys[key]!r}"
+                )
+        return gen_beta(keys["a"], keys["b"], int(keys["n"]), seed)
     if kind == "csv":
         _check_keys("dataset type", kind, keys, ("path", "column", "clip"))
         if "path" not in keys:
@@ -246,12 +259,19 @@ def build_dataset(spec: dict, seed) -> Dataset:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One scheme's estimate in one trial and the trial's honest mean (truth)."""
+
     scheme: str
     epsilon: float
     trial: int
     estimate: float
-    sq_error: float
+    truth: float
     diagnostics: dict
+
+    @property
+    def sq_error(self) -> float:
+        """NaN for a failed trial, whose estimate is NaN."""
+        return (self.estimate - self.truth) ** 2
 
 
 class FailedCellError(RuntimeError):
@@ -309,7 +329,7 @@ def _run_trial(
     attacker_idx = np.random.default_rng(identity).choice(n_users, size=m, replace=False)
     mask = np.zeros(n_users, dtype=bool)
     mask[attacker_idx] = True
-    truth = float(values[~mask].mean()) if m else float(values.mean())
+    truth = float(values[~mask].mean())
 
     # One shared single-budget collection for the unprotected baselines.
     single = None
@@ -321,42 +341,29 @@ def _run_trial(
     dap = None  # the trial's first successful DAP result
     records = []
     for scheme in config.schemes:
-        diag: dict = {}
+        variant = scheme.removeprefix("dap_")
         try:
             if scheme == "ostrich":
-                est = ostrich(single)
+                est, diag = ostrich(single), {}
             elif scheme == "trimming":
-                est = trimming(single, side=config.attack.get("side", "right"))
-            elif scheme == "baseline":
-                res = baseline_run(
-                    values, mask, epsilon, attack, np.random.default_rng(baseline_child)
-                )
-                est = res.mean
-                diag = {"gamma_hat": res.gamma_hat, "side": res.side}
+                est, diag = trimming(single, side=config.attack.get("side", "right")), {}
             else:
-                variant = scheme.removeprefix("dap_")
-                if dap is None:
-                    dap = run_dap(
-                        values,
-                        mask,
-                        eps=epsilon,
-                        eps0=min(config.eps0, epsilon),
-                        attack=attack,
-                        rng=np.random.default_rng(dap_child),
-                        filter_variant=variant,
-                    )
-                    res = dap
+                # A GroupEstimate (baseline) or a DapResult: both carry the probe's side.
+                if scheme == "baseline":
+                    rng = np.random.default_rng(baseline_child)
+                    res = baseline_run(values, mask, epsilon, attack, rng)
+                elif dap is None:
+                    eps0 = min(config.eps0, epsilon)
+                    rng = np.random.default_rng(dap_child)
+                    res = dap = run_dap(values, mask, epsilon, eps0, attack, rng, variant)
                 else:
                     res = dap.refilter(variant)
                 est = res.mean
-                diag = {
-                    "gamma_hat": res.gamma_hat,
-                    "side": res.side,
-                    "group_gamma_hats": [g.gamma_hat for g in res.estimates],
-                }
-            sq = (est - truth) ** 2
+                diag = {"gamma_hat": res.gamma_hat, "side": res.side}
+                if scheme != "baseline":
+                    diag["group_gamma_hats"] = [g.gamma_hat for g in res.estimates]
         except (ValueError, ArithmeticError) as exc:  # domain failure: record, keep going
-            est, sq = float("nan"), float("nan")
+            est = float("nan")
             diag = {"error": f"{type(exc).__name__}: {exc}"}
         records.append(
             TrialRecord(
@@ -364,7 +371,7 @@ def _run_trial(
                 epsilon=epsilon,
                 trial=trial,
                 estimate=float(est),
-                sq_error=float(sq),
+                truth=truth,
                 diagnostics=diag,
             )
         )

@@ -246,15 +246,25 @@ def suppression_mask(prior_y: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SideProbe:
-    """Outcome of the two-sided EM probe."""
+    """The plain EM fit under each side hypothesis, on the grid's counts.  The
+    poisoned ``side`` is the one whose normal-user histogram x_hat is flatter."""
 
-    side: str
-    var_left: float
-    var_right: float
     pair_left: HistogramPair
     pair_right: HistogramPair
     grid: BucketGrid
     counts: ObservedCounts
+
+    @property
+    def var_left(self) -> float:
+        return float(np.var(self.pair_left.x_hat))
+
+    @property
+    def var_right(self) -> float:
+        return float(np.var(self.pair_right.x_hat))
+
+    @property
+    def side(self) -> str:
+        return "left" if self.var_left < self.var_right else "right"
 
     @property
     def winning_pair(self) -> HistogramPair:
@@ -267,19 +277,11 @@ def probe_side(
     counts: ObservedCounts,
     tau: float,
 ) -> SideProbe:
-    """Run EM under both side hypotheses; the poisoned side yields the flatter
-    normal-user histogram, i.e. the smaller variance of x_hat."""
-    pair_l = em(transform_left, counts, tau)
-    pair_r = em(transform_right, counts, tau)
-    var_l = float(np.var(pair_l.x_hat))
-    var_r = float(np.var(pair_r.x_hat))
-    side = "left" if var_l < var_r else "right"
+    """Run plain EM under both side hypotheses, left first; the returned
+    ``SideProbe`` decides the side from the two fits."""
     return SideProbe(
-        side=side,
-        var_left=var_l,
-        var_right=var_r,
-        pair_left=pair_l,
-        pair_right=pair_r,
+        pair_left=em(transform_left, counts, tau),
+        pair_right=em(transform_right, counts, tau),
         grid=transform_left.grid,
         counts=counts,
     )

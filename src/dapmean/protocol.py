@@ -102,7 +102,6 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
 class GroupReports:
     """Collected reports of one group."""
 
-    index: int
     budget: Budget
     reports: np.ndarray
     n_attacker_reports: int  # ground truth, diagnostics only
@@ -169,20 +168,24 @@ def dap_collect(
     mask = attacker_mask[members]
     n_poison = int(np.count_nonzero(mask)) * reps
     reports = collect_reports(values[members], mask, budget, attack, rng, reps)
-    return GroupReports(index=t, budget=budget, reports=reports, n_attacker_reports=n_poison)
+    return GroupReports(budget=budget, reports=reports, n_attacker_reports=n_poison)
 
 
 @dataclass(frozen=True)
 class GroupEstimate:
     """Intra-group mean estimate with the estimated attacker proportion and count."""
 
-    index: int
     budget: Budget
     mean: float
     gamma_hat: float
     m_hat: float
     n_hat: float
     probe: SideProbe | None = None
+
+    @property
+    def side(self) -> str:
+        """The poisoned side that ``probe`` picked."""
+        return self.probe.side
 
 
 def intra_group_mean(
@@ -192,7 +195,6 @@ def intra_group_mean(
     poison_midpoints: np.ndarray,
     budget: Budget,
     eps_total: float,
-    index: int = 0,
     probe: SideProbe | None = None,
 ) -> GroupEstimate:
     """Group mean with the estimated poison contribution removed.
@@ -201,7 +203,8 @@ def intra_group_mean(
     the sum of the group's N_t reports and divides by the estimated number
     of honest reports N_t - m_hat, with m_hat from ``attacker_count``.  The
     reports themselves are not needed, only ``report_sum`` and
-    ``n_reports`` (N_t).
+    ``n_reports`` (N_t).  ``probe`` is the side probe that ``y_hat`` came
+    from; the estimate keeps it, and its ``side`` reads the probe's.
     """
     n_t = int(n_reports)
     gamma_hat = float(np.sum(y_hat))
@@ -215,7 +218,6 @@ def intra_group_mean(
     mean = (report_sum - poison_sum) / (n_t - m_hat)
     n_hat = max((n_t - m_hat) * budget.epsilon / eps_total, 0.0)
     return GroupEstimate(
-        index=index,
         budget=budget,
         mean=float(mean),
         gamma_hat=gamma_hat,
@@ -313,12 +315,12 @@ def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
 
 @dataclass(frozen=True)
 class GroupFilterInput:
-    """What one group's filter stage reads: the group's report sum and count,
-    its side probe and the transform of the probe's winning side."""
+    """What one group's filter stage reads: the group's report sum, its side
+    probe and the transform of the probe's winning side.  The report count
+    is the probe's ``counts.n_reports``: every report lands in a bucket."""
 
     budget: Budget
     report_sum: float
-    n_reports: int
     probe: SideProbe
     transform: TransformMatrix
 
@@ -346,7 +348,7 @@ class DapResult:
         if self.filter_variant not in FILTER_VARIANTS:
             raise ConfigurationError(f"unknown filter variant {self.filter_variant!r}")
         gamma_hat, estimates = self.gamma_hat, []
-        for t, g in enumerate(self.groups):
+        for g in self.groups:
             pair = g.probe.winning_pair
             if self.filter_variant != "emf":
                 suppress = None
@@ -363,12 +365,11 @@ class DapResult:
             estimates.append(
                 intra_group_mean(
                     g.report_sum,
-                    g.n_reports,
+                    g.probe.counts.n_reports,
                     pair.y_hat,
                     g.transform.poison_midpoints,
                     g.budget,
                     eps_total=self.eps_total,
-                    index=t,
                     probe=g.probe,
                 )
             )
@@ -415,12 +416,13 @@ def run_dap(
     """Full grouped run: plan, collect and probe each group, then filter.
 
     Groups run one after another on the caller's thread.  Each group's
-    reports are shuffled, as the collector receives them, then probed.  Only
-    the group's report sum and count are kept after its probe, so at most
-    one group's reports exist at a time.  The returned ``DapResult`` runs
-    the filter stage on the groups; that stage draws nothing, so the
-    result's ``refilter`` gives the other variants of the same run.  An
-    unknown variant raises ``ConfigurationError`` before any collection.
+    reports are shuffled, as the collector receives them, then probed.
+    Only the group's report sum and its probe, whose counts give the report
+    count, are kept, so at most one group's reports exist at a time.  The
+    returned ``DapResult`` runs the filter stage on the groups; that stage
+    draws nothing, so the result's ``refilter`` gives the other variants of
+    the same run.  An unknown variant raises ``ConfigurationError`` before
+    any collection.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
@@ -430,9 +432,9 @@ def run_dap(
         g = dap_collect(values, attacker_mask, plan, t, attack, rng)
         rng.shuffle(g.reports)
         probes.append(probe_reports(g.reports, g.budget))
-        # The group mean needs only the reports' sum and count, so the
-        # reports go before the next group is collected.
-        totals.append((g.budget, g.reports.sum(), g.reports.size))
+        # The group mean needs only the reports' sum (the probe's counts hold
+        # their count), so the reports go before the next group is collected.
+        totals.append((g.budget, g.reports.sum()))
         del g
 
     # Built after the last collection, so that no transform is alive at the
@@ -441,23 +443,12 @@ def run_dap(
         GroupFilterInput(
             budget=budget,
             report_sum=report_sum,
-            n_reports=n_reports,
             probe=probe,
             transform=build_transform(budget, probe.grid, side=probe.side),
         )
-        for (budget, report_sum, n_reports), probe in zip(totals, probes)
+        for (budget, report_sum), probe in zip(totals, probes)
     )
     return DapResult(eps_total=eps, groups=groups, filter_variant=filter_variant)
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    """Two-budget baseline estimate with the probed side, proportion and count."""
-
-    mean: float
-    side: str
-    gamma_hat: float
-    m_hat: float
 
 
 def baseline_run(
@@ -467,7 +458,7 @@ def baseline_run(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
     attack_on_alpha: bool = True,
-) -> BaselineResult:
+) -> GroupEstimate:
     """Two-budget protocol: probe features on the small budget, estimate on the large.
 
     The total budget ``eps`` splits into eps_alpha = eps/16 and eps_beta =
@@ -476,7 +467,9 @@ def baseline_run(
     ``attack_on_alpha=False`` they behave honestly on the probing stream,
     which is the protocol's known flaw.  The poison histogram probed on the
     alpha stream is removed from the beta reports by ``intra_group_mean``,
-    at its bucket midpoints on the alpha grid.
+    at its bucket midpoints on the alpha grid.  The result is that call's
+    ``GroupEstimate``: the beta budget, the mean, the probed proportion
+    and count, and the alpha probe, whose side ``side`` reads.
     """
     eps_alpha, eps_beta = eps / 16.0, eps * 15.0 / 16.0
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
@@ -491,12 +484,12 @@ def baseline_run(
     # the beta scale.  Beta reports lie on the narrower [-C_beta, C_beta], so
     # at a small eps_alpha this removes far more than the poison's sum and
     # drives the estimate far from the mean (a known defect, not yet fixed).
-    est = intra_group_mean(
+    return intra_group_mean(
         beta_reports.sum(),
         beta_reports.size,
         probe.winning_pair.y_hat,
         transform.poison_midpoints,
         b_beta,
         eps_total=eps_alpha + eps_beta,
+        probe=probe,
     )
-    return BaselineResult(mean=est.mean, side=probe.side, gamma_hat=est.gamma_hat, m_hat=est.m_hat)

@@ -49,7 +49,7 @@ class TestGenBBA:
         trace = gen_bba(spec, 500, BUDGET, np.random.default_rng(0))
         assert trace.values.size == 500
         assert np.all((trace.values >= 0.5 * C) & (trace.values <= C))
-        assert trace.is_one_sided()
+        assert np.all(trace.values >= trace.reference_mean)
 
     def test_point_mass(self):
         spec = PoisonSpec(range_lo=0.0, range_hi=C, dist="point", value=1.5)
@@ -84,7 +84,8 @@ class TestGenGBA:
         right = PoisonSpec(range_lo=0.3, range_hi=C, side="right")
         trace = gen_gba(left, right, 40, 60, BUDGET, np.random.default_rng(0))
         assert trace.values.size == 100
-        assert not trace.is_one_sided()
+        assert np.any(trace.values < trace.reference_mean)
+        assert np.any(trace.values > trace.reference_mean)
 
     def test_requires_opposite_sides(self):
         spec = PoisonSpec(range_lo=0.3, range_hi=C, side="right")
@@ -142,6 +143,13 @@ class TestInputManipulation:
     def test_rejects_out_of_domain_input(self):
         with pytest.raises(DomainError):
             gen_input_manipulation(1.5, 10, BUDGET, np.random.default_rng(0))
+
+    def test_no_attackers_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        trace = gen_input_manipulation(1.0, 0, BUDGET, rng)
+        assert trace.values.shape == (0,)
+        assert rng.bit_generator.state == before
 
     def test_biases_toward_input(self):
         trace = gen_input_manipulation(1.0, 50_000, BUDGET, np.random.default_rng(0))

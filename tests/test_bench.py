@@ -82,6 +82,32 @@ class TestDatasets:
         with pytest.raises(ConfigurationError, match=f"{spec['type']!r}.*{key!r}"):
             build_dataset(spec, seed=0)
 
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"a": "x"}, "a"),
+            ({"a": 0}, "a"),
+            ({"b": -1.0}, "b"),
+            ({"b": float("inf")}, "b"),
+            ({"a": True}, "a"),
+            ({"n": "10"}, "n"),
+            ({"n": 10.0}, "n"),
+            ({"n": True}, "n"),
+            ({"n": 1}, "n"),
+        ],
+    )
+    def test_beta_values_checked(self, over, key):
+        spec = {"type": "beta", "a": 2, "b": 5, "n": 100} | over
+        with pytest.raises(ConfigurationError, match=f"'beta' key {key!r}"):
+            build_dataset(spec, seed=0)
+
+    @pytest.mark.parametrize("key", ["a", "b", "n"])
+    def test_beta_values_required(self, key):
+        spec = {"type": "beta", "a": 2, "b": 5, "n": 100}
+        del spec[key]
+        with pytest.raises(ConfigurationError, match=f"'beta' needs the key {key!r}"):
+            build_dataset(spec, seed=0)
+
     def test_csv_dataset_needs_a_path(self):
         with pytest.raises(ConfigurationError, match="'csv'.*'path'"):
             build_dataset({"type": "csv", "column": 0}, seed=0)
@@ -93,13 +119,14 @@ def test_cell_mse():
     )
     nan = float("nan")
     records = [
-        TrialRecord(scheme, 1.0, trial, 0.0, sq, {})
-        for trial, (scheme, sq) in enumerate(
-            [("ostrich", 1.0), ("ostrich", nan), ("ostrich", 3.0), ("trimming", nan)]
+        TrialRecord(scheme, 1.0, trial, estimate=est, truth=0.5, diagnostics={})
+        for trial, (scheme, est) in enumerate(
+            [("ostrich", 1.5), ("ostrich", nan), ("ostrich", 2.5), ("trimming", nan)]
         )
     ]
     res = ExperimentResult(config=cfg, records=records)
-    assert res.cell_mse("ostrich", 1.0) == pytest.approx(2.0)
+    assert [r.sq_error for r in records[::2]] == [1.0, 4.0]
+    assert res.cell_mse("ostrich", 1.0) == pytest.approx(2.5)
     assert math.isnan(res.cell_mse("trimming", 1.0))
     assert res.failed_cells() == [("trimming", 1.0)]
 
@@ -163,6 +190,11 @@ class TestConfig:
             {"eps0": "0.0625"},
             {"workers": 1.5},
             {"workers": True},
+            {"eps_list": 1.0},
+            {"eps_list": (1.0,)},
+            {"schemes": "ostrich"},
+            {"attack": "uniform"},
+            {"dataset": [1, 2]},
         ],
     )
     def test_wrong_types_rejected(self, over):
@@ -181,6 +213,19 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="'trails'"):
             ExperimentConfig.from_dict(self.base(trails=5))
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            {"type": "beta"},
+            {"type": "beta", "a": "x", "b": 5, "n": 100},
+            {"type": "beta", "a": 2, "b": 5, "n": "10"},
+        ],
+    )
+    def test_run_rejects_a_bad_beta_spec(self, dataset):
+        cfg = ExperimentConfig.from_dict(self.base(dataset=dataset))
+        with pytest.raises(ConfigurationError, match="'beta'"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("key", ["dataset", "eps_list"])
     def test_missing_key_rejected(self, key):

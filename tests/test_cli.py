@@ -229,6 +229,16 @@ class TestErrors:
         assert "'trails'" in payload["message"]
         assert "mse" not in out
 
+    def test_incomplete_beta_dataset(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"dataset": {"type": "beta", "a": 2, "b": 5}, "eps_list": [1.0]}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "'n'" in payload["message"]
+        assert "mse" not in out
+
     def test_unknown_dataset_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--dataset", "movies:1", "--trials", "1"

@@ -275,7 +275,6 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
-            assert g.index == t
             assert g.reports.size == plan.expected_reports(t)
             assert g.n_attacker_reports == 0
             assert g.budget.epsilon == pytest.approx(plan.budgets[t])
@@ -300,8 +299,8 @@ class TestCollect:
         mask[self.rng.choice(self.n, m, replace=False)] = True
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
         groups = collect_all(self.values, mask, plan, poison_strategy(), self.rng)
-        for g in groups:
-            n_members = g.reports.size / (2 ** g.index)
+        for t, g in enumerate(groups):
+            n_members = g.reports.size / (2 ** t)
             frac = g.n_attacker_reports / g.reports.size
             se = np.sqrt(gamma * (1 - gamma) / n_members)
             assert abs(frac - gamma) <= 3 * se
@@ -435,7 +434,6 @@ class TestIntraGroupMean:
 
 def make_estimate(eps, n_hat, mean):
     return GroupEstimate(
-        index=0,
         budget=Budget(eps),
         mean=mean,
         gamma_hat=0.0,
@@ -591,7 +589,7 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
     probes = [probe_reports(reports, budget) for budget, reports in groups]
     gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
     estimates = []
-    for t, ((budget, reports), probe) in enumerate(zip(groups, probes)):
+    for (budget, reports), probe in zip(groups, probes):
         transform = build_transform(budget, probe.grid, side=probe.side)
         pair = probe.winning_pair
         if variant != "emf":
@@ -605,7 +603,7 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
         midpoints = transform.poison_midpoints
         estimates.append(
             intra_group_mean(
-                reports.sum(), reports.size, pair.y_hat, midpoints, budget, eps, index=t
+                reports.sum(), reports.size, pair.y_hat, midpoints, budget, eps
             )
         )
     return aggregate_means(estimates), estimates
@@ -896,6 +894,16 @@ class TestBaselineRun:
         assert res.side in ("left", "right")
         assert 0.0 <= res.gamma_hat < 1.0
         assert res.m_hat == attacker_count(res.gamma_hat, values.size)
+
+    def test_returns_the_beta_estimate_with_the_alpha_probe(self):
+        values = np.random.default_rng(5).uniform(-1, 1, 8_000)
+        mask = np.zeros(values.size, dtype=bool)
+        res = baseline_run(values, mask, 1.0, None, np.random.default_rng(42))
+        assert isinstance(res, GroupEstimate)
+        assert res.budget.epsilon == 15.0 / 16.0
+        assert res.probe.grid.c_bound == Budget(1.0 / 16.0).c_bound
+        assert res.probe.counts.n_reports == values.size
+        assert (res.side, res.gamma_hat) == (res.probe.side, res.probe.winning_pair.poison_mass)
 
     def test_deterministic_given_seed(self):
         values = np.random.default_rng(5).uniform(-1, 1, 8_000)
