@@ -12,7 +12,7 @@ from dapmean import AttackTrace, reduce_gba_to_bba
 
 print("A tiny attack about reference 0: values {-0.8, +0.3}")
 trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)
-out = reduce_gba_to_bba(trace, o=0.0)
+out = reduce_gba_to_bba(trace)
 print(f"  deviation sum {trace.deviation_sum:+.2f} -> one-sided values {out.values}")
 
 print()
@@ -20,7 +20,7 @@ rng = np.random.default_rng(3)
 o = -0.1
 vals = np.concatenate([rng.uniform(-4, o, 12), rng.uniform(o, 4, 9)])
 trace = AttackTrace(values=vals, reference_mean=o)
-out = reduce_gba_to_bba(trace, o=o, bound=4.0)
+out = reduce_gba_to_bba(trace, bound=4.0)
 print(f"A random two-sided attack with {vals.size} values about O = {o}:")
 print(f"  left values  {np.sum(vals < o)}, right values {np.sum(vals > o)}")
 print(f"  deviation sum        {trace.deviation_sum:+.6f}")
@@ -30,5 +30,5 @@ print(f"  after reduction      {out.deviation_sum:+.6f}  ({out.values.size} valu
 print()
 print("Perfectly balanced attacks vanish entirely:")
 trace = AttackTrace(values=np.array([-0.4, 0.4]), reference_mean=0.0)
-out = reduce_gba_to_bba(trace, o=0.0)
+out = reduce_gba_to_bba(trace)
 print(f"  {{-0.4, +0.4}} -> {out.values.size} values left")

@@ -46,7 +46,6 @@ from .protocol import (
     dap_collect,
     dap_plan,
     intra_group_mean,
-    optimal_weights,
     ostrich,
     probe_reports,
     run_dap,

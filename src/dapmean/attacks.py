@@ -138,17 +138,18 @@ def gen_gba(
     )
 
 
-def reduce_gba_to_bba(trace: AttackTrace, o: float, bound: float | None = None) -> AttackTrace:
+def reduce_gba_to_bba(trace: AttackTrace, *, bound: float | None = None) -> AttackTrace:
     """Merge a two-sided trace into a one-sided trace with the same deviation sum.
 
-    Iteratively removes the most extreme value on the minority side together
-    with a minimal opposing subset, replacing them with the single value that
+    Sides and deviations are about ``trace.reference_mean``.  Iteratively
+    removes the most extreme value on the minority side together with a
+    minimal opposing subset, replacing them with the single value that
     carries their combined deviation.  The output lies entirely on the side
     of the input's deviation-sum sign, has at most as many values, and
     preserves the deviation sum exactly (up to float rounding).  A trace with
     zero deviation sum reduces to the empty trace.
     """
-    v = np.asarray(trace.values, dtype=float)
+    v, o = trace.values, trace.reference_mean
     if bound is not None and v.size and (v.min() < -bound or v.max() > bound):
         raise DomainError(f"trace values outside [-{bound}, {bound}]")
     if not (np.any(v < o) and np.any(v > o)):
@@ -294,7 +295,12 @@ def poison_strategy(
     reference_mean: float = 0.0,
     side: str = "right",
 ) -> AttackStrategy:
-    """One-sided poison reports with range endpoints resolved per budget."""
+    """One-sided poison reports with range endpoints resolved per budget.
+
+    A ``side`` other than "left" or "right" raises ``ValueError`` here,
+    before any report is drawn.
+    """
+    PoisonSpec(side=side)  # raises on an unknown side
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         c = budget.c_bound

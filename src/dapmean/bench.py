@@ -115,9 +115,9 @@ class ExperimentConfig:
 
     ``dataset`` is {"type": "beta", "a", "b", "n"} or
     {"type": "csv", "path", "column", "clip": [lo, hi] | null}.
-    ``attack`` is {"kind": "none" | "uniform" | "gaussian" | "point" |
-    "input" | "evasive", ...} with range endpoints given as numbers or
-    expressions in C and O (e.g. "0.75*C").
+    ``attack`` is {"kind": "none" or a key of ``ATTACK_KINDS``, ...} with
+    range endpoints given as numbers or expressions in C and O (e.g.
+    "0.75*C").
     """
 
     dataset: dict
@@ -166,12 +166,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from a dictionary; an unknown or missing key raises ConfigurationError."""
         spec = fields(cls)
-        takes = sorted(f.name for f in spec)
-        unknown = sorted(set(d) - set(takes))
-        if unknown:
-            raise ConfigurationError(
-                f"config does not take the key {unknown[0]!r} (it takes {takes})"
-            )
+        _check_keys("config", d, [f.name for f in spec])
         missing = [
             f.name
             for f in spec
@@ -187,57 +182,68 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _check_keys(what: str, kind: str, keys, takes) -> None:
-    """Raise ConfigurationError naming the first spec key the reader does not take."""
+def _check_keys(label: str, keys, takes) -> None:
+    """Raise ConfigurationError naming the first spec key the reader does not
+    take; ``label`` names the reader, e.g. "config" or "attack kind 'uniform'"."""
     unknown = sorted(set(keys) - set(takes))
     if unknown:
         raise ConfigurationError(
-            f"{what} {kind!r} does not take the key {unknown[0]!r} (it takes {sorted(takes)})"
+            f"{label} does not take the key {unknown[0]!r} (it takes {sorted(takes)})"
         )
+
+
+# Each attack kind and the name of its factory in ``attacks``.  ``build_attack``
+# looks the factory up by that name at call time, so that a wrapped factory
+# is the one called; taking the names from the functions makes a renamed
+# factory fail at import.
+ATTACK_KINDS = {
+    "uniform": attacks.poison_strategy.__name__,
+    "gaussian": attacks.poison_strategy.__name__,
+    "point": attacks.poison_strategy.__name__,
+    "input": attacks.input_manipulation_strategy.__name__,
+    "evasive": attacks.evasive_strategy.__name__,
+}
 
 
 def build_attack(spec: dict, default_reference: float = 0.0) -> AttackStrategy | None:
     """Attack strategy from its config dictionary.
 
-    Every key except ``kind`` is a keyword argument of the kind's factory in
-    ``attacks``; a key the factory does not take raises ConfigurationError.
-    ``default_reference`` is what "O" resolves to in range expressions when
-    the config does not pin ``reference_mean``; the runner passes the
-    dataset's true mean.
+    ``kind`` is "none" or a key of ``ATTACK_KINDS``.  Every other key is a
+    keyword argument of the kind's factory in ``attacks``; a key the factory
+    does not take, or a value it rejects with ``ValueError``, raises
+    ConfigurationError.  ``default_reference`` is what "O" resolves to in
+    range expressions when the config does not pin ``reference_mean``; the
+    runner passes the dataset's true mean.
     """
     keys = dict(spec)
     kind = keys.pop("kind", "none")
     if kind == "none":
-        _check_keys("attack kind", kind, keys, ())
+        _check_keys(f"attack kind {kind!r}", keys, ())
         return None
-    # Looked up at call time, so that a wrapped factory is the one called.
-    factories = {
-        "uniform": attacks.poison_strategy,
-        "gaussian": attacks.poison_strategy,
-        "point": attacks.poison_strategy,
-        "input": attacks.input_manipulation_strategy,
-        "evasive": attacks.evasive_strategy,
-    }
-    if kind not in factories:
+    if kind not in ATTACK_KINDS:
         raise ConfigurationError(f"unknown attack kind {kind!r}")
-    factory = factories[kind]
+    factory = getattr(attacks, ATTACK_KINDS[kind])
     fixed = {"dist": kind} if factory is attacks.poison_strategy else {}
     takes = set(inspect.signature(factory).parameters) - set(fixed)
-    _check_keys("attack kind", kind, keys, takes)
+    _check_keys(f"attack kind {kind!r}", keys, takes)
     if "reference_mean" in takes:
         keys.setdefault("reference_mean", default_reference)
-    return factory(**keys, **fixed)
+    try:
+        return factory(**keys, **fixed)
+    except ValueError as exc:
+        raise ConfigurationError(f"attack kind {kind!r}: {exc}") from None
 
 
 def build_dataset(spec: dict, seed) -> Dataset:
     """Dataset from its config dictionary: ``a``, ``b`` and ``n`` for
     "beta" (``gen_beta``), ``path``, ``column`` and ``clip`` for "csv"
-    (``load_csv``).  An unknown key, a missing "beta" key or a "beta" value
-    of the wrong type or range raises ConfigurationError."""
+    (``load_csv``).  An unknown key, a missing "beta" key or "csv" path, a
+    value of the wrong type or range, or a "csv" column the file lacks
+    raises ConfigurationError naming the key."""
     keys = dict(spec)
     kind = keys.pop("type", "beta")
     if kind == "beta":
-        _check_keys("dataset type", kind, keys, ("a", "b", "n"))
+        _check_keys(f"dataset type {kind!r}", keys, ("a", "b", "n"))
         shape = (lambda x: _is_real(x) and math.isfinite(x) and x > 0, "a finite positive number")
         count = (lambda n: _is_integer(n) and n >= 2, "an integer >= 2")
         for key, (ok, what) in {"a": shape, "b": shape, "n": count}.items():
@@ -249,11 +255,35 @@ def build_dataset(spec: dict, seed) -> Dataset:
                 )
         return gen_beta(keys["a"], keys["b"], int(keys["n"]), seed)
     if kind == "csv":
-        _check_keys("dataset type", kind, keys, ("path", "column", "clip"))
+        _check_keys(f"dataset type {kind!r}", keys, ("path", "column", "clip"))
         if "path" not in keys:
             raise ConfigurationError(f"dataset type {kind!r} needs the key 'path'")
-        clip = keys.get("clip")
-        return load_csv(keys["path"], keys.get("column", 0), tuple(clip) if clip else None)
+        path, column, clip = keys["path"], keys.get("column", 0), keys.get("clip")
+        checks = {
+            "path": (isinstance(path, str), "a string"),
+            "column": (isinstance(column, str) or _is_integer(column), "a string or an integer"),
+            "clip": (
+                clip is None
+                or (
+                    isinstance(clip, (list, tuple))
+                    and len(clip) == 2
+                    and all(_is_real(x) and math.isfinite(x) for x in clip)
+                    and clip[0] < clip[1]
+                ),
+                "null or two finite numbers [lo, hi] with lo < hi",
+            ),
+        }
+        for key, (ok, what) in checks.items():
+            if not ok:
+                raise ConfigurationError(
+                    f"dataset type {kind!r} key {key!r} must be {what}, got {keys.get(key)!r}"
+                )
+        try:
+            return load_csv(path, column, None if clip is None else tuple(clip))
+        except KeyError:
+            raise ConfigurationError(
+                f"dataset type {kind!r} key 'column' names no column of {path}, got {column!r}"
+            ) from None
     raise ConfigurationError(f"unknown dataset type {kind!r}")
 
 
@@ -306,7 +336,6 @@ def _run_trial(
     dataset: Dataset,
     attack: AttackStrategy | None,
     eps_index: int,
-    epsilon: float,
     trial: int,
 ) -> list[TrialRecord]:
     """All schemes on one (epsilon, trial) cell, sharing identities and values.
@@ -319,6 +348,7 @@ def _run_trial(
     stream, so each DAP record equals a solo run of its variant on that
     stream, whichever sibling failed before it.
     """
+    epsilon = config.eps_list[eps_index]
     ss = np.random.SeedSequence(config.seed, spawn_key=(1 + eps_index, trial))
     # Child 3 is left unused, so that the DAP stream is child 4, the one
     # dap_emf_star has always drawn from: its estimates keep their bits.
@@ -384,11 +414,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.dataset, np.random.SeedSequence(config.seed, spawn_key=(0,))
     )
     attack = build_attack(config.attack, default_reference=dataset.true_mean)
-    tasks = [
-        (ei, eps, t)
-        for ei, eps in enumerate(config.eps_list)
-        for t in range(config.trials)
-    ]
+    tasks = [(ei, t) for ei in range(len(config.eps_list)) for t in range(config.trials)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         chunks = list(pool.map(lambda args: _run_trial(config, dataset, attack, *args), tasks))
     records = [r for chunk in chunks for r in chunk]

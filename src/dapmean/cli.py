@@ -9,51 +9,79 @@ import sys
 import numpy as np
 
 from .attacks import AttackTrace, reduce_gba_to_bba
-from .bench import ExperimentConfig, FailedCellError, read_column, run_experiment
+from .bench import ATTACK_KINDS, ExperimentConfig, FailedCellError, read_column, run_experiment
 from .filters import attacker_count
 from .mechanism import Budget
 from .protocol import ConfigurationError, dap_plan, probe_reports
 
 
 def _parse_dataset(text: str) -> dict:
+    """Dataset spec from ``beta:a,b,n`` or ``csv:path[:column[:lo:hi]]``;
+    any other text raises ConfigurationError naming ``--dataset``."""
     kind, _, rest = text.partition(":")
-    if kind == "beta":
-        a, b, n = rest.split(",")
-        return {"type": "beta", "a": float(a), "b": float(b), "n": int(n)}
-    if kind == "csv":
-        parts = rest.split(":")
-        spec = {"type": "csv", "path": parts[0]}
-        if len(parts) > 1:
-            spec["column"] = parts[1]
-        if len(parts) > 3:
-            spec["clip"] = [float(parts[2]), float(parts[3])]
-        return spec
-    raise ValueError(f"unknown dataset spec {text!r} (use beta:a,b,n or csv:path[:column])")
+    parts = rest.split(":")
+    try:
+        if kind == "beta":
+            a, b, n = rest.split(",")
+            return {"type": "beta", "a": float(a), "b": float(b), "n": int(n)}
+        if kind == "csv" and len(parts) in (1, 2, 4):
+            spec = {"type": "csv", "path": parts[0]}
+            if len(parts) > 1:
+                spec["column"] = parts[1]
+            if len(parts) > 3:
+                spec["clip"] = [float(parts[2]), float(parts[3])]
+            return spec
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"--dataset must be beta:a,b,n or csv:path[:column[:lo:hi]], got {text!r}"
+    )
+
+
+# Defaults of the simulate flags that no ExperimentConfig field declares; a
+# left-out flag that sets a field takes ExperimentConfig's default.
+_FLAG_DEFAULTS = {
+    "dataset": "beta:2,5,100000",
+    "eps": "1.0",
+    "range": "0.75*C:C",
+    "dist": "uniform",
+}
 
 
 def _cmd_simulate(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        if args.out:
-            cfg.out = args.out
+    # The simulate parser leaves out every flag not given, so ``flags`` holds
+    # exactly the simulate flags on the command line.
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    out = flags.pop("out", None)
+    if "config" in flags:
+        path = flags.pop("config")
+        if flags:
+            given = ", ".join(f"--{k}" for k in sorted(flags))
+            raise ConfigurationError(
+                f"--config takes no other simulate flag than --out, got {given}"
+            )
+        cfg = ExperimentConfig.from_file(path)
+        if out:
+            cfg.out = out
     else:
-        ends = args.range.split(":")
+        flags = _FLAG_DEFAULTS | flags
+        text = flags.pop("range")
+        ends = text.split(":")
         if len(ends) != 2:
-            raise ConfigurationError(f"--range must have the form lo:hi, got {args.range!r}")
-        attack = {"kind": args.dist}
-        if args.dist != "input":  # input manipulation perturbs a chosen input, no range
+            raise ConfigurationError(f"--range must have the form lo:hi, got {text!r}")
+        attack = {"kind": flags.pop("dist")}
+        if attack["kind"] != "input":  # input manipulation perturbs a chosen input, no range
             attack |= {"lo": ends[0], "hi": ends[1]}
+        if not flags.get("gamma", ExperimentConfig.gamma) > 0:
+            attack = {"kind": "none"}
+        if "schemes" in flags:
+            flags["schemes"] = flags["schemes"].split(",")
         cfg = ExperimentConfig(
-            dataset=_parse_dataset(args.dataset),
-            eps_list=[float(e) for e in args.eps.split(",")],
-            eps0=args.eps0,
-            gamma=args.gamma,
-            attack=attack if args.gamma > 0 else {"kind": "none"},
-            schemes=args.schemes.split(","),
-            trials=args.trials,
-            seed=args.seed,
-            out=args.out,
-            workers=args.workers,
+            dataset=_parse_dataset(flags.pop("dataset")),
+            eps_list=[float(e) for e in flags.pop("eps").split(",")],
+            attack=attack,
+            out=out,
+            **flags,
         )
     result = run_experiment(cfg)  # writes the outputs when cfg.out is set
     if cfg.out:
@@ -98,7 +126,7 @@ def _cmd_reduce(args) -> int:
     else:
         values = np.array([float(v) for v in args.values.split(",")])
     trace = AttackTrace(values=values, reference_mean=args.ref)
-    reduced = reduce_gba_to_bba(trace, args.ref)
+    reduced = reduce_gba_to_bba(trace)
     print(
         json.dumps(
             {
@@ -132,18 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dapmean", description="LDP mean estimation under poisoning")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a full defense-vs-attack experiment")
-    sim.add_argument("--config", help="JSON config file (overrides the flags)")
-    sim.add_argument("--dataset", default="beta:2,5,100000")
-    sim.add_argument("--eps", default="1.0", help="comma-separated budget list")
-    sim.add_argument("--eps0", type=float, default=1.0 / 16.0)
-    sim.add_argument("--gamma", type=float, default=0.25)
-    sim.add_argument("--range", default="0.75*C:C", help="poison range lo:hi (exprs in C, O)")
-    sim.add_argument("--dist", default="uniform", choices=["uniform", "gaussian", "point", "input", "evasive"])
-    sim.add_argument("--schemes", default="ostrich,trimming,dap_emf_star")
-    sim.add_argument("--trials", type=int, default=20)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=1)
+    # A flag left out is absent from the parsed namespace, not set to a
+    # default: _cmd_simulate tells given flags from the rest that way.
+    sim = sub.add_parser(
+        "simulate",
+        help="run a full defense-vs-attack experiment",
+        argument_default=argparse.SUPPRESS,
+    )
+    sim.add_argument("--config", help="JSON config file (no other flag but --out)")
+    sim.add_argument("--dataset", help="beta:a,b,n or csv:path[:column[:lo:hi]]")
+    sim.add_argument("--eps", help="comma-separated budget list")
+    sim.add_argument("--eps0", type=float)
+    sim.add_argument("--gamma", type=float)
+    sim.add_argument("--range", help="poison range lo:hi (exprs in C, O)")
+    sim.add_argument("--dist", choices=list(ATTACK_KINDS))
+    sim.add_argument("--schemes")
+    sim.add_argument("--trials", type=int)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--workers", type=int)
     sim.add_argument("--out", help="output CSV path (JSON summary written alongside)")
     sim.set_defaults(func=_cmd_simulate)
 

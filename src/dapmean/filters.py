@@ -66,7 +66,7 @@ class TransformMatrix:
         return dense
 
 
-def build_transform(budget: Budget, grid: BucketGrid, side: str = "right") -> TransformMatrix:
+def build_transform(budget: Budget, grid: BucketGrid, side: str) -> TransformMatrix:
     """The perturbation block of the grid; the poison side only selects indices."""
     grid.poison_slice(side)  # raises on an unknown side
     return TransformMatrix(perturbation=perturbation_matrix(budget, grid), side=side, grid=grid)

@@ -236,39 +236,27 @@ class AggregateResult:
     predicted_variance: float
 
 
-def _weights_and_precision(epsilons, n_hats) -> tuple[np.ndarray, float]:
-    """Normalized optimal weights and their normalizer sum_t n_t^2 / B_t."""
-    b = np.array([n * worst_case_variance(e) for e, n in zip(epsilons, n_hats)])
-    score = np.where(b > 0.0, np.square(n_hats) / np.where(b > 0.0, b, 1.0), 0.0)
-    total = score.sum()
-    if total <= 0.0:
-        raise ConfigurationError("no group carries signal")
-    return score / total, total
-
-
-def optimal_weights(epsilons: np.ndarray, n_hats: np.ndarray) -> np.ndarray:
-    """Minimum-variance weights for combining group means.
+def aggregate_means(estimates: list[GroupEstimate]) -> AggregateResult:
+    """Combine group means with minimum-variance weights, the one aggregation rule.
 
     The group-mean worst-case variance is Var_worst(eps_t)/n_t, so the
     optimal weights are proportional to n_t / Var_worst(eps_t), i.e. to
-    n_t^2 / B_t with B_t = n_t * Var_worst(eps_t).
-    """
-    return _weights_and_precision(epsilons, n_hats)[0]
-
-
-def aggregate_means(estimates: list[GroupEstimate]) -> AggregateResult:
-    """Combine group means with minimum-variance weights.
-
-    The predicted variance of the combination is 1 / sum_t(n_t^2 / B_t).
+    n_t^2 / B_t with B_t = n_t * Var_worst(eps_t) (0 where B_t = 0).  The
+    predicted variance of the combination is 1 / sum_t(n_t^2 / B_t).
     """
     if not estimates:
         raise ConfigurationError("need at least one group estimate")
     eps = np.array([g.budget.epsilon for g in estimates])
     n_hats = np.array([g.n_hat for g in estimates])
     means = np.array([g.mean for g in estimates])
-    w, precision = _weights_and_precision(eps, n_hats)
+    b = np.array([n * worst_case_variance(e) for e, n in zip(eps, n_hats)])
+    score = np.where(b > 0.0, np.square(n_hats) / np.where(b > 0.0, b, 1.0), 0.0)
+    total = score.sum()
+    if total <= 0.0:
+        raise ConfigurationError("no group carries signal")
+    w = score / total
     return AggregateResult(
-        mean=float(np.dot(w, means)), weights=w, predicted_variance=float(1.0 / precision)
+        mean=float(np.dot(w, means)), weights=w, predicted_variance=float(1.0 / total)
     )
 
 
@@ -280,12 +268,15 @@ def ostrich(reports) -> float:
     return float(r.mean())
 
 
-def trimming(reports, side: str = "right") -> float:
-    """Drop the extreme 50% of reports on the poisoned side, average the rest.
+def trimming(reports, side: str) -> float:
+    """Drop the extreme 50% of reports on the poisoned ``side``, "left" or
+    "right", and average the rest; any other side raises ``ValueError``.
 
     The kept reports are selected by partition and then sorted, so they are
     averaged in ascending order, as after a full sort.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     r = np.asarray(reports, dtype=float).ravel()
     if r.size == 0:
         raise ValueError("no reports")

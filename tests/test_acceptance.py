@@ -26,7 +26,7 @@ from dapmean.mechanism import (
     pm_perturb,
     worst_case_variance,
 )
-from dapmean.protocol import optimal_weights, probe_reports, run_dap
+from dapmean.protocol import GroupEstimate, aggregate_means, probe_reports, run_dap
 
 
 def test_c01_perturbation_unbiased():
@@ -179,7 +179,11 @@ def test_c05_aggregation_weights_beat_grid_search():
         eps = rng.uniform(0.1, 2.0, size=3)
         n_hat = rng.uniform(10.0, 1000.0, size=3)
         var_t = np.array([worst_case_variance(e) for e in eps]) / n_hat
-        closed = optimal_weights(eps, n_hat)
+        groups = [
+            GroupEstimate(budget=Budget(e), mean=0.0, gamma_hat=0.0, m_hat=0.0, n_hat=n)
+            for e, n in zip(eps, n_hat)
+        ]
+        closed = aggregate_means(groups).weights
         var_closed = float(np.sum(closed**2 * var_t))
         var_grid = float(np.min(grid_w**2 @ var_t))
         assert var_closed <= var_grid + 1e-9
@@ -196,7 +200,7 @@ def test_c06_reduction_preserves_deviation():
         n_r = int(rng.integers(1, 50))
         vals = np.concatenate([rng.uniform(-c, o, n_l), rng.uniform(o, c, n_r)])
         trace = AttackTrace(values=vals, reference_mean=o)
-        out = reduce_gba_to_bba(trace, o=o, bound=c)
+        out = reduce_gba_to_bba(trace, bound=c)
         assert abs(out.deviation_sum - trace.deviation_sum) <= 1e-9
         assert np.all(out.values <= o) or np.all(out.values >= o)
 

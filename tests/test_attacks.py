@@ -98,21 +98,34 @@ class TestReduction:
         # {-0.8, +0.3} about 0: deviation sum -0.5, so the one-sided
         # equivalent is the single value -0.5.
         trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, o=0.0, bound=C)
+        out = reduce_gba_to_bba(trace, bound=C)
         np.testing.assert_allclose(np.sort(out.values), [-0.5])
         assert out.deviation_sum == pytest.approx(trace.deviation_sum)
 
     def test_one_sided_input_unchanged(self):
         vals = np.array([0.1, 0.7, 1.9])
         trace = AttackTrace(values=vals, reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, o=0.0, bound=C)
+        out = reduce_gba_to_bba(trace, bound=C)
         np.testing.assert_array_equal(out.values, vals)
 
     def test_zero_deviation_reduces_to_empty(self):
         trace = AttackTrace(values=np.array([-0.4, 0.4]), reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, o=0.0, bound=C)
+        out = reduce_gba_to_bba(trace, bound=C)
         assert out.values.size == 0
         assert out.deviation_sum == 0.0
+
+    def test_reduces_about_the_trace_reference(self):
+        # About 0.5, {0.0, 0.7} deviates by -0.5 and +0.2: one value at 0.2.
+        trace = AttackTrace(values=np.array([0.0, 0.7]), reference_mean=0.5)
+        out = reduce_gba_to_bba(trace)
+        np.testing.assert_allclose(out.values, [0.2])
+        assert out.reference_mean == 0.5
+
+    def test_bound_is_keyword_only(self):
+        # A positional second argument would once have been the reference.
+        trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)
+        with pytest.raises(TypeError):
+            reduce_gba_to_bba(trace, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -127,7 +140,7 @@ class TestReduction:
             [rng.uniform(-C, o, n_left), rng.uniform(o, C, n_right)]
         )
         trace = AttackTrace(values=vals, reference_mean=o)
-        out = reduce_gba_to_bba(trace, o=o, bound=C)
+        out = reduce_gba_to_bba(trace, bound=C)
         dev = np.sum(out.values - o)
         assert dev == pytest.approx(np.sum(vals - o), abs=1e-9)
         assert np.all(out.values <= o + 1e-12) or np.all(out.values >= o - 1e-12)

@@ -108,6 +108,31 @@ class TestDatasets:
         with pytest.raises(ConfigurationError, match=f"'beta' needs the key {key!r}"):
             build_dataset(spec, seed=0)
 
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"path": 5}, "path"),
+            ({"column": True}, "column"),
+            ({"column": 1.5}, "column"),
+            ({"column": None}, "column"),
+            ({"clip": [1]}, "clip"),
+            ({"clip": "x"}, "clip"),
+            ({"clip": [1, 2, 3]}, "clip"),
+            ({"clip": [1, "x"]}, "clip"),
+            ({"clip": [True, 2]}, "clip"),
+            ({"clip": [0, float("inf")]}, "clip"),
+            ({"clip": [20, 10]}, "clip"),
+            ({"clip": [10, 10]}, "clip"),
+            ({"column": "y"}, "column"),
+        ],
+    )
+    def test_csv_values_checked(self, tmp_path, over, key):
+        p = tmp_path / "data.csv"
+        p.write_text("x\n5\n10\n20\n100\n")
+        spec = {"type": "csv", "path": str(p), "column": "x", "clip": None} | over
+        with pytest.raises(ConfigurationError, match=f"'csv' key {key!r}"):
+            build_dataset(spec, seed=0)
+
     def test_csv_dataset_needs_a_path(self):
         with pytest.raises(ConfigurationError, match="'csv'.*'path'"):
             build_dataset({"type": "csv", "column": 0}, seed=0)
@@ -227,6 +252,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="'beta'"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_run_rejects_a_bad_attack_side_before_any_trial(self, gamma, monkeypatch):
+        import dapmean.bench as bench
+
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        attack = {"kind": "uniform", "lo": "0.75*C", "hi": "C", "side": "Right"}
+        cfg = ExperimentConfig.from_dict(self.base(gamma=gamma, attack=attack))
+        with pytest.raises(ConfigurationError, match="side"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("key", ["dataset", "eps_list"])
     def test_missing_key_rejected(self, key):
         d = self.base()
@@ -298,6 +336,12 @@ class TestBuildAttack:
         monkeypatch.setattr(attacks, "evasive_strategy", spy)
         build_attack({"kind": "evasive", "a": 0.5}, default_reference=-0.1)
         assert calls == [{"a": 0.5, "reference_mean": -0.1}]
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian", "point"])
+    @pytest.mark.parametrize("side", ["Right", "up", ""])
+    def test_bad_side_rejected(self, kind, side):
+        with pytest.raises(ConfigurationError, match=f"{kind!r}.*side"):
+            build_attack({"kind": kind, "side": side})
 
     def test_reference_mean_default_applies(self):
         # A range written relative to O must resolve against the supplied

@@ -1,9 +1,13 @@
+import argparse
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from dapmean.cli import main
+import dapmean.cli as cli
+from dapmean.bench import ATTACK_KINDS, ExperimentConfig, build_attack
+from dapmean.cli import build_parser, main
 from dapmean.filters import attacker_count
 from dapmean.mechanism import Budget, pm_perturb
 from dapmean.protocol import DegenerateFilterError, probe_reports
@@ -133,6 +137,42 @@ class TestSimulate:
         summary = json.loads(out_path.with_suffix(".json").read_text())
         assert summary["config"]["attack"] == {"kind": "input"}
 
+    def test_dist_offers_every_attack_kind(self):
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        [dist] = [a for a in sub.choices["simulate"]._actions if a.dest == "dist"]
+        assert list(dist.choices) == list(ATTACK_KINDS)
+        for kind in dist.choices:
+            out = build_attack({"kind": kind})(10, Budget(1.0), np.random.default_rng(0))
+            assert out.shape == (10,)
+
+    def test_flag_defaults_come_from_the_config(self, capsys, monkeypatch):
+        # A config class with other defaults: the flag path must take them
+        # all, with gamma = 0 turning the attack off.
+        @dataclass
+        class Shifted(ExperimentConfig):
+            eps0: float = 0.125
+            gamma: float = 0.0
+            schemes: list = field(default_factory=lambda: ["ostrich"])
+            trials: int = 3
+            seed: int = 7
+            workers: int = 2
+
+        built = []
+
+        def capture(cfg):
+            built.append(cfg)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        dataset = {"type": "beta", "a": 2.0, "b": 5.0, "n": 100_000}
+        assert run_cli(capsys, "simulate")[0] == 1
+        monkeypatch.setattr(cli, "ExperimentConfig", Shifted)
+        assert run_cli(capsys, "simulate")[0] == 1
+        assert built == [
+            ExperimentConfig(dataset=dataset, eps_list=[1.0]),
+            Shifted(dataset=dataset, eps_list=[1.0], attack={"kind": "none"}),
+        ]
+
     def test_config_file(self, capsys, tmp_path):
         cfg = {
             "dataset": {"type": "beta", "a": 2, "b": 5, "n": 2000},
@@ -245,3 +285,55 @@ class TestErrors:
         )
         assert code == 1
         assert "dataset" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "beta:1,2",
+            "beta:1,2,3,4",
+            "beta:a,b,100",
+            "beta:2,5,1e5",
+            "csv:d.csv:x:0",
+            "csv:d.csv:x:0:1:2",
+            "csv:d.csv:x:lo:hi",
+            "movies:1",
+        ],
+    )
+    def test_malformed_dataset_flag(self, capsys, text):
+        code, out, err = run_cli(capsys, "simulate", "--dataset", text, "--trials", "1")
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "--dataset" in payload["message"]
+        assert "mse" not in out
+
+    def test_csv_dataset_missing_column(self, capsys, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("x\n5\n10\n20\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--dataset", f"csv:{p}:y", "--trials", "1"
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "'column'" in payload["message"]
+        assert "mse" not in out
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--eps", "2,3", "--trials", "5"], "--eps, --trials"),
+            (["--gamma", "0.25"], "--gamma"),  # the default value, given
+            (["--dist", "uniform", "--out", "res.csv"], "--dist"),
+        ],
+    )
+    def test_config_with_other_flags(self, capsys, tmp_path, extra, named):
+        cfg = {"dataset": {"type": "beta", "a": 2, "b": 5, "n": 2000}, "eps_list": [1.0]}
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg | {"schemes": ["ostrich"], "trials": 1}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p), *extra)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert payload["message"].endswith(named)
+        assert "mse" not in out

@@ -65,7 +65,6 @@ def test_no_unused_imports(path):
 TESTED_ONLY = {
     "gen_gba": "the paper's two-sided general attack; test_attacks pins its draws",
     "evasion_bounds": "the paper's evasion utility bounds; c09 checks their identity",
-    "optimal_weights": "the weights aggregate_means applies; c05 checks them by grid search",
 }
 READERS = sorted(
     [p for p in (ROOT / "src" / "dapmean").glob("*.py") if p.name != "__init__.py"]

@@ -29,7 +29,6 @@ from dapmean.protocol import (
     dap_collect,
     dap_plan,
     intra_group_mean,
-    optimal_weights,
     ostrich,
     probe_reports,
     run_dap,
@@ -442,23 +441,28 @@ def make_estimate(eps, n_hat, mean):
     )
 
 
+def weights(eps, n_hats):
+    """The weights ``aggregate_means`` gives groups of these budgets and sizes."""
+    return aggregate_means([make_estimate(e, k, 0.0) for e, k in zip(eps, n_hats)]).weights
+
+
 class TestAggregation:
     def test_weights_two_group_closed_form(self):
         eps = np.array([1.0, 0.5])
         n = np.array([100.0, 200.0])
-        w = optimal_weights(eps, n)
+        w = weights(eps, n)
         score = n / np.array([worst_case_variance(e) for e in eps])
         np.testing.assert_allclose(w, score / score.sum())
         assert w.sum() == pytest.approx(1.0)
 
     def test_equal_groups_equal_weights(self):
-        w = optimal_weights(np.array([1.0, 1.0, 1.0]), np.array([50.0, 50.0, 50.0]))
+        w = weights([1.0, 1.0, 1.0], [50.0, 50.0, 50.0])
         np.testing.assert_allclose(w, 1.0 / 3.0)
 
     def test_aggregate_mean_and_variance(self):
         ests = [make_estimate(1.0, 100.0, 0.2), make_estimate(0.5, 200.0, 0.4)]
         agg = aggregate_means(ests)
-        w = optimal_weights(np.array([1.0, 0.5]), np.array([100.0, 200.0]))
+        w = agg.weights
         assert agg.mean == pytest.approx(w[0] * 0.2 + w[1] * 0.4)
         b = np.array([100.0 * worst_case_variance(1.0), 200.0 * worst_case_variance(0.5)])
         expect_var = 1.0 / np.sum(np.array([100.0, 200.0]) ** 2 / b)
@@ -471,7 +475,7 @@ class TestAggregation:
         b = np.array([k * worst_case_variance(e) for e, k in zip(eps, n)])
         score = np.where(b > 0.0, np.square(n) / np.where(b > 0.0, b, 1.0), 0.0)
         assert agg.predicted_variance == float(1.0 / score.sum())
-        assert np.array_equal(agg.weights, optimal_weights(np.array(eps), np.array(n)))
+        assert np.array_equal(agg.weights, score / score.sum())
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -479,7 +483,7 @@ class TestAggregation:
 
     def test_no_signal_rejected(self):
         with pytest.raises(ConfigurationError):
-            optimal_weights(np.array([1.0]), np.array([0.0]))
+            weights([1.0], [0.0])
 
 
 class TestBaselines:
@@ -494,6 +498,15 @@ class TestBaselines:
 
     def test_trimming_odd_count(self):
         assert trimming([1.0, 2.0, 3.0], side="right") == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("side", ["Right", "LEFT", "up", ""])
+    def test_trimming_rejects_an_unknown_side(self, side):
+        with pytest.raises(ValueError, match="side"):
+            trimming(np.arange(10.0), side)
+
+    def test_trimming_needs_a_side(self):
+        with pytest.raises(TypeError):
+            trimming(np.arange(10.0))
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 100_001])
