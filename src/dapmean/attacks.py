@@ -9,6 +9,8 @@ evasive attacks that plant a fraction of their reports on the opposite side.
 from __future__ import annotations
 
 import ast
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -254,35 +256,63 @@ _BINARY_OPS = {
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def resolve_endpoint(expr, c: float, o: float) -> float:
-    """Evaluate a range endpoint given as a number or an expression in C and O.
+def _check_number(name: str, x, lo: float = -math.inf, hi: float = math.inf, *, optional=False):
+    """Raise ValueError unless ``x`` is a finite real number in [lo, hi] (a
+    bool is not one), or, when ``optional``, None."""
+    if optional and x is None:
+        return
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if not (real and math.isfinite(x) and lo <= x <= hi):
+        where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must be a finite number{where}, got {x!r}")
+
+
+def resolve_endpoint(expr) -> Callable[[float, float], float]:
+    """A range endpoint, given as a number or an expression in C and O, as a
+    function of (c, o).
 
     An expression may use numbers, the names ``C`` and ``O``, binary
-    ``+ - * /``, unary ``+ -`` and parentheses; anything else (calls,
-    attribute access, other names) raises ``ValueError``.  Nothing is
-    evaluated as Python code.
+    ``+ - * /``, unary ``+ -`` and parentheses.  Anything else (calls,
+    attribute access, other names, a non-finite number) raises
+    ``ValueError`` here, before any value is computed; a division by zero
+    raises it when the function is called.  Nothing is evaluated as Python
+    code.
     """
-    if isinstance(expr, (int, float)):
-        return float(expr)
+    if isinstance(expr, numbers.Real) and not isinstance(expr, bool):
+        _check_number("range endpoint", expr)
+        value = float(expr)
+        return lambda c, o: value
     if not isinstance(expr, str):
         raise ValueError(f"range endpoint must be a number or a string, got {expr!r}")
-    names = {"C": c, "O": o}
 
-    def walk(node):
+    def build(node):
+        # Each node becomes a function of (c, o) that computes what the node spells.
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return node.value
-        if isinstance(node, ast.Name) and node.id in names:
-            return names[node.id]
+            return lambda c, o: node.value
+        if isinstance(node, ast.Name) and node.id == "C":
+            return lambda c, o: c
+        if isinstance(node, ast.Name) and node.id == "O":
+            return lambda c, o: o
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
+            op, left, right = _BINARY_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda c, o: op(left(c, o), right(c, o))
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-            return _UNARY_OPS[type(node.op)](walk(node.operand))
+            op, operand = _UNARY_OPS[type(node.op)], build(node.operand)
+            return lambda c, o: op(operand(c, o))
         raise ValueError(f"range endpoint {expr!r}: {type(node).__name__} is not allowed")
 
     try:
-        return float(walk(ast.parse(expr, mode="eval").body))
-    except (SyntaxError, ZeroDivisionError) as exc:
+        at = build(ast.parse(expr, mode="eval").body)
+    except SyntaxError as exc:
         raise ValueError(f"range endpoint {expr!r}: {exc}") from None
+
+    def resolve(c: float, o: float) -> float:
+        try:
+            return float(at(c, o))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"range endpoint {expr!r}: {exc}") from None
+
+    return resolve
 
 
 def poison_strategy(
@@ -297,16 +327,23 @@ def poison_strategy(
 ) -> AttackStrategy:
     """One-sided poison reports with range endpoints resolved per budget.
 
-    A ``side`` other than "left" or "right" raises ``ValueError`` here,
-    before any report is drawn.
+    An endpoint outside ``resolve_endpoint``'s grammar, an unknown ``dist``
+    or ``side``, a ``mu``, ``sigma`` (>= 0) or ``value`` that is neither
+    None nor a finite number, or a non-finite ``reference_mean`` raises
+    ``ValueError`` here, before any report is drawn.
     """
-    PoisonSpec(side=side)  # raises on an unknown side
+    PoisonSpec(dist=dist, side=side)  # raises on an unknown distribution or side
+    lo_at, hi_at = resolve_endpoint(lo), resolve_endpoint(hi)
+    _check_number("mu", mu, optional=True)
+    _check_number("sigma", sigma, lo=0.0, optional=True)
+    _check_number("value", value, optional=True)
+    _check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         c = budget.c_bound
         spec = PoisonSpec(
-            range_lo=resolve_endpoint(lo, c, reference_mean),
-            range_hi=resolve_endpoint(hi, c, reference_mean),
+            range_lo=lo_at(c, reference_mean),
+            range_hi=hi_at(c, reference_mean),
             dist=dist,
             mu=mu,
             sigma=sigma,
@@ -319,7 +356,11 @@ def poison_strategy(
 
 
 def input_manipulation_strategy(g: float = 1.0) -> AttackStrategy:
-    """Disguised attackers: every report is a normal perturbation of g."""
+    """Disguised attackers: every report is a normal perturbation of g.
+
+    A ``g`` that is not a number in [-1, 1] raises ``ValueError`` here.
+    """
+    _check_number("g", g, -1.0, 1.0)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         return gen_input_manipulation(g, count, budget, rng).values
@@ -334,17 +375,25 @@ def evasive_strategy(
     evasive="-C/2",
     reference_mean: float = 0.0,
 ) -> AttackStrategy:
-    """Right-side poison with a fraction ``a`` of reports planted at the evasive value."""
+    """Right-side poison with a fraction ``a`` of reports planted at the evasive value.
+
+    An ``a`` that is not a number in [0, 1], an endpoint outside
+    ``resolve_endpoint``'s grammar or a non-finite ``reference_mean`` raises
+    ``ValueError`` here, before any report is drawn.
+    """
+    _check_number("a", a, 0.0, 1.0)
+    lo_at, hi_at, evasive_at = (resolve_endpoint(e) for e in (lo, hi, evasive))
+    _check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         c = budget.c_bound
         spec = PoisonSpec(
-            range_lo=resolve_endpoint(lo, c, reference_mean),
-            range_hi=resolve_endpoint(hi, c, reference_mean),
+            range_lo=lo_at(c, reference_mean),
+            range_hi=hi_at(c, reference_mean),
             evasion_fraction=a,
             side="right",
         )
-        ev = resolve_endpoint(evasive, c, reference_mean)
+        ev = evasive_at(c, reference_mean)
         return gen_evasive(spec, count, ev, budget, rng, reference_mean).values
 
     return strategy

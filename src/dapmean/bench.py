@@ -50,8 +50,9 @@ def read_column(path, column) -> np.ndarray:
     """The numeric values of one CSV column, as read (no normalization).
 
     ``column`` is a header name or a zero-based index; with an index, a
-    first row that does not parse is a header.  Rows whose value does not
-    parse are skipped, with a warning that counts them.
+    first row that does not parse is a header.  A name the header lacks, or
+    an index past every row's last column, raises ``KeyError``.  Rows whose
+    value does not parse are skipped, with a warning that counts them.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -64,6 +65,8 @@ def read_column(path, column) -> np.ndarray:
     start = 0
     if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
         idx = int(column)
+        if not any(-len(row) <= idx < len(row) for row in rows):
+            raise KeyError(f"{path}: no column numbered {idx}")
         # A non-numeric first row is a header, not data.
         try:
             float(rows[0][idx])

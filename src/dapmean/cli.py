@@ -76,9 +76,16 @@ def _cmd_simulate(args) -> int:
             attack = {"kind": "none"}
         if "schemes" in flags:
             flags["schemes"] = flags["schemes"].split(",")
+        text = flags.pop("eps")
+        try:
+            eps_list = [float(e) for e in text.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"--eps must be a comma-separated list of numbers, got {text!r}"
+            ) from None
         cfg = ExperimentConfig(
             dataset=_parse_dataset(flags.pop("dataset")),
-            eps_list=[float(e) for e in flags.pop("eps").split(",")],
+            eps_list=eps_list,
             attack=attack,
             out=out,
             **flags,

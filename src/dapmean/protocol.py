@@ -8,6 +8,7 @@ minimum-variance weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -98,15 +99,6 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     return GroupPlan(budgets=budgets, assignment=assignment, reports_per_user=reports)
 
 
-@dataclass(frozen=True)
-class GroupReports:
-    """Collected reports of one group."""
-
-    budget: Budget
-    reports: np.ndarray
-    n_attacker_reports: int  # ground truth, diagnostics only
-
-
 def collect_reports(
     values: np.ndarray,
     attacker_mask: np.ndarray,
@@ -143,32 +135,6 @@ def collect_reports(
     else:
         pm_perturb(values[attacker_mask], budget, rng, out=tail, reps=reps)
     return out
-
-
-def dap_collect(
-    values: np.ndarray,
-    attacker_mask: np.ndarray,
-    plan: GroupPlan,
-    t: int,
-    attack: AttackStrategy | None,
-    rng: np.random.Generator,
-) -> GroupReports:
-    """Collect group t's reports with ``collect_reports``, unshuffled.
-
-    Every user in group t submits ``reports_per_user[t]`` reports at the
-    group budget, honest reports first, then poison reports.
-    """
-    values = np.asarray(values, dtype=float)
-    attacker_mask = np.asarray(attacker_mask, dtype=bool)
-    if values.size != plan.n_users or attacker_mask.size != plan.n_users:
-        raise ConfigurationError("plan does not cover all users")
-    budget = Budget(float(plan.budgets[t]))
-    reps = int(plan.reports_per_user[t])
-    members = plan.group_members(t)
-    mask = attacker_mask[members]
-    n_poison = int(np.count_nonzero(mask)) * reps
-    reports = collect_reports(values[members], mask, budget, attack, rng, reps)
-    return GroupReports(budget=budget, reports=reports, n_attacker_reports=n_poison)
 
 
 @dataclass(frozen=True)
@@ -306,14 +272,46 @@ def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
 
 @dataclass(frozen=True)
 class GroupFilterInput:
-    """What one group's filter stage reads: the group's report sum, its side
-    probe and the transform of the probe's winning side.  The report count
-    is the probe's ``counts.n_reports``: every report lands in a bucket."""
+    """What one group's filter stage reads: the group's report sum and its
+    side probe.  The report count is the probe's ``counts.n_reports``: every
+    report lands in a bucket."""
 
     budget: Budget
     report_sum: float
     probe: SideProbe
-    transform: TransformMatrix
+
+    @functools.cached_property
+    def transform(self) -> TransformMatrix:
+        """The transform of the probe's winning side, built on first read."""
+        return build_transform(self.budget, self.probe.grid, side=self.probe.side)
+
+
+def dap_collect(
+    values: np.ndarray,
+    attacker_mask: np.ndarray,
+    plan: GroupPlan,
+    t: int,
+    attack: AttackStrategy | None,
+    rng: np.random.Generator,
+) -> GroupFilterInput:
+    """Group t's step of the grouped protocol: collect, shuffle and probe.
+
+    Every user in group t submits ``reports_per_user[t]`` reports at the
+    group budget (``collect_reports``).  The reports are shuffled, as the
+    collector receives them, then probed (``probe_reports``).  Only their
+    sum and the probe are kept, so the reports are freed on return.
+    """
+    values = np.asarray(values, dtype=float)
+    attacker_mask = np.asarray(attacker_mask, dtype=bool)
+    if values.size != plan.n_users or attacker_mask.size != plan.n_users:
+        raise ConfigurationError("plan does not cover all users")
+    budget = Budget(float(plan.budgets[t]))
+    reps = int(plan.reports_per_user[t])
+    members = plan.group_members(t)
+    reports = collect_reports(values[members], attacker_mask[members], budget, attack, rng, reps)
+    rng.shuffle(reports)
+    probe = probe_reports(reports, budget)
+    return GroupFilterInput(budget=budget, report_sum=reports.sum(), probe=probe)
 
 
 @dataclass(frozen=True)
@@ -323,10 +321,13 @@ class DapResult:
     ``groups`` keeps what the filter stage reads, per group.  Constructing a
     result runs that stage: each group's filter, ``intra_group_mean`` and
     ``aggregate_means``, which set ``estimates`` and ``aggregate``.  The
-    stage draws nothing and builds no transform.  Each group's constrained
-    filter starts from that group's probe pair on the winning side, which is
-    already an EM fixed point at its own poison mass, so it needs few
-    iterations.  An unknown variant raises ``ConfigurationError``.
+    stage draws nothing.  Its first run reads each group's ``transform``,
+    which builds it after the last collection, so that no transform is
+    alive at the collector's peak; ``refilter`` shares the groups and builds
+    none.  Each group's constrained filter starts from that group's probe
+    pair on the winning side, which is already an EM fixed point at its own
+    poison mass, so it needs few iterations.  An unknown variant raises
+    ``ConfigurationError``.
     """
 
     eps_total: float
@@ -404,41 +405,18 @@ def run_dap(
     rng: np.random.Generator,
     filter_variant: str = "emf_star",
 ) -> DapResult:
-    """Full grouped run: plan, collect and probe each group, then filter.
+    """Full grouped run: plan, one ``dap_collect`` per group, then filter.
 
-    Groups run one after another on the caller's thread.  Each group's
-    reports are shuffled, as the collector receives them, then probed.
-    Only the group's report sum and its probe, whose counts give the report
-    count, are kept, so at most one group's reports exist at a time.  The
-    returned ``DapResult`` runs the filter stage on the groups; that stage
-    draws nothing, so the result's ``refilter`` gives the other variants of
-    the same run.  An unknown variant raises ``ConfigurationError`` before
-    any collection.
+    Groups run one after another on the caller's thread, so at most one
+    group's reports exist at a time.  The returned ``DapResult`` runs the
+    filter stage on the groups; that stage draws nothing, so the result's
+    ``refilter`` gives the other variants of the same run.  An unknown
+    variant raises ``ConfigurationError`` before any collection.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
     plan = dap_plan(values.size, eps, eps0, rng)
-    totals, probes = [], []
-    for t in range(plan.h):
-        g = dap_collect(values, attacker_mask, plan, t, attack, rng)
-        rng.shuffle(g.reports)
-        probes.append(probe_reports(g.reports, g.budget))
-        # The group mean needs only the reports' sum (the probe's counts hold
-        # their count), so the reports go before the next group is collected.
-        totals.append((g.budget, g.reports.sum()))
-        del g
-
-    # Built after the last collection, so that no transform is alive at the
-    # collector's peak.
-    groups = tuple(
-        GroupFilterInput(
-            budget=budget,
-            report_sum=report_sum,
-            probe=probe,
-            transform=build_transform(budget, probe.grid, side=probe.side),
-        )
-        for (budget, report_sum), probe in zip(totals, probes)
-    )
+    groups = tuple(dap_collect(values, attacker_mask, plan, t, attack, rng) for t in range(plan.h))
     return DapResult(eps_total=eps, groups=groups, filter_variant=filter_variant)
 
 

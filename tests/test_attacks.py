@@ -232,9 +232,9 @@ class TestEvasionBounds:
 
 class TestStrategies:
     def test_resolve_endpoint(self):
-        assert resolve_endpoint("0.75*C", c=4.0, o=0.0) == pytest.approx(3.0)
-        assert resolve_endpoint("O", c=4.0, o=-0.3) == pytest.approx(-0.3)
-        assert resolve_endpoint(1.25, c=4.0, o=0.0) == 1.25
+        assert resolve_endpoint("0.75*C")(4.0, 0.0) == pytest.approx(3.0)
+        assert resolve_endpoint("O")(4.0, -0.3) == pytest.approx(-0.3)
+        assert resolve_endpoint(1.25)(4.0, 0.0) == 1.25
 
     @pytest.mark.parametrize("c", [1.25, 4.328, 64.0])
     def test_resolve_endpoint_package_ranges(self, c):
@@ -243,8 +243,8 @@ class TestStrategies:
         o = -0.2871
         expect = {"0.75*C": 0.75 * c, "C/2": c / 2, "-C/2": -c / 2, "O": o, "C": c}
         for expr, value in expect.items():
-            assert resolve_endpoint(expr, c, o) == value
-        assert resolve_endpoint("(C + O) / 2 - -1", c, o) == (c + o) / 2 - -1
+            assert resolve_endpoint(expr)(c, o) == value
+        assert resolve_endpoint("(C + O) / 2 - -1")(c, o) == (c + o) / 2 - -1
 
     @pytest.mark.parametrize(
         "expr",
@@ -264,7 +264,40 @@ class TestStrategies:
     )
     def test_resolve_endpoint_rejects_code(self, expr):
         with pytest.raises(ValueError):
-            resolve_endpoint(expr, 2.0, 0.0)
+            resolve_endpoint(expr)(2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "factory, kwargs",
+        [
+            (poison_strategy, {"lo": "D"}),
+            (poison_strategy, {"hi": "abs(C)"}),
+            (poison_strategy, {"lo": True}),
+            (poison_strategy, {"hi": float("nan")}),
+            (poison_strategy, {"dist": "cauchy"}),
+            (poison_strategy, {"mu": "x"}),
+            (poison_strategy, {"sigma": -1.0}),
+            (poison_strategy, {"value": float("inf")}),
+            (poison_strategy, {"reference_mean": "O"}),
+            (input_manipulation_strategy, {"g": 1.5}),
+            (input_manipulation_strategy, {"g": "1"}),
+            (evasive_strategy, {"a": "x"}),
+            (evasive_strategy, {"a": 1.2}),
+            (evasive_strategy, {"evasive": "C.real"}),
+            (evasive_strategy, {"reference_mean": None}),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_factories_check_values_when_built(self, factory, kwargs):
+        with pytest.raises(ValueError):
+            factory(**kwargs)
+
+    def test_factories_take_any_real_number(self):
+        strat = poison_strategy(lo=np.float64(0.5), hi=2, dist="gaussian", mu=1, sigma=np.int64(1))
+        out = strat(100, BUDGET, np.random.default_rng(0))
+        assert np.all((out >= 0.5) & (out <= 2))
+        assert evasive_strategy(a=np.float32(0.5), reference_mean=np.float64(0.0))(
+            10, BUDGET, np.random.default_rng(0)
+        ).size == 10
 
     def test_poison_strategy_scales_with_budget(self):
         strat = poison_strategy(lo="0.75*C", hi="C")

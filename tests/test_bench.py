@@ -133,6 +133,13 @@ class TestDatasets:
         with pytest.raises(ConfigurationError, match=f"'csv' key {key!r}"):
             build_dataset(spec, seed=0)
 
+    def test_csv_column_index_past_every_row(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("5\n10\n20\n")
+        spec = {"type": "csv", "path": str(p), "column": 5}
+        with pytest.raises(ConfigurationError, match="'csv' key 'column'"):
+            build_dataset(spec, seed=0)
+
     def test_csv_dataset_needs_a_path(self):
         with pytest.raises(ConfigurationError, match="'csv'.*'path'"):
             build_dataset({"type": "csv", "column": 0}, seed=0)
@@ -263,6 +270,24 @@ class TestConfig:
         attack = {"kind": "uniform", "lo": "0.75*C", "hi": "C", "side": "Right"}
         cfg = ExperimentConfig.from_dict(self.base(gamma=gamma, attack=attack))
         with pytest.raises(ConfigurationError, match="side"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("schemes", [["ostrich", "dap_emf_star"], ["dap_emf_star"]])
+    @pytest.mark.parametrize(
+        "attack, kind",
+        [({"kind": "uniform", "lo": "D"}, "uniform"), ({"kind": "evasive", "a": "x"}, "evasive")],
+    )
+    def test_run_rejects_bad_attack_values_before_any_trial(
+        self, schemes, attack, kind, monkeypatch
+    ):
+        import dapmean.bench as bench
+
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        cfg = ExperimentConfig.from_dict(self.base(schemes=schemes, attack=attack))
+        with pytest.raises(ConfigurationError, match=f"attack kind {kind!r}"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("key", ["dataset", "eps_list"])

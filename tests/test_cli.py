@@ -259,6 +259,16 @@ class TestErrors:
         assert "--range" in payload["message"] and "lo:hi" in payload["message"]
         assert "mse" not in out
 
+    def test_eps_not_a_number(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--dataset", "beta:2,5,2000", "--trials", "1", "--eps", "abc"
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "--eps" in payload["message"] and "'abc'" in payload["message"]
+        assert "mse" not in out
+
     def test_misspelled_config_key(self, capsys, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"dataset": {"type": "beta"}, "eps_list": [1.0], "trails": 5}))

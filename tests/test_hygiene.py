@@ -151,7 +151,6 @@ def test_every_public_name_is_read():
 
 # Public members that nothing reads yet, each kept for an open ROADMAP item.
 UNREAD_MEMBERS = {
-    "GroupReports.n_attacker_reports": "item 3's trace reports it; it goes with item 6",
     "HistogramPair.log_likelihood": "items 2 and 3 score the side decision with it",
     "AggregateResult.predicted_variance": "item 3 measures it before replacing it",
     "GroupEstimate.m_hat": "item 3's trace reports it per group",

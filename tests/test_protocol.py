@@ -274,22 +274,25 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
-            assert g.reports.size == plan.expected_reports(t)
-            assert g.n_attacker_reports == 0
+            assert g.probe.counts.n_reports == plan.expected_reports(t)
             assert g.budget.epsilon == pytest.approx(plan.budgets[t])
 
     def test_unattacked_attackers_report_honestly(self):
         # With no attack, attackers perturb their own values: every group
-        # holds the plan's full report count.
+        # holds the plan's full report count, inside [-C, C].
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, 1000, replace=False)] = True
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
         groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
-            assert g.reports.size == plan.expected_reports(t)
+            assert g.probe.counts.n_reports == plan.expected_reports(t)
+            members = plan.group_members(t)
             reps = int(plan.reports_per_user[t])
-            assert g.n_attacker_reports == int(mask[plan.group_members(t)].sum()) * reps
-            assert np.all(np.abs(g.reports) <= g.budget.c_bound)
+            reports = collect_reports(
+                self.values[members], mask[members], g.budget, None, self.rng, reps
+            )
+            assert reports.size == plan.expected_reports(t)
+            assert np.all(np.abs(reports) <= g.budget.c_bound)
 
     def test_attacker_fraction_concentrates(self):
         gamma = 0.25
@@ -297,11 +300,10 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, m, replace=False)] = True
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
-        groups = collect_all(self.values, mask, plan, poison_strategy(), self.rng)
-        for t, g in enumerate(groups):
-            n_members = g.reports.size / (2 ** t)
-            frac = g.n_attacker_reports / g.reports.size
-            se = np.sqrt(gamma * (1 - gamma) / n_members)
+        for t in range(plan.h):
+            members = plan.group_members(t)
+            frac = mask[members].mean()
+            se = np.sqrt(gamma * (1 - gamma) / members.size)
             assert abs(frac - gamma) <= 3 * se
 
     def test_deterministic_given_seed(self):
@@ -311,12 +313,14 @@ class TestCollect:
             rng = np.random.default_rng(99)
             plan = dap_plan(self.n, 0.5, 0.125, rng)
             groups = collect_all(self.values, mask, plan, None, rng)
-            out.append([g.reports for g in groups])
-        for a, b in zip(*out):
-            np.testing.assert_array_equal(a, b)
+            out.append([(g.report_sum.hex(), g.probe.counts.counts) for g in groups])
+        for (sum_a, counts_a), (sum_b, counts_b) in zip(*out):
+            assert sum_a == sum_b
+            np.testing.assert_array_equal(counts_a, counts_b)
 
     def test_draw_order_matches_the_inline_sequence(self):
-        # One group's draws: honest perturbations, then poison, unshuffled.
+        # One group's draws: its reports, then their shuffle; the probe draws
+        # nothing.
         mask = np.zeros(self.n, dtype=bool)
         mask[self.rng.choice(self.n, 1000, replace=False)] = True
         attack = poison_strategy()
@@ -328,15 +332,11 @@ class TestCollect:
             budget = Budget(float(plan.budgets[t]))
             reps = int(plan.reports_per_user[t])
             members = plan.group_members(t)
-            honest = members[~mask[members]]
-            n_poison = (members.size - honest.size) * reps
-            expect = np.concatenate(
-                [
-                    pm_perturb(np.repeat(self.values[honest], reps), budget, ref),
-                    attack(n_poison, budget, ref),
-                ]
-            )
-            np.testing.assert_array_equal(g.reports, expect)
+            reports = collect_reports(self.values[members], mask[members], budget, attack, ref, reps)
+            ref.shuffle(reports)
+            probe = probe_reports(reports, budget)
+            assert g.report_sum.hex() == reports.sum().hex()
+            np.testing.assert_array_equal(g.probe.counts.counts, probe.counts.counts)
             assert rng.random() == ref.random()
 
     def test_plan_must_cover_users(self):
@@ -736,6 +736,37 @@ class TestRefilter:
         assert back.mean.hex() == res.mean.hex()
         assert [g.mean.hex() for g in back.estimates] == [g.mean.hex() for g in res.estimates]
         assert back.gamma_hat.hex() == res.gamma_hat.hex()
+
+
+class TestTransformBuilds:
+    def test_three_per_group_and_none_on_refilter(self, monkeypatch):
+        # The probe builds both sides; the winning side is built once more,
+        # when the filter stage first reads a group's transform.
+        import dapmean.protocol as protocol
+
+        sides = []
+
+        def counting(budget, grid, side):
+            sides.append(side)
+            return build_transform(budget, grid, side=side)
+
+        monkeypatch.setattr(protocol, "build_transform", counting)
+        rng = np.random.default_rng(17)
+        values = rng.uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        plan = dap_plan(values.size, 1.0, 0.25, np.random.default_rng(5))
+        g = dap_collect(values, mask, plan, 0, poison_strategy(), np.random.default_rng(5))
+        assert sides == ["left", "right"]
+        assert g.transform is g.transform
+        assert sides == ["left", "right", g.probe.side]
+
+        sides.clear()
+        res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), np.random.default_rng(5))
+        assert len(sides) == 3 * len(res.groups) == 3 * 4
+        for variant in VARIANTS:
+            res.refilter(variant)
+        assert len(sides) == 3 * len(res.groups)
 
 
 def failing_on_call(k, exc):
