@@ -9,6 +9,7 @@ evasive attacks that plant a fraction of their reports on the opposite side.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import numbers
 import operator
@@ -20,6 +21,79 @@ import numpy as np
 from .mechanism import Budget, DomainError, pm_perturb
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _check_number(name: str, x, lo: float = -math.inf, hi: float = math.inf, *, optional=False):
+    """Raise ValueError unless ``x`` is a finite real number in [lo, hi] (a
+    bool is not one), or, when ``optional``, None."""
+    if optional and x is None:
+        return
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if not (real and math.isfinite(x) and lo <= x <= hi):
+        where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must be a finite number{where}, got {x!r}")
+
+
+def resolve_endpoint(expr) -> Callable[[float, float], float]:
+    """A range endpoint, given as a number or an expression in C and O, as a
+    function of (c, o).
+
+    An expression may use numbers, the names ``C`` and ``O``, binary
+    ``+ - * /``, unary ``+ -`` and parentheses.  Anything else (calls,
+    attribute access, other names, a non-finite number) raises
+    ``ValueError`` here, before any value is computed; a division by zero
+    raises it when the function is called.  Nothing is evaluated as Python
+    code.  An expression is parsed once: later calls with the same string
+    return the cached function.
+    """
+    if isinstance(expr, numbers.Real) and not isinstance(expr, bool):
+        _check_number("range endpoint", expr)
+        value = float(expr)
+        return lambda c, o: value
+    if not isinstance(expr, str):
+        raise ValueError(f"range endpoint must be a number or a string, got {expr!r}")
+    return _compile_endpoint(expr)
+
+
+@functools.lru_cache
+def _compile_endpoint(expr: str) -> Callable[[float, float], float]:
+    def build(node):
+        # Each node becomes a function of (c, o) that computes what the node spells.
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda c, o: node.value
+        if isinstance(node, ast.Name) and node.id == "C":
+            return lambda c, o: c
+        if isinstance(node, ast.Name) and node.id == "O":
+            return lambda c, o: o
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            op, left, right = _BINARY_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda c, o: op(left(c, o), right(c, o))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            op, operand = _UNARY_OPS[type(node.op)], build(node.operand)
+            return lambda c, o: op(operand(c, o))
+        raise ValueError(f"range endpoint {expr!r}: {type(node).__name__} is not allowed")
+
+    try:
+        at = build(ast.parse(expr, mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"range endpoint {expr!r}: {exc}") from None
+
+    def resolve(c: float, o: float) -> float:
+        try:
+            return float(at(c, o))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"range endpoint {expr!r}: {exc}") from None
+
+    return resolve
+
+
 class NotBiasedError(ValueError):
     """Raised when a poison range crosses the reference mean."""
 
@@ -29,17 +103,21 @@ class PoisonSpec:
     """One-sided poison value recipe.
 
     Attributes:
-        range_lo, range_hi: poison value range inside [-C, C].
+        range_lo, range_hi: poison value range inside [-C, C], each a number
+            or an expression in C and O (see ``resolve_endpoint``).
         dist: "uniform", "gaussian" or "point".
         mu, sigma: gaussian parameters (defaults: midpoint and quarter-width
             of the range, used when the caller gives none).
         value: the point-mass location for dist="point" (defaults to range_hi).
         evasion_fraction: fraction of reports planted on the opposite side.
         side: "left" or "right" of the reference mean.
+
+    Every value that does not depend on C is checked when the spec is built;
+    ``range_at`` resolves and checks the ends at each budget.
     """
 
-    range_lo: float = 0.0
-    range_hi: float = 1.0
+    range_lo: float | str = 0.0
+    range_hi: float | str = 1.0
     dist: str = "uniform"
     mu: float | None = None
     sigma: float | None = None
@@ -48,14 +126,25 @@ class PoisonSpec:
     side: str = "right"
 
     def __post_init__(self) -> None:
-        if self.range_lo > self.range_hi:
-            raise ValueError("range_lo must not exceed range_hi")
         if self.dist not in ("uniform", "gaussian", "point"):
             raise ValueError(f"unknown distribution {self.dist!r}")
-        if not (0.0 <= self.evasion_fraction <= 1.0):
-            raise ValueError("evasion_fraction must be in [0, 1]")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        _check_number("evasion_fraction", self.evasion_fraction, 0.0, 1.0)
+        _check_number("mu", self.mu, optional=True)
+        _check_number("sigma", self.sigma, lo=0.0, optional=True)
+        _check_number("value", self.value, optional=True)
+        for end in (self.range_lo, self.range_hi):
+            resolve_endpoint(end)  # an end outside the grammar fails now
+        if not isinstance(self.range_lo, str) and not isinstance(self.range_hi, str):
+            self.range_at(0.0, 0.0)  # two numbers: an inverted range fails now
+
+    def range_at(self, c: float, o: float) -> tuple[float, float]:
+        """The ends at output bound c and reference mean o; ValueError if lo > hi."""
+        lo, hi = (resolve_endpoint(end)(c, o) for end in (self.range_lo, self.range_hi))
+        if not lo <= hi:
+            raise ValueError(f"range_lo {lo} must not exceed range_hi {hi}")
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -73,8 +162,7 @@ class AttackTrace:
         return float(np.sum(self.values - self.reference_mean))
 
 
-def _draw(spec: PoisonSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = spec.range_lo, spec.range_hi
+def _draw(spec: PoisonSpec, lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
     if spec.dist == "uniform":
         return rng.uniform(lo, hi, size=m)
     if spec.dist == "point":
@@ -82,9 +170,19 @@ def _draw(spec: PoisonSpec, m: int, rng: np.random.Generator) -> np.ndarray:
         if not (lo <= v <= hi):
             raise ValueError("point value outside poison range")
         return np.full(m, float(v))
-    # Gaussian, rejection-truncated to the poison range.
+    # Gaussian, rejection-truncated to the poison range, which must hold
+    # enough of the normal's mass for the rejection loop to end.
     mu = spec.mu if spec.mu is not None else 0.5 * (lo + hi)
     sigma = spec.sigma if spec.sigma is not None else 0.25 * (hi - lo)
+    if sigma > 0:
+        z_lo, z_hi = ((x - mu) / (sigma * math.sqrt(2.0)) for x in (lo, hi))
+        mass = 0.5 * (math.erf(z_hi) - math.erf(z_lo))
+    else:
+        mass = float(lo <= mu <= hi)
+    if mass < 1e-3:
+        raise ValueError(
+            f"gaussian mu={mu} sigma={sigma} puts mass {mass:.3g} in [{lo}, {hi}], below 1e-3"
+        )
     out = np.empty(m)
     filled = 0
     while filled < m:
@@ -105,19 +203,21 @@ def gen_bba(
 ) -> AttackTrace:
     """Draw m one-sided poison values from the spec's distribution.
 
-    The poison range must lie entirely on the spec's side of the reference
-    mean and inside [-C, C].
+    The poison range, resolved at the budget's C and ``reference_mean``,
+    must lie entirely on the spec's side of the reference mean and inside
+    [-C, C].
     """
     c = budget.c_bound
-    if spec.range_lo < -c or spec.range_hi > c:
+    lo, hi = spec.range_at(c, reference_mean)
+    if lo < -c or hi > c:
         raise DomainError(f"poison range outside [-{c}, {c}]")
-    if spec.side == "right" and spec.range_lo < reference_mean:
+    if spec.side == "right" and lo < reference_mean:
         raise NotBiasedError("right-side poison range crosses the reference mean")
-    if spec.side == "left" and spec.range_hi > reference_mean:
+    if spec.side == "left" and hi > reference_mean:
         raise NotBiasedError("left-side poison range crosses the reference mean")
     if m < 0:
         raise ValueError("m must be non-negative")
-    return AttackTrace(values=_draw(spec, m, rng), reference_mean=reference_mean)
+    return AttackTrace(values=_draw(spec, lo, hi, m, rng), reference_mean=reference_mean)
 
 
 def gen_gba(
@@ -194,26 +294,29 @@ def gen_input_manipulation(
 def gen_evasive(
     spec: PoisonSpec,
     m: int,
-    evasive_value: float,
+    evasive_value: float | str,
     budget: Budget,
     rng: np.random.Generator,
     reference_mean: float = 0.0,
 ) -> AttackTrace:
     """floor(a*m) copies of the evasive value plus (m - floor(a*m)) true poison values.
 
-    The true poison values come from ``gen_bba``, so they pass its checks;
-    the evasive value must lie in [-C, C], on the side opposite the range.
+    The evasive value is a number or an expression in C and O, resolved like
+    a range end.  The true poison values come from ``gen_bba``, so they pass
+    its checks; the evasive value must lie in [-C, C], on the side opposite
+    the range.
     """
+    c = budget.c_bound
+    evasive_value = resolve_endpoint(evasive_value)(c, reference_mean)
     if spec.side == "right" and evasive_value > reference_mean:
         raise ValueError("evasive value must lie on the side opposite the poison range")
     if spec.side == "left" and evasive_value < reference_mean:
         raise ValueError("evasive value must lie on the side opposite the poison range")
-    c = budget.c_bound
     if not (-c <= evasive_value <= c):
         raise DomainError(f"evasive value outside [-{c}, {c}]")
     n_evasive = int(np.floor(spec.evasion_fraction * m))
     true_values = gen_bba(spec, m - n_evasive, budget, rng, reference_mean).values
-    values = np.concatenate([np.full(n_evasive, float(evasive_value)), true_values])
+    values = np.concatenate([np.full(n_evasive, evasive_value), true_values])
     return AttackTrace(values=values, reference_mean=reference_mean)
 
 
@@ -240,79 +343,9 @@ def evasion_bounds(
 # --- report-level strategies -------------------------------------------------
 #
 # The grouped protocol fabricates attacker reports per budget stream, so a
-# strategy is a callable (count, budget, rng) -> values.  Poison ranges are
-# given as expressions in C (the stream's output bound) and O (a reference
-# mean), e.g. "0.75*C" or "O".
+# strategy is a callable (count, budget, rng) -> values.
 
 AttackStrategy = Callable[[int, Budget, np.random.Generator], np.ndarray]
-
-
-_BINARY_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-}
-_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-
-
-def _check_number(name: str, x, lo: float = -math.inf, hi: float = math.inf, *, optional=False):
-    """Raise ValueError unless ``x`` is a finite real number in [lo, hi] (a
-    bool is not one), or, when ``optional``, None."""
-    if optional and x is None:
-        return
-    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
-    if not (real and math.isfinite(x) and lo <= x <= hi):
-        where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
-        raise ValueError(f"{name} must be a finite number{where}, got {x!r}")
-
-
-def resolve_endpoint(expr) -> Callable[[float, float], float]:
-    """A range endpoint, given as a number or an expression in C and O, as a
-    function of (c, o).
-
-    An expression may use numbers, the names ``C`` and ``O``, binary
-    ``+ - * /``, unary ``+ -`` and parentheses.  Anything else (calls,
-    attribute access, other names, a non-finite number) raises
-    ``ValueError`` here, before any value is computed; a division by zero
-    raises it when the function is called.  Nothing is evaluated as Python
-    code.
-    """
-    if isinstance(expr, numbers.Real) and not isinstance(expr, bool):
-        _check_number("range endpoint", expr)
-        value = float(expr)
-        return lambda c, o: value
-    if not isinstance(expr, str):
-        raise ValueError(f"range endpoint must be a number or a string, got {expr!r}")
-
-    def build(node):
-        # Each node becomes a function of (c, o) that computes what the node spells.
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return lambda c, o: node.value
-        if isinstance(node, ast.Name) and node.id == "C":
-            return lambda c, o: c
-        if isinstance(node, ast.Name) and node.id == "O":
-            return lambda c, o: o
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            op, left, right = _BINARY_OPS[type(node.op)], build(node.left), build(node.right)
-            return lambda c, o: op(left(c, o), right(c, o))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-            op, operand = _UNARY_OPS[type(node.op)], build(node.operand)
-            return lambda c, o: op(operand(c, o))
-        raise ValueError(f"range endpoint {expr!r}: {type(node).__name__} is not allowed")
-
-    try:
-        at = build(ast.parse(expr, mode="eval").body)
-    except SyntaxError as exc:
-        raise ValueError(f"range endpoint {expr!r}: {exc}") from None
-
-    def resolve(c: float, o: float) -> float:
-        try:
-            return float(at(c, o))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"range endpoint {expr!r}: {exc}") from None
-
-    return resolve
 
 
 def poison_strategy(
@@ -325,31 +358,15 @@ def poison_strategy(
     reference_mean: float = 0.0,
     side: str = "right",
 ) -> AttackStrategy:
-    """One-sided poison reports with range endpoints resolved per budget.
+    """One-sided poison reports from one ``PoisonSpec``, its ends resolved per budget.
 
-    An endpoint outside ``resolve_endpoint``'s grammar, an unknown ``dist``
-    or ``side``, a ``mu``, ``sigma`` (>= 0) or ``value`` that is neither
-    None nor a finite number, or a non-finite ``reference_mean`` raises
+    A value the spec rejects or a non-finite ``reference_mean`` raises
     ``ValueError`` here, before any report is drawn.
     """
-    PoisonSpec(dist=dist, side=side)  # raises on an unknown distribution or side
-    lo_at, hi_at = resolve_endpoint(lo), resolve_endpoint(hi)
-    _check_number("mu", mu, optional=True)
-    _check_number("sigma", sigma, lo=0.0, optional=True)
-    _check_number("value", value, optional=True)
+    spec = PoisonSpec(lo, hi, dist, mu, sigma, value, side=side)
     _check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
-        c = budget.c_bound
-        spec = PoisonSpec(
-            range_lo=lo_at(c, reference_mean),
-            range_hi=hi_at(c, reference_mean),
-            dist=dist,
-            mu=mu,
-            sigma=sigma,
-            value=value,
-            side=side,
-        )
         return gen_bba(spec, count, budget, rng, reference_mean).values
 
     return strategy
@@ -377,23 +394,15 @@ def evasive_strategy(
 ) -> AttackStrategy:
     """Right-side poison with a fraction ``a`` of reports planted at the evasive value.
 
-    An ``a`` that is not a number in [0, 1], an endpoint outside
-    ``resolve_endpoint``'s grammar or a non-finite ``reference_mean`` raises
-    ``ValueError`` here, before any report is drawn.
+    An ``a`` that is not a number in [0, 1], an endpoint or evasive value
+    outside ``resolve_endpoint``'s grammar or a non-finite
+    ``reference_mean`` raises ``ValueError`` here, before any report is drawn.
     """
-    _check_number("a", a, 0.0, 1.0)
-    lo_at, hi_at, evasive_at = (resolve_endpoint(e) for e in (lo, hi, evasive))
+    spec = PoisonSpec(range_lo=lo, range_hi=hi, evasion_fraction=a, side="right")
+    resolve_endpoint(evasive)
     _check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
-        c = budget.c_bound
-        spec = PoisonSpec(
-            range_lo=lo_at(c, reference_mean),
-            range_hi=hi_at(c, reference_mean),
-            evasion_fraction=a,
-            side="right",
-        )
-        ev = evasive_at(c, reference_mean)
-        return gen_evasive(spec, count, ev, budget, rng, reference_mean).values
+        return gen_evasive(spec, count, evasive, budget, rng, reference_mean).values
 
     return strategy

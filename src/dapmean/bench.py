@@ -30,7 +30,9 @@ from .mechanism import Budget, Dataset, normalize_dataset
 from .protocol import (
     FILTER_VARIANTS,
     ConfigurationError,
+    baseline_budgets,
     baseline_run,
+    budget_ladder,
     collect_reports,
     ostrich,
     run_dap,
@@ -411,12 +413,38 @@ def _run_trial(
     return records
 
 
+def _check_attack_budgets(config: ExperimentConfig, attack: AttackStrategy) -> None:
+    """Call the attack with count 0 at every budget a selected scheme draws at
+    (epsilon for ostrich and trimming, ``baseline_budgets`` for baseline, the
+    ``budget_ladder`` down to min(eps0, epsilon) for DAP), so that a value
+    that depends on C fails before any trial, as a ConfigurationError naming
+    the attack kind and the budget."""
+    schemes = set(config.schemes)
+    rng = np.random.default_rng(0)  # a count of 0 draws nothing from it
+    for epsilon in config.eps_list:
+        budgets = [epsilon] if schemes & {"ostrich", "trimming"} else []
+        if "baseline" in schemes:
+            budgets += baseline_budgets(epsilon)
+        if any(scheme.startswith("dap_") for scheme in schemes):
+            budgets += budget_ladder(epsilon, min(config.eps0, epsilon)).tolist()
+        for budget in budgets:
+            try:
+                attack(0, Budget(budget), rng)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigurationError(
+                    f"attack kind {config.attack['kind']!r} at eps={budget:g}"
+                    f" (eps_list entry {epsilon:g}): {exc}"
+                ) from None
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (scheme, epsilon, trial) cell and optionally write CSV + JSON."""
     dataset = build_dataset(
         config.dataset, np.random.SeedSequence(config.seed, spawn_key=(0,))
     )
     attack = build_attack(config.attack, default_reference=dataset.true_mean)
+    if attack is not None:
+        _check_attack_budgets(config, attack)
     tasks = [(ei, t) for ei in range(len(config.eps_list)) for t in range(config.trials)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         chunks = list(pool.map(lambda args: _run_trial(config, dataset, attack, *args), tasks))

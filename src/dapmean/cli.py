@@ -129,9 +129,14 @@ def _cmd_probe(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.values_file:
-        values = np.loadtxt(args.values_file, delimiter=",").ravel()
+        values = read_column(args.values_file, 0)
     else:
-        values = np.array([float(v) for v in args.values.split(",")])
+        try:
+            values = np.array([float(v) for v in args.values.split(",")])
+        except ValueError:
+            raise ConfigurationError(
+                f"--values must be a comma-separated list of numbers, got {args.values!r}"
+            ) from None
     trace = AttackTrace(values=values, reference_mean=args.ref)
     reduced = reduce_gba_to_bba(trace)
     print(
@@ -195,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     probe.set_defaults(func=_cmd_probe)
 
     red = sub.add_parser("reduce", help="merge a two-sided trace into a one-sided one")
-    red.add_argument("--values", help="comma-separated values")
-    red.add_argument("--values-file", help="file with one value per line")
+    source = red.add_mutually_exclusive_group(required=True)
+    source.add_argument("--values", help="comma-separated values")
+    source.add_argument("--values-file", help="CSV file, one value per line (a header is skipped)")
     red.add_argument("--ref", type=float, default=0.0)
     red.set_defaults(func=_cmd_reduce)
 

@@ -68,14 +68,12 @@ class GroupPlan:
         return self.group_members(t).size * int(self.reports_per_user[t])
 
 
-def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) -> GroupPlan:
-    """Split users into h = ceil(log2(eps/eps0)) + 1 equal-sized random groups.
+def budget_ladder(eps: float, eps0: float) -> np.ndarray:
+    """The h = ceil(log2(eps/eps0)) + 1 group budgets eps / 2^t, t = 0 .. h-1.
 
-    Group budgets halve from eps down to eps0; users in group t report
-    eps/eps_t times so every user spends exactly eps.  If eps/eps0 is not a
-    power of two, eps0 is rounded down until it is.  Remainder users go to
-    the largest-budget groups.  A ratio eps/eps0 that overflows, or more
-    groups than users, raises ``ConfigurationError``.
+    Budgets halve from eps down to eps0; if eps/eps0 is not a power of two,
+    eps0 is rounded down until it is.  Budgets outside 0 < eps0 <= eps < inf,
+    or a ratio eps/eps0 that overflows, raise ``ConfigurationError``.
     """
     if not 0 < eps0 <= eps < math.inf:
         raise ConfigurationError(
@@ -85,9 +83,20 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     if not math.isfinite(ratio):
         raise ConfigurationError(f"eps / eps0 overflows, got eps={eps}, eps0={eps0}")
     h = int(math.ceil(math.log2(ratio))) + 1 if eps0 < eps else 1
+    return eps / np.power(2.0, np.arange(h))
+
+
+def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) -> GroupPlan:
+    """Split users into one equal-sized random group per ``budget_ladder`` budget.
+
+    Users in group t report eps/eps_t times so every user spends exactly
+    eps.  Remainder users go to the largest-budget groups.  Besides the
+    ladder's errors, more groups than users raises ``ConfigurationError``.
+    """
+    budgets = budget_ladder(eps, eps0)
+    h = budgets.size
     if h > n_users:
         raise ConfigurationError(f"{h} groups need at least {h} users, got {n_users}")
-    budgets = eps / np.power(2.0, np.arange(h))
     reports = np.power(2, np.arange(h))
 
     base = n_users // h
@@ -420,6 +429,11 @@ def run_dap(
     return DapResult(eps_total=eps, groups=groups, filter_variant=filter_variant)
 
 
+def baseline_budgets(eps: float) -> tuple[float, float]:
+    """The two-budget baseline's split of eps: eps/16 to probe, 15*eps/16 to estimate."""
+    return eps / 16.0, eps * 15.0 / 16.0
+
+
 def baseline_run(
     values: np.ndarray,
     attacker_mask: np.ndarray,
@@ -431,8 +445,8 @@ def baseline_run(
     """Two-budget protocol: probe features on the small budget, estimate on the large.
 
     The total budget ``eps`` splits into eps_alpha = eps/16 and eps_beta =
-    15*eps/16.  Every user reports once at each (see ``collect_reports``).
-    Attackers inject per their strategy into both streams; with
+    15*eps/16 (``baseline_budgets``).  Every user reports once at each (see
+    ``collect_reports``).  Attackers inject per their strategy into both streams; with
     ``attack_on_alpha=False`` they behave honestly on the probing stream,
     which is the protocol's known flaw.  The poison histogram probed on the
     alpha stream is removed from the beta reports by ``intra_group_mean``,
@@ -440,7 +454,7 @@ def baseline_run(
     ``GroupEstimate``: the beta budget, the mean, the probed proportion
     and count, and the alpha probe, whose side ``side`` reads.
     """
-    eps_alpha, eps_beta = eps / 16.0, eps * 15.0 / 16.0
+    eps_alpha, eps_beta = baseline_budgets(eps)
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
     alpha_attack = attack if attack_on_alpha else None
     alpha_reports = collect_reports(values, attacker_mask, b_alpha, alpha_attack, rng)

@@ -36,11 +36,26 @@ class TestPoisonSpec:
             {"dist": "cauchy"},
             {"evasion_fraction": 1.5},
             {"side": "up"},
+            {"range_lo": "D"},
+            {"mu": "x"},
+            {"sigma": -1.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             PoisonSpec(**kwargs)
+
+    @pytest.mark.parametrize("c", [1.25, 4.328, 64.0])
+    def test_expression_ends_resolve_like_resolve_endpoint(self, c):
+        o = -0.2871
+        spec = PoisonSpec(range_lo="(C + O) / 2", range_hi="C")
+        expect = (resolve_endpoint("(C + O) / 2")(c, o), resolve_endpoint("C")(c, o))
+        assert spec.range_at(c, o) == expect
+
+    def test_inverted_expression_range_fails_when_resolved(self):
+        spec = PoisonSpec(range_lo="C", range_hi="C/2")
+        with pytest.raises(ValueError, match="must not exceed"):
+            gen_bba(spec, 10, BUDGET, np.random.default_rng(0))
 
 
 class TestGenBBA:
@@ -70,6 +85,14 @@ class TestGenBBA:
         spec = PoisonSpec(range_lo=0.0, range_hi=C + 1.0)
         with pytest.raises(DomainError):
             gen_bba(spec, 10, BUDGET, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mu, sigma", [(50.0, 0.0), (50.0, 1.0)])
+    def test_gaussian_without_mass_in_range_raises(self, mu, sigma):
+        # Rejection sampling could never fill a range that holds no mass.
+        spec = PoisonSpec(range_lo=0.75 * C, range_hi=C, dist="gaussian", mu=mu, sigma=sigma)
+        for m in (10, 0):
+            with pytest.raises(ValueError, match="mass"):
+                gen_bba(spec, m, BUDGET, np.random.default_rng(0))
 
     def test_left_side_relative_to_reference(self):
         spec = PoisonSpec(range_lo=-C, range_hi=-0.7, side="left")
@@ -298,6 +321,31 @@ class TestStrategies:
         assert evasive_strategy(a=np.float32(0.5), reference_mean=np.float64(0.0))(
             10, BUDGET, np.random.default_rng(0)
         ).size == 10
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dist": "uniform"}, {"dist": "gaussian", "mu": 3.5, "sigma": 0.5}, {"dist": "point"}],
+        ids=lambda kw: kw["dist"],
+    )
+    def test_poison_strategy_equals_gen_bba(self, kwargs):
+        o = 0.125
+        strat = poison_strategy(lo="0.75*C", hi="C", reference_mean=o, **kwargs)
+        spec = PoisonSpec(range_lo="0.75*C", range_hi="C", **kwargs)
+        rng, rng2 = np.random.default_rng(7), np.random.default_rng(7)
+        out = strat(500, BUDGET, rng)
+        expect = gen_bba(spec, 500, BUDGET, rng2, reference_mean=o).values
+        assert out.tobytes() == expect.tobytes()
+        assert rng.random() == rng2.random()
+
+    def test_evasive_strategy_equals_gen_evasive(self):
+        strat = evasive_strategy(a=0.3, lo="C/2", hi="C", evasive="-C/2")
+        spec = PoisonSpec(range_lo="C/2", range_hi="C", evasion_fraction=0.3)
+        rng, rng2 = np.random.default_rng(7), np.random.default_rng(7)
+        out = strat(500, BUDGET, rng)
+        expect = gen_evasive(spec, 500, "-C/2", BUDGET, rng2).values
+        assert out.tobytes() == expect.tobytes()
+        assert np.sum(out == -C / 2) == 150
+        assert rng.random() == rng2.random()
 
     def test_poison_strategy_scales_with_budget(self):
         strat = poison_strategy(lo="0.75*C", hi="C")

@@ -275,7 +275,15 @@ class TestConfig:
     @pytest.mark.parametrize("schemes", [["ostrich", "dap_emf_star"], ["dap_emf_star"]])
     @pytest.mark.parametrize(
         "attack, kind",
-        [({"kind": "uniform", "lo": "D"}, "uniform"), ({"kind": "evasive", "a": "x"}, "evasive")],
+        [
+            ({"kind": "uniform", "lo": "D"}, "uniform"),
+            ({"kind": "evasive", "a": "x"}, "evasive"),
+            ({"kind": "uniform", "lo": "C/0"}, "uniform"),
+            ({"kind": "uniform", "lo": 2, "hi": 1}, "uniform"),
+            ({"kind": "uniform", "lo": "2*C", "hi": "3*C"}, "uniform"),
+            ({"kind": "gaussian", "mu": 50, "sigma": 0}, "gaussian"),
+            ({"kind": "gaussian", "mu": 50, "sigma": 1}, "gaussian"),
+        ],
     )
     def test_run_rejects_bad_attack_values_before_any_trial(
         self, schemes, attack, kind, monkeypatch
@@ -289,6 +297,39 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(self.base(schemes=schemes, attack=attack))
         with pytest.raises(ConfigurationError, match=f"attack kind {kind!r}"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("schemes", [["ostrich"], ["trimming"], ["baseline"], ["dap_emf_star"]])
+    def test_run_checks_attack_at_every_budget_before_any_trial(self, schemes, monkeypatch):
+        # [3, 4] lies inside [-C, C] at eps=1 (C = 4.08) but not at eps=4 (C = 1.31).
+        import dapmean.bench as bench
+
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        attack = {"kind": "uniform", "lo": 3, "hi": 4}
+        cfg = ExperimentConfig.from_dict(self.base(schemes=schemes, attack=attack, eps_list=[1, 4]))
+        with pytest.raises(ConfigurationError, match="attack kind 'uniform' at eps=.*entry 4"):
+            run_experiment(cfg)
+
+    def test_run_checks_attack_down_the_dap_ladder(self, monkeypatch):
+        # hi = 8 - C is above lo = 0.5 at eps=1 (C = 4.08) but below it at eps=0.5 (C = 8.04).
+        import dapmean.bench as bench
+
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        attack = {"kind": "uniform", "lo": 0.5, "hi": "8 - C"}
+        cfg = ExperimentConfig.from_dict(self.base(schemes=["dap_emf_star"], attack=attack))
+        with pytest.raises(ConfigurationError, match="at eps=0.5 .*must not exceed"):
+            run_experiment(cfg)
+
+    def test_run_with_attack_valid_at_every_budget(self):
+        attack = {"kind": "uniform", "lo": 3, "hi": 4}
+        cfg = ExperimentConfig.from_dict(self.base(attack=attack, eps_list=[1]))
+        result = run_experiment(cfg)
+        assert result.failed_cells() == []
 
     @pytest.mark.parametrize("key", ["dataset", "eps_list"])
     def test_missing_key_rejected(self, key):

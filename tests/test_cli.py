@@ -50,6 +50,35 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["output_count"] == 1
 
+    def test_values_file_skips_a_header(self, capsys, tmp_path):
+        p = tmp_path / "vals.csv"
+        p.write_text("value\n-0.8\n0.3\n")
+        code, out, _ = run_cli(capsys, "reduce", "--values-file", str(p))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["input_count"], payload["reduced_values"]) == (2, [-0.5])
+
+    def test_empty_values_file(self, capsys, tmp_path):
+        p = tmp_path / "vals.csv"
+        p.write_text("")
+        code, out, err = run_cli(capsys, "reduce", "--values-file", str(p))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "empty file" in payload["message"]
+
+    @pytest.mark.parametrize("extra", [[], ["--values=0.1", "--values-file=vals.csv"]])
+    def test_needs_exactly_one_source(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", *extra])
+        assert exc.value.code == 2
+
+    def test_values_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "reduce", "--values=1,x")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "--values" in payload["message"] and "'1,x'" in payload["message"]
+
 
 class TestProbe:
     def test_reports_csv(self, capsys, tmp_path):
