@@ -11,14 +11,13 @@ from __future__ import annotations
 import ast
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .mechanism import Budget, DomainError, pm_perturb
+from .mechanism import Budget, DomainError, check_number, pm_perturb
 
 
 _BINARY_OPS = {
@@ -28,17 +27,6 @@ _BINARY_OPS = {
     ast.Div: operator.truediv,
 }
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-
-
-def _check_number(name: str, x, lo: float = -math.inf, hi: float = math.inf, *, optional=False):
-    """Raise ValueError unless ``x`` is a finite real number in [lo, hi] (a
-    bool is not one), or, when ``optional``, None."""
-    if optional and x is None:
-        return
-    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
-    if not (real and math.isfinite(x) and lo <= x <= hi):
-        where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
-        raise ValueError(f"{name} must be a finite number{where}, got {x!r}")
 
 
 def resolve_endpoint(expr) -> Callable[[float, float], float]:
@@ -53,13 +41,11 @@ def resolve_endpoint(expr) -> Callable[[float, float], float]:
     code.  An expression is parsed once: later calls with the same string
     return the cached function.
     """
-    if isinstance(expr, numbers.Real) and not isinstance(expr, bool):
-        _check_number("range endpoint", expr)
-        value = float(expr)
-        return lambda c, o: value
-    if not isinstance(expr, str):
-        raise ValueError(f"range endpoint must be a number or a string, got {expr!r}")
-    return _compile_endpoint(expr)
+    if isinstance(expr, str):
+        return _compile_endpoint(expr)
+    check_number("a range endpoint that is not a string", expr)
+    value = float(expr)
+    return lambda c, o: value
 
 
 @functools.lru_cache
@@ -130,10 +116,10 @@ class PoisonSpec:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        _check_number("evasion_fraction", self.evasion_fraction, 0.0, 1.0)
-        _check_number("mu", self.mu, optional=True)
-        _check_number("sigma", self.sigma, lo=0.0, optional=True)
-        _check_number("value", self.value, optional=True)
+        check_number("evasion_fraction", self.evasion_fraction, ge=0, le=1)
+        for name, ge in (("mu", None), ("sigma", 0), ("value", None)):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), ge=ge)
         for end in (self.range_lo, self.range_hi):
             resolve_endpoint(end)  # an end outside the grammar fails now
         if not isinstance(self.range_lo, str) and not isinstance(self.range_hi, str):
@@ -249,9 +235,13 @@ def reduce_gba_to_bba(trace: AttackTrace, *, bound: float | None = None) -> Atta
     carries their combined deviation.  The output lies entirely on the side
     of the input's deviation-sum sign, has at most as many values, and
     preserves the deviation sum exactly (up to float rounding).  A trace with
-    zero deviation sum reduces to the empty trace.
+    zero deviation sum reduces to the empty trace.  A non-finite value or
+    reference mean raises ``ValueError``.
     """
     v, o = trace.values, trace.reference_mean
+    check_number("reference_mean", o)
+    if not np.isfinite(v).all():
+        raise ValueError("trace values must be finite")
     if bound is not None and v.size and (v.min() < -bound or v.max() > bound):
         raise DomainError(f"trace values outside [-{bound}, {bound}]")
     if not (np.any(v < o) and np.any(v > o)):
@@ -364,7 +354,7 @@ def poison_strategy(
     ``ValueError`` here, before any report is drawn.
     """
     spec = PoisonSpec(lo, hi, dist, mu, sigma, value, side=side)
-    _check_number("reference_mean", reference_mean)
+    check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         return gen_bba(spec, count, budget, rng, reference_mean).values
@@ -377,7 +367,7 @@ def input_manipulation_strategy(g: float = 1.0) -> AttackStrategy:
 
     A ``g`` that is not a number in [-1, 1] raises ``ValueError`` here.
     """
-    _check_number("g", g, -1.0, 1.0)
+    check_number("g", g, ge=-1, le=1)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         return gen_input_manipulation(g, count, budget, rng).values
@@ -400,7 +390,7 @@ def evasive_strategy(
     """
     spec = PoisonSpec(range_lo=lo, range_hi=hi, evasion_fraction=a, side="right")
     resolve_endpoint(evasive)
-    _check_number("reference_mean", reference_mean)
+    check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         return gen_evasive(spec, count, evasive, budget, rng, reference_mean).values

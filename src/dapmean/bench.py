@@ -16,7 +16,6 @@ import csv
 import inspect
 import json
 import math
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import attacks
 from .attacks import AttackStrategy
-from .mechanism import Budget, Dataset, normalize_dataset
+from .mechanism import Budget, Dataset, check_number, normalize_dataset
 from .protocol import (
     FILTER_VARIANTS,
     ConfigurationError,
@@ -54,7 +53,8 @@ def read_column(path, column) -> np.ndarray:
     ``column`` is a header name or a zero-based index; with an index, a
     first row that does not parse is a header.  A name the header lacks, or
     an index past every row's last column, raises ``KeyError``.  Rows whose
-    value does not parse are skipped, with a warning that counts them.
+    value does not parse as a finite number (``nan`` and ``inf`` do not)
+    are skipped, with a warning that counts them.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -81,15 +81,17 @@ def read_column(path, column) -> np.ndarray:
         idx = header.index(column)
         start = 1
 
-    values, bad = [], 0
+    values = []
     for row in rows[start:]:
         try:
             values.append(float(row[idx]))
         except (ValueError, IndexError):
-            bad += 1
-    if bad:
-        warnings.warn(f"{path}: skipped {bad} unparsable rows", stacklevel=2)
-    return np.asarray(values, dtype=float)
+            values.append(math.nan)
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        warnings.warn(f"{path}: skipped {(~finite).sum()} unparsable rows", stacklevel=2)
+    return values[finite]
 
 
 def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
@@ -104,14 +106,6 @@ def load_csv(path, column, clip: tuple[float, float] | None = None) -> Dataset:
     if arr.size < 2:
         raise ValueError(f"{path}: fewer than 2 usable rows")
     return normalize_dataset(arr)
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass
@@ -138,34 +132,27 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         shapes = {"dataset": dict, "attack": dict, "eps_list": list, "schemes": list}
-        for name, kind in shapes.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
-        if not (_is_integer(self.trials) and self.trials >= 1):
-            raise ConfigurationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.schemes:
-            raise ConfigurationError("schemes must be nonempty")
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
-            raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ConfigurationError(f"schemes must not repeat, got {self.schemes}")
-        if not (_is_real(self.gamma) and 0.0 <= self.gamma < 0.5):
-            raise ConfigurationError(f"gamma must be a number in [0, 0.5), got {self.gamma!r}")
-        if not self.eps_list:
-            raise ConfigurationError("eps_list must be nonempty")
-        bad = [e for e in self.eps_list if not (_is_real(e) and math.isfinite(e) and e > 0)]
-        if bad:
-            raise ConfigurationError(f"eps_list entries must be finite positive numbers, got {bad}")
-        if len(set(self.eps_list)) < len(self.eps_list):
-            raise ConfigurationError(f"eps_list must not repeat, got {self.eps_list}")
-        if not (_is_real(self.eps0) and self.eps0 > 0):
-            raise ConfigurationError(f"eps0 must be a positive number, got {self.eps0!r}")
-        if not (_is_integer(self.workers) and self.workers >= 1):
-            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
+        try:
+            for name, kind in shapes.items():
+                value = getattr(self, name)
+                if not isinstance(value, kind):
+                    raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+            check_number("trials", self.trials, integer=True, ge=1)
+            check_number("seed", self.seed, integer=True, ge=0)
+            check_number("gamma", self.gamma, ge=0, lt=0.5)
+            check_number("eps0", self.eps0, gt=0)
+            check_number("workers", self.workers, integer=True, ge=1)
+            for epsilon in self.eps_list:
+                check_number("eps_list entry", epsilon, gt=0)
+            for name in ("schemes", "eps_list"):
+                value = getattr(self, name)
+                if not value or len(set(value)) < len(value):
+                    raise ValueError(f"{name} must be nonempty and must not repeat, got {value}")
+            unknown = set(self.schemes) - set(SCHEMES)
+            if unknown:
+                raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -247,49 +234,40 @@ def build_dataset(spec: dict, seed) -> Dataset:
     raises ConfigurationError naming the key."""
     keys = dict(spec)
     kind = keys.pop("type", "beta")
+    if kind not in ("beta", "csv"):
+        raise ConfigurationError(f"unknown dataset type {kind!r}")
+    takes = {"beta": ("a", "b", "n"), "csv": ("path", "column", "clip")}[kind]
+    _check_keys(f"dataset type {kind!r}", keys, takes)
+    # A "csv" spec needs only its path: column defaults to 0 and clip to null.
+    for key in takes if kind == "beta" else ("path",):
+        if key not in keys:
+            raise ConfigurationError(f"dataset type {kind!r} needs the key {key!r}")
+    path, column, clip = keys.get("path"), keys.get("column", 0), keys.get("clip")
+    try:
+        if kind == "beta":
+            check_number("'a'", keys["a"], gt=0)
+            check_number("'b'", keys["b"], gt=0)
+            check_number("'n'", keys["n"], integer=True, ge=2)
+        else:
+            if not isinstance(path, str):
+                raise ValueError(f"'path' must be a string, got {path!r}")
+            if not isinstance(column, str):
+                check_number("'column' that is not a string", column, integer=True)
+            if clip is not None:
+                if not (isinstance(clip, (list, tuple)) and len(clip) == 2):
+                    raise ValueError(f"'clip' must be null or [lo, hi], got {clip!r}")
+                check_number("'clip' lo", clip[0])
+                check_number("'clip' hi", clip[1], gt=clip[0])
+    except ValueError as exc:
+        raise ConfigurationError(f"dataset type {kind!r} key {exc}") from None
     if kind == "beta":
-        _check_keys(f"dataset type {kind!r}", keys, ("a", "b", "n"))
-        shape = (lambda x: _is_real(x) and math.isfinite(x) and x > 0, "a finite positive number")
-        count = (lambda n: _is_integer(n) and n >= 2, "an integer >= 2")
-        for key, (ok, what) in {"a": shape, "b": shape, "n": count}.items():
-            if key not in keys:
-                raise ConfigurationError(f"dataset type {kind!r} needs the key {key!r}")
-            if not ok(keys[key]):
-                raise ConfigurationError(
-                    f"dataset type {kind!r} key {key!r} must be {what}, got {keys[key]!r}"
-                )
         return gen_beta(keys["a"], keys["b"], int(keys["n"]), seed)
-    if kind == "csv":
-        _check_keys(f"dataset type {kind!r}", keys, ("path", "column", "clip"))
-        if "path" not in keys:
-            raise ConfigurationError(f"dataset type {kind!r} needs the key 'path'")
-        path, column, clip = keys["path"], keys.get("column", 0), keys.get("clip")
-        checks = {
-            "path": (isinstance(path, str), "a string"),
-            "column": (isinstance(column, str) or _is_integer(column), "a string or an integer"),
-            "clip": (
-                clip is None
-                or (
-                    isinstance(clip, (list, tuple))
-                    and len(clip) == 2
-                    and all(_is_real(x) and math.isfinite(x) for x in clip)
-                    and clip[0] < clip[1]
-                ),
-                "null or two finite numbers [lo, hi] with lo < hi",
-            ),
-        }
-        for key, (ok, what) in checks.items():
-            if not ok:
-                raise ConfigurationError(
-                    f"dataset type {kind!r} key {key!r} must be {what}, got {keys.get(key)!r}"
-                )
-        try:
-            return load_csv(path, column, None if clip is None else tuple(clip))
-        except KeyError:
-            raise ConfigurationError(
-                f"dataset type {kind!r} key 'column' names no column of {path}, got {column!r}"
-            ) from None
-    raise ConfigurationError(f"unknown dataset type {kind!r}")
+    try:
+        return load_csv(path, column, None if clip is None else tuple(clip))
+    except KeyError:
+        raise ConfigurationError(
+            f"dataset type {kind!r} key 'column' names no column of {path}, got {column!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -413,12 +391,12 @@ def _run_trial(
     return records
 
 
-def _check_attack_budgets(config: ExperimentConfig, attack: AttackStrategy) -> None:
-    """Call the attack with count 0 at every budget a selected scheme draws at
-    (epsilon for ostrich and trimming, ``baseline_budgets`` for baseline, the
-    ``budget_ladder`` down to min(eps0, epsilon) for DAP), so that a value
-    that depends on C fails before any trial, as a ConfigurationError naming
-    the attack kind and the budget."""
+def _check_budgets(config: ExperimentConfig, attack: AttackStrategy | None) -> None:
+    """Build every budget a selected scheme draws at (epsilon for ostrich and
+    trimming, ``baseline_budgets`` for baseline, the ``budget_ladder`` down to
+    min(eps0, epsilon) for DAP) and call the attack, if any, with count 0 at
+    each, so that a budget whose C is not finite and above 1, or an attack value
+    that depends on C, fails before any trial, naming the eps_list entry."""
     schemes = set(config.schemes)
     rng = np.random.default_rng(0)  # a count of 0 draws nothing from it
     for epsilon in config.eps_list:
@@ -427,13 +405,16 @@ def _check_attack_budgets(config: ExperimentConfig, attack: AttackStrategy) -> N
             budgets += baseline_budgets(epsilon)
         if any(scheme.startswith("dap_") for scheme in schemes):
             budgets += budget_ladder(epsilon, min(config.eps0, epsilon)).tolist()
-        for budget in budgets:
+        for eps in budgets:
+            what = "budget"
             try:
-                attack(0, Budget(budget), rng)
+                budget = Budget(eps)
+                if attack is not None:
+                    what = f"attack kind {config.attack['kind']!r}"
+                    attack(0, budget, rng)
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigurationError(
-                    f"attack kind {config.attack['kind']!r} at eps={budget:g}"
-                    f" (eps_list entry {epsilon:g}): {exc}"
+                    f"{what} at eps={eps:g} (eps_list entry {epsilon:g}): {exc}"
                 ) from None
 
 
@@ -443,8 +424,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.dataset, np.random.SeedSequence(config.seed, spawn_key=(0,))
     )
     attack = build_attack(config.attack, default_reference=dataset.true_mean)
-    if attack is not None:
-        _check_attack_budgets(config, attack)
+    _check_budgets(config, attack)
     tasks = [(ei, t) for ei in range(len(config.eps_list)) for t in range(config.trials)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         chunks = list(pool.map(lambda args: _run_trial(config, dataset, attack, *args), tasks))

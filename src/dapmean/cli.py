@@ -38,6 +38,16 @@ def _parse_dataset(text: str) -> dict:
     )
 
 
+def _parse_numbers(flag: str, text: str) -> list[float]:
+    """Comma-separated numbers; any other text raises ConfigurationError naming ``flag``."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} must be a comma-separated list of numbers, got {text!r}"
+        ) from None
+
+
 # Defaults of the simulate flags that no ExperimentConfig field declares; a
 # left-out flag that sets a field takes ExperimentConfig's default.
 _FLAG_DEFAULTS = {
@@ -76,16 +86,9 @@ def _cmd_simulate(args) -> int:
             attack = {"kind": "none"}
         if "schemes" in flags:
             flags["schemes"] = flags["schemes"].split(",")
-        text = flags.pop("eps")
-        try:
-            eps_list = [float(e) for e in text.split(",")]
-        except ValueError:
-            raise ConfigurationError(
-                f"--eps must be a comma-separated list of numbers, got {text!r}"
-            ) from None
         cfg = ExperimentConfig(
             dataset=_parse_dataset(flags.pop("dataset")),
-            eps_list=eps_list,
+            eps_list=_parse_numbers("--eps", flags.pop("eps")),
             attack=attack,
             out=out,
             **flags,
@@ -131,12 +134,7 @@ def _cmd_reduce(args) -> int:
     if args.values_file:
         values = read_column(args.values_file, 0)
     else:
-        try:
-            values = np.array([float(v) for v in args.values.split(",")])
-        except ValueError:
-            raise ConfigurationError(
-                f"--values must be a comma-separated list of numbers, got {args.values!r}"
-            ) from None
+        values = np.array(_parse_numbers("--values", args.values))
     trace = AttackTrace(values=values, reference_mean=args.ref)
     reduced = reduce_gba_to_bba(trace)
     print(

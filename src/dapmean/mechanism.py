@@ -8,14 +8,17 @@ domains, dataset normalization, and the piecewise mechanism itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class InvalidBudgetError(ValueError):
-    """Raised when a privacy budget is non-positive."""
+    """Raised when a privacy budget's output bound C is not finite and above 1."""
 
 
 class DomainError(ValueError):
@@ -26,20 +29,46 @@ class DegenerateRangeError(ValueError):
     """Raised when a dataset has no spread to normalize over."""
 
 
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def check_number(name: str, x, *, integer: bool = False, ge=None, gt=None, le=None, lt=None):
+    """Raise ValueError, its message starting with ``name``, unless ``x`` is a
+    finite real number, or an integer when ``integer`` (a bool is neither),
+    with x >= ``ge``, x > ``gt``, x <= ``le`` and x < ``lt`` for each bound
+    given.  This is the one check for a number from outside the program."""
+    bounds = [(sym, b) for sym, b in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if b is not None]
+    real = isinstance(x, numbers.Integral if integer else numbers.Real) and type(x) is not bool
+    ok = False
+    with contextlib.suppress(OverflowError):  # an int past the float range is not finite
+        ok = real and (integer or math.isfinite(x)) and all(_COMPARE[s](x, b) for s, b in bounds)
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        where = " and".join(f" {sym} {b:g}" for sym, b in bounds)
+        raise ValueError(f"{name} must be {what}{where}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """A privacy budget epsilon and its derived perturbation-domain bound.
 
     The perturbed output domain is ``[-C, C]`` with
     ``C = (e^(eps/2) + 1) / (e^(eps/2) - 1)``, which is > 1 and strictly
-    decreasing in epsilon.
+    decreasing in epsilon.  An epsilon whose C is not finite and above 1 in
+    floating point (roughly outside 2.2e-16 to 74) raises InvalidBudgetError.
     """
 
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0):
-            raise InvalidBudgetError(f"epsilon must be positive, got {self.epsilon}")
+        try:
+            check_number("epsilon", self.epsilon, gt=0)
+            check_number("C", self.c_bound, gt=1)  # may overflow or divide by zero
+        except (ValueError, ArithmeticError):
+            raise InvalidBudgetError(
+                "epsilon must be a finite number > 0 whose output bound C is finite"
+                f" and above 1 (roughly 2.2e-16 < epsilon < 74), got {self.epsilon!r}"
+            ) from None
 
     @property
     def c_bound(self) -> float:
@@ -110,7 +139,7 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
         else a 1-D array of ``v.size * reps`` values.
     """
     arr = np.asarray(v, dtype=float)
-    if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
+    if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
         raise DomainError("input values must lie in [-1, 1]")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -256,7 +285,7 @@ class Dataset:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.size and (v.min() < -1.0 or v.max() > 1.0):
+        if v.size and not (v.min() >= -1.0 and v.max() <= 1.0):
             raise DomainError("dataset values must lie in [-1, 1]")
 
     @property

@@ -144,6 +144,16 @@ class TestReduction:
         np.testing.assert_allclose(out.values, [0.2])
         assert out.reference_mean == 0.5
 
+    @pytest.mark.parametrize(
+        "values, ref",
+        [([1.0, np.nan, -2.0], 0.0), ([1.0, np.inf, -2.0], 0.0), ([1.0, -2.0], np.nan)],
+        ids=["nan-value", "inf-value", "nan-reference"],
+    )
+    def test_non_finite_input_rejected(self, values, ref):
+        trace = AttackTrace(values=np.array(values), reference_mean=ref)
+        with pytest.raises(ValueError, match="finite"):
+            reduce_gba_to_bba(trace)
+
     def test_bound_is_keyword_only(self):
         # A positional second argument would once have been the reference.
         trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)

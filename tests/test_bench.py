@@ -52,6 +52,14 @@ class TestDatasets:
             ds = load_csv(p, column=0)
         assert ds.n == 2
 
+    @pytest.mark.parametrize("column", [0, "x"])
+    def test_load_csv_skips_non_finite_cells(self, tmp_path, column):
+        p = tmp_path / "data.csv"
+        p.write_text("x\n10\nnan\n20\ninf\n30\n-inf\nNaN\n")
+        with pytest.warns(UserWarning, match="skipped 4 unparsable rows"):
+            ds = load_csv(p, column=column)
+        np.testing.assert_allclose(ds.values, [-1.0, 0.0, 1.0])
+
     def test_load_csv_clip(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("x\n5\n10\n20\n100\n")
@@ -330,6 +338,48 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(self.base(attack=attack, eps_list=[1]))
         result = run_experiment(cfg)
         assert result.failed_cells() == []
+
+    @pytest.mark.parametrize("attack", [{"kind": "none"}, {"kind": "uniform"}])
+    @pytest.mark.parametrize("eps", [2000, 80, 1e-17])
+    def test_run_rejects_a_budget_whose_c_is_not_above_one(self, eps, attack, monkeypatch):
+        # e^(eps/2) overflows at 2000, C rounds to 1 at 80 and divides by zero at 1e-17.
+        import dapmean.bench as bench
+
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        schemes = ["ostrich", "dap_emf_star"]
+        cfg = ExperimentConfig.from_dict(self.base(eps_list=[eps], attack=attack, schemes=schemes))
+        with pytest.raises(ConfigurationError, match=f"eps_list entry {eps:g}.*epsilon"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("schemes", [["baseline"], ["dap_emf_star"]])
+    def test_run_rejects_a_derived_budget_whose_c_is_not_above_one(self, schemes):
+        # eps/16 for baseline and eps0 for DAP divide C by zero, eps itself does not.
+        d = self.base(eps_list=[1e-15], eps0=1e-17, schemes=schemes, attack={"kind": "none"})
+        with pytest.raises(ConfigurationError, match=r"budget at eps=\S+ \(eps_list entry 1e-15\)"):
+            run_experiment(ExperimentConfig.from_dict(d))
+
+    def test_run_at_the_largest_budget_with_c_above_one(self):
+        # C - 1 is about 2e-16 at eps=73: the run goes ahead.
+        d = self.base(eps_list=[73], schemes=["ostrich", "dap_emf_star"], trials=1)
+        for attack in ({"kind": "none"}, {"kind": "uniform"}):
+            result = run_experiment(ExperimentConfig.from_dict(d | {"attack": attack}))
+            assert len(result.records) == 2
+
+    def test_infinite_eps0_rejected(self):
+        with pytest.raises(ConfigurationError, match="^eps0 must be a finite number > 0, got inf"):
+            ExperimentConfig.from_dict(self.base(eps0=float("inf")))
+
+    def test_run_skips_non_finite_csv_cells(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("x\n1\n2\nnan\n4\n5\n6\ninf\n")
+        dataset = {"type": "csv", "path": str(p), "column": "x"}
+        cfg = ExperimentConfig.from_dict(self.base(dataset=dataset, schemes=["ostrich"], trials=1))
+        with pytest.warns(UserWarning, match="skipped 2"):
+            [record] = run_experiment(cfg).records
+        assert math.isfinite(record.estimate) and math.isfinite(record.truth)
 
     @pytest.mark.parametrize("key", ["dataset", "eps_list"])
     def test_missing_key_rejected(self, key):

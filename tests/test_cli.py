@@ -72,6 +72,25 @@ class TestReduce:
             main(["reduce", *extra])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--values=1,nan,-2"], ["--values=1,inf,-2"], ["--values=1,-2", "--ref", "nan"]],
+        ids=["nan-value", "inf-value", "nan-ref"],
+    )
+    def test_non_finite_input_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "finite" in payload["message"]
+
+    def test_values_file_skips_non_finite_cells(self, capsys, tmp_path):
+        p = tmp_path / "vals.csv"
+        p.write_text("-0.8\nnan\n0.3\ninf\n")
+        with pytest.warns(UserWarning, match="skipped 2"):
+            code, out, _ = run_cli(capsys, "reduce", "--values-file", str(p))
+        assert code == 0
+        assert json.loads(out)["reduced_values"] == [-0.5]
+
     def test_values_not_a_number(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--values=1,x")
         assert code == 1 and out == ""

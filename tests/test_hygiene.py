@@ -1,9 +1,11 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so three rules are checked here.  Every
-name a module imports must be read somewhere in that module.  Every public
-top-level function or class of ``src/dapmean`` must be read by the package,
-a demo, the benchmark or a README example, unless it is on ``TESTED_ONLY``.
+No linter ships with the project, so four rules are checked here.  Every
+name a module imports must be read somewhere in that module, and only
+``mechanism.py`` imports ``numbers``: every other module checks outside
+numbers with its ``check_number``.  Every public top-level function or
+class of ``src/dapmean`` must be read by the package, a demo, the
+benchmark or a README example, unless it is on ``TESTED_ONLY``.
 Every public field, property or method of such a class must be read as an
 attribute by those same readers, unless it is on ``UNREAD_MEMBERS``.
 ``__init__.py`` is skipped by these rules because its imports are the
@@ -59,6 +61,29 @@ def test_scanner_flags_only_unread_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports; relative imports are left out."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_import_scanner():
+    source = "import numbers\nimport os.path as p\nfrom numpy import array\nfrom . import attacks\n"
+    assert imported_modules(source) == {"numbers", "os", "numpy"}
+
+
+def test_only_mechanism_imports_numbers():
+    # One number check: every other module calls mechanism.check_number.
+    sources = sorted((ROOT / "src" / "dapmean").glob("*.py"))
+    importers = [p.name for p in sources if "numbers" in imported_modules(p.read_text())]
+    assert importers == ["mechanism.py"]
 
 
 # Paper constructions that no pipeline runs but the tests exercise.

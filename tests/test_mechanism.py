@@ -11,8 +11,10 @@ from dapmean.mechanism import (
     PM_BLOCK,
     Budget,
     BucketGrid,
+    Dataset,
     DomainError,
     InvalidBudgetError,
+    check_number,
     normalize_dataset,
     perturbation_matrix,
     pm_perturb,
@@ -51,6 +53,55 @@ class TestBudget:
         with pytest.raises(InvalidBudgetError):
             Budget(eps)
 
+    @pytest.mark.parametrize(
+        "eps", [2000.0, 80.0, 1e-17, math.inf, math.nan, True, "1"],
+        ids=["overflow", "c-rounds-to-1", "divides-by-zero", "inf", "nan", "bool", "str"],
+    )
+    def test_rejects_epsilon_whose_c_is_not_finite_and_above_one(self, eps):
+        # e^(eps/2) overflows at 2000; at 80, C = (t+1)/(t-1) rounds to exactly
+        # 1; at 1e-17, e^(eps/2) rounds to 1 and C divides by zero.
+        with pytest.raises(InvalidBudgetError, match=r"^epsilon .*got"):
+            Budget(eps)
+
+    def test_epsilon_just_below_the_top_keeps_c_above_one(self):
+        assert 1.0 < Budget(73.0).c_bound < 1.0 + 1e-15
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("x", [0, -2.5, np.float32(0.5), np.int64(3)])
+    def test_accepts_finite_reals(self, x):
+        check_number("x", x)
+
+    @pytest.mark.parametrize(
+        "x", [True, None, "1", math.nan, math.inf, -math.inf, np.ones(1), -(10**400)]
+    )
+    def test_rejects_everything_else(self, x):
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
+            check_number("x", x)
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, np.float64(2.0), False])
+    def test_integer_rejects_non_integers(self, x):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            check_number("n", x, integer=True)
+
+    @pytest.mark.parametrize("x", [2, np.int64(2), 10**400])
+    def test_integer_accepts_any_integral(self, x):
+        check_number("n", x, integer=True)
+
+    @pytest.mark.parametrize(
+        "bounds, inside, outside",
+        [({"ge": 0}, 0, -0.1), ({"gt": 0}, 0.1, 0), ({"le": 1}, 1, 1.1), ({"lt": 0.5}, 0.4, 0.5)],
+    )
+    def test_each_bound_is_checked(self, bounds, inside, outside):
+        check_number("x", inside, **bounds)
+        with pytest.raises(ValueError, match="^x must be a finite number [<>]"):
+            check_number("x", outside, **bounds)
+
+    def test_message_names_every_bound(self):
+        with pytest.raises(ValueError) as exc:
+            check_number("gamma", 0.5, ge=0, lt=0.5)
+        assert str(exc.value) == "gamma must be a finite number >= 0 and < 0.5, got 0.5"
+
 
 def test_worst_case_variance_hand_value():
     # 1/(3-1) + (3+3)/(3*(3-1)^2) = 1/2 + 1/2 = 1
@@ -67,6 +118,11 @@ class TestPerturb:
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
             pm_perturb(np.array([1.2]), Budget(1.0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(DomainError):
+            pm_perturb(np.array([0.5, bad, -0.5]), Budget(1.0), np.random.default_rng(0))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -357,6 +413,12 @@ class TestTransitionProbs:
             # Each bucket probability is O(1/d_out); 5 binomial SEs per bucket.
             se = np.sqrt(np.maximum(col * (1 - col), 1e-12) / n)
             assert np.all(np.abs(emp - col) <= 5 * se + 1e-4)
+
+
+class TestDataset:
+    def test_rejects_nan_values(self):
+        with pytest.raises(DomainError):
+            Dataset(values=np.array([0.0, math.nan, 0.5]), true_mean=0.0)
 
 
 class TestNormalize:
