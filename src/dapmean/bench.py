@@ -144,13 +144,14 @@ class ExperimentConfig:
             check_number("workers", self.workers, integer=True, ge=1)
             for epsilon in self.eps_list:
                 check_number("eps_list entry", epsilon, gt=0)
+            # Compared by equality, not hashed: an entry may be any JSON value.
+            unknown = [scheme for scheme in self.schemes if scheme not in SCHEMES]
+            if unknown:
+                raise ValueError(f"schemes has unknown entries: {unknown}")
             for name in ("schemes", "eps_list"):
                 value = getattr(self, name)
                 if not value or len(set(value)) < len(value):
                     raise ValueError(f"{name} must be nonempty and must not repeat, got {value}")
-            unknown = set(self.schemes) - set(SCHEMES)
-            if unknown:
-                raise ValueError(f"unknown schemes: {sorted(unknown)}")
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
 
@@ -177,7 +178,7 @@ class ExperimentConfig:
 def _check_keys(label: str, keys, takes) -> None:
     """Raise ConfigurationError naming the first spec key the reader does not
     take; ``label`` names the reader, e.g. "config" or "attack kind 'uniform'"."""
-    unknown = sorted(set(keys) - set(takes))
+    unknown = sorted(set(keys) - set(takes), key=str)  # a key may be any hashable
     if unknown:
         raise ConfigurationError(
             f"{label} does not take the key {unknown[0]!r} (it takes {sorted(takes)})"
@@ -212,7 +213,7 @@ def build_attack(spec: dict, default_reference: float = 0.0) -> AttackStrategy |
     if kind == "none":
         _check_keys(f"attack kind {kind!r}", keys, ())
         return None
-    if kind not in ATTACK_KINDS:
+    if not isinstance(kind, str) or kind not in ATTACK_KINDS:
         raise ConfigurationError(f"unknown attack kind {kind!r}")
     factory = getattr(attacks, ATTACK_KINDS[kind])
     fixed = {"dist": kind} if factory is attacks.poison_strategy else {}

@@ -235,6 +235,8 @@ class TestConfig:
             {"schemes": "ostrich"},
             {"attack": "uniform"},
             {"dataset": [1, 2]},
+            {"schemes": [["ostrich"]]},
+            {"schemes": ["ostrich", 1, "x"]},
         ],
     )
     def test_wrong_types_rejected(self, over):
@@ -420,6 +422,10 @@ class TestBuildAttack:
         with pytest.raises(ConfigurationError):
             build_attack({"kind": "ddos"})
 
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="attack kind"):
+            build_attack({"kind": ["uniform"]})
+
     @pytest.mark.parametrize(
         "spec, key",
         [
@@ -429,8 +435,9 @@ class TestBuildAttack:
             ({"kind": "point", "dist": "uniform"}, "dist"),
             ({"kind": "input", "lo": "0.5*C"}, "lo"),
             ({"kind": "evasive", "side": "left"}, "side"),
+            ({"kind": "uniform", 1: 2, "x": 3}, 1),
         ],
-        ids=["none", "uniform", "gaussian", "point", "input", "evasive"],
+        ids=["none", "uniform", "gaussian", "point", "input", "evasive", "mixed-key-types"],
     )
     def test_unknown_key_rejected(self, spec, key):
         with pytest.raises(ConfigurationError, match=f"{spec['kind']!r}.*{key!r}"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dapmean import mechanism
 from dapmean.mechanism import (
     PM_BLOCK,
     Budget,
@@ -252,17 +253,38 @@ class TestPinnedPerturbBits:
         assert rng.random().hex() == self.NEXT[shape]
 
 
+# The block sizes the blocked draws are checked at.  Input sizes are written
+# against the largest, a multiple of the others, so they straddle blocks of
+# every size.
+BLOCK_SIZES = (1 << 10, 1 << 14, 1 << 16)
+BIG_BLOCK = max(BLOCK_SIZES)
+
+
+def at_block_sizes(*cases):
+    """Each ``pytest.param`` case once per block size, the size first; the
+    case keeps its own id at the shipped ``PM_BLOCK``."""
+    return [
+        pytest.param(
+            block, *case.values, id=case.id if block == PM_BLOCK else f"{case.id}-block{block}"
+        )
+        for case in cases
+        for block in BLOCK_SIZES
+    ]
+
+
 class TestBlockedPerturb:
     @pytest.mark.parametrize(
-        "v",
-        [
-            np.linspace(-1.0, 1.0, PM_BLOCK + 1),
-            np.random.default_rng(1).uniform(-1.0, 1.0, (2 * PM_BLOCK + 3,)),
-            np.random.default_rng(2).uniform(-1.0, 1.0, (400, 300)).T,
-        ],
-        ids=["block+1", "2block+3", "transposed"],
+        "block,v",
+        at_block_sizes(
+            pytest.param(np.linspace(-1.0, 1.0, BIG_BLOCK + 1), id="block+1"),
+            pytest.param(
+                np.random.default_rng(1).uniform(-1.0, 1.0, (2 * BIG_BLOCK + 3,)), id="2block+3"
+            ),
+            pytest.param(np.random.default_rng(2).uniform(-1.0, 1.0, (400, 300)).T, id="transposed"),
+        ),
     )
-    def test_equals_whole_array_draws(self, v):
+    def test_equals_whole_array_draws(self, block, v, monkeypatch):
+        monkeypatch.setattr(mechanism, "PM_BLOCK", block)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = pm_perturb(v, Budget(1.0), rng)
         assert got.shape == v.shape
@@ -281,14 +303,34 @@ class TestBlockedPerturb:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes
 
+    @pytest.mark.parametrize(
+        "n,reps", [(70_000, 1), (1_000_000, 1), (15_000, 16)], ids=["70k", "1M", "15k-users-x16"]
+    )
+    def test_peak_memory_above_the_output_is_the_mask_and_one_block(self, n, reps):
+        # Above the output, only the in-band mask (one byte per report) is
+        # full length; the block temporaries stay under 1.5 MB at any size.
+        v = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            out = pm_perturb(v, Budget(1.0 / 16.0), np.random.default_rng(1), reps=reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= out.size + 1_500_000
+
 
 class TestRepeatedPerturb:
     @pytest.mark.parametrize(
-        "reps,n",
-        [(1, PM_BLOCK + 5), (3, 30_000), (16, 4_097), (2 * PM_BLOCK, 3)],
-        ids=["1", "3", "16", "2block"],
+        "block,reps,n",
+        at_block_sizes(
+            pytest.param(1, BIG_BLOCK + 5, id="1"),
+            pytest.param(3, 30_000, id="3"),
+            pytest.param(16, 4_097, id="16"),
+            pytest.param(2 * BIG_BLOCK, 3, id="2block"),
+        ),
     )
-    def test_equals_perturbing_the_repeated_values(self, reps, n):
+    def test_equals_perturbing_the_repeated_values(self, block, reps, n, monkeypatch):
+        monkeypatch.setattr(mechanism, "PM_BLOCK", block)
         v = np.random.default_rng(reps).uniform(-1.0, 1.0, n)
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         got = pm_perturb(v, Budget(0.5), rng, reps=reps)
