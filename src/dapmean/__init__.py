@@ -10,7 +10,6 @@ from .attacks import (
     PoisonSpec,
     evasion_bounds,
     gen_bba,
-    gen_evasive,
     gen_gba,
     gen_input_manipulation,
     reduce_gba_to_bba,

@@ -3,7 +3,8 @@
 Covers one-sided (biased) attacks, two-sided general attacks and their
 constructive reduction to a one-sided attack with the same deviation sum,
 attackers who disguise as honest users by perturbing a chosen input, and
-evasive attacks that plant a fraction of their reports on the opposite side.
+evasive attacks: general attacks that plant a fraction of their reports as
+decoys on the opposite side.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ class PoisonSpec:
         mu, sigma: gaussian parameters (defaults: midpoint and quarter-width
             of the range, used when the caller gives none).
         value: the point-mass location for dist="point" (defaults to range_hi).
-        evasion_fraction: fraction of reports planted on the opposite side.
         side: "left" or "right" of the reference mean.
 
-    Every value that does not depend on C is checked when the spec is built;
-    ``range_at`` resolves and checks the ends at each budget.
+    Every value that does not depend on C is checked when the spec is built,
+    and a parameter its dist does not read is rejected; ``range_at`` resolves
+    and checks the ends at each budget.
     """
 
     range_lo: float | str = 0.0
@@ -108,7 +109,6 @@ class PoisonSpec:
     mu: float | None = None
     sigma: float | None = None
     value: float | None = None
-    evasion_fraction: float = 0.0
     side: str = "right"
 
     def __post_init__(self) -> None:
@@ -116,10 +116,14 @@ class PoisonSpec:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        check_number("evasion_fraction", self.evasion_fraction, ge=0, le=1)
-        for name, ge in (("mu", None), ("sigma", 0), ("value", None)):
+        # Each optional parameter: its lower bound, and the one dist that reads it.
+        for name, ge, reader in (
+            ("mu", None, "gaussian"), ("sigma", 0, "gaussian"), ("value", None, "point")
+        ):
             if getattr(self, name) is not None:
                 check_number(name, getattr(self, name), ge=ge)
+                if self.dist != reader:
+                    raise ValueError(f"{name!r} is read only by {reader!r}, not {self.dist!r}")
         for end in (self.range_lo, self.range_hi):
             resolve_endpoint(end)  # an end outside the grammar fails now
         if not isinstance(self.range_lo, str) and not isinstance(self.range_hi, str):
@@ -281,35 +285,6 @@ def gen_input_manipulation(
     return AttackTrace(values=pm_perturb(np.full(m, float(g)), budget, rng))
 
 
-def gen_evasive(
-    spec: PoisonSpec,
-    m: int,
-    evasive_value: float | str,
-    budget: Budget,
-    rng: np.random.Generator,
-    reference_mean: float = 0.0,
-) -> AttackTrace:
-    """floor(a*m) copies of the evasive value plus (m - floor(a*m)) true poison values.
-
-    The evasive value is a number or an expression in C and O, resolved like
-    a range end.  The true poison values come from ``gen_bba``, so they pass
-    its checks; the evasive value must lie in [-C, C], on the side opposite
-    the range.
-    """
-    c = budget.c_bound
-    evasive_value = resolve_endpoint(evasive_value)(c, reference_mean)
-    if spec.side == "right" and evasive_value > reference_mean:
-        raise ValueError("evasive value must lie on the side opposite the poison range")
-    if spec.side == "left" and evasive_value < reference_mean:
-        raise ValueError("evasive value must lie on the side opposite the poison range")
-    if not (-c <= evasive_value <= c):
-        raise DomainError(f"evasive value outside [-{c}, {c}]")
-    n_evasive = int(np.floor(spec.evasion_fraction * m))
-    true_values = gen_bba(spec, m - n_evasive, budget, rng, reference_mean).values
-    values = np.concatenate([np.full(n_evasive, evasive_value), true_values])
-    return AttackTrace(values=values, reference_mean=reference_mean)
-
-
 def evasion_bounds(
     m: int, n: int, a: float, c: float, o: float, o_prime: float
 ) -> tuple[float, float, float]:
@@ -384,15 +359,20 @@ def evasive_strategy(
 ) -> AttackStrategy:
     """Right-side poison with a fraction ``a`` of reports planted at the evasive value.
 
-    An ``a`` that is not a number in [0, 1], an endpoint or evasive value
+    Each draw is a ``gen_gba`` union of floor(a*count) decoys, a point mass
+    at ``evasive`` on the left of the reference mean, and the rest drawn
+    from the poison range, so ``gen_bba`` checks both at every budget.  An
+    ``a`` that is not a number in [0, 1], an endpoint or evasive value
     outside ``resolve_endpoint``'s grammar or a non-finite
     ``reference_mean`` raises ``ValueError`` here, before any report is drawn.
     """
-    spec = PoisonSpec(range_lo=lo, range_hi=hi, evasion_fraction=a, side="right")
-    resolve_endpoint(evasive)
+    check_number("a", a, ge=0, le=1)
+    decoy = PoisonSpec(range_lo=evasive, range_hi=evasive, dist="point", side="left")
+    spec = PoisonSpec(range_lo=lo, range_hi=hi, side="right")
     check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
-        return gen_evasive(spec, count, evasive, budget, rng, reference_mean).values
+        n_decoys = int(np.floor(a * count))
+        return gen_gba(decoy, spec, n_decoys, count - n_decoys, budget, rng, reference_mean).values
 
     return strategy

@@ -440,12 +440,20 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _attack_range(spec: dict) -> list:
+    """The ``lo`` and ``hi`` an attack spec draws from: its own, else its kind
+    factory's defaults; empty for a kind that draws from no range."""
+    factory = ATTACK_KINDS.get(spec.get("kind", "none"))
+    takes = inspect.signature(getattr(attacks, factory)).parameters if factory else {}
+    return [spec.get(end, takes[end].default) if end in takes else "" for end in ("lo", "hi")]
+
+
 def write_outputs(result: ExperimentResult) -> tuple[Path, Path]:
     """Long-form CSV plus a JSON summary next to it."""
     cfg = result.config
     csv_path = Path(cfg.out)
     json_path = csv_path.with_suffix(".json")
-    attack = cfg.attack
+    range_lo, range_hi = _attack_range(cfg.attack)
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -457,8 +465,8 @@ def write_outputs(result: ExperimentResult) -> tuple[Path, Path]:
                     r.scheme,
                     _fmt(r.epsilon),
                     _fmt(cfg.gamma),
-                    attack.get("lo", ""),
-                    attack.get("hi", ""),
+                    range_lo,
+                    range_hi,
                     r.trial,
                     _fmt(r.estimate),
                     _fmt(r.sq_error),

@@ -10,7 +10,6 @@ from dapmean.attacks import (
     evasion_bounds,
     evasive_strategy,
     gen_bba,
-    gen_evasive,
     gen_gba,
     gen_input_manipulation,
     input_manipulation_strategy,
@@ -34,11 +33,13 @@ class TestPoisonSpec:
         [
             {"range_lo": 1.0, "range_hi": 0.5},
             {"dist": "cauchy"},
-            {"evasion_fraction": 1.5},
             {"side": "up"},
             {"range_lo": "D"},
             {"mu": "x"},
             {"sigma": -1.0},
+            {"mu": 3.0},
+            {"dist": "point", "sigma": 0.1},
+            {"dist": "gaussian", "value": 1.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -204,26 +205,27 @@ class TestInputManipulation:
 
 class TestEvasive:
     def test_counts(self):
-        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.2)
-        trace = gen_evasive(spec, 100, -0.5 * C, BUDGET, np.random.default_rng(0))
-        assert np.sum(trace.values == -0.5 * C) == 20
-        assert np.sum(trace.values >= 0.5 * C) == 80
+        strat = evasive_strategy(a=0.2, lo=0.5 * C, hi=C, evasive=-0.5 * C)
+        values = strat(100, BUDGET, np.random.default_rng(0))
+        assert np.sum(values == -0.5 * C) == 20
+        assert np.sum(values >= 0.5 * C) == 80
 
     def test_all_evasive_at_fraction_one(self):
-        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=1.0)
-        trace = gen_evasive(spec, 37, -1.0, BUDGET, np.random.default_rng(0))
-        np.testing.assert_array_equal(trace.values, np.full(37, -1.0))
+        strat = evasive_strategy(a=1.0, lo=0.5 * C, hi=C, evasive=-1.0)
+        values = strat(37, BUDGET, np.random.default_rng(0))
+        np.testing.assert_array_equal(values, np.full(37, -1.0))
 
     def test_evasive_value_must_oppose_side(self):
-        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.2)
-        with pytest.raises(ValueError):
-            gen_evasive(spec, 10, 0.4, BUDGET, np.random.default_rng(0))
+        strat = evasive_strategy(a=0.2, lo=0.5 * C, hi=C, evasive=0.4)
+        with pytest.raises(NotBiasedError):
+            strat(10, BUDGET, np.random.default_rng(0))
 
     def test_true_values_are_gen_bba_draws(self):
-        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C, evasion_fraction=0.3)
-        trace = gen_evasive(spec, 50, -0.5 * C, BUDGET, np.random.default_rng(4))
+        strat = evasive_strategy(a=0.3, lo=0.5 * C, hi=C, evasive=-0.5 * C)
+        values = strat(50, BUDGET, np.random.default_rng(4))
+        spec = PoisonSpec(range_lo=0.5 * C, range_hi=C)
         bba = gen_bba(spec, 35, BUDGET, np.random.default_rng(4))
-        np.testing.assert_array_equal(trace.values[15:], bba.values)
+        np.testing.assert_array_equal(values[15:], bba.values)
 
     @pytest.mark.parametrize(
         "lo, hi, evasive, error",
@@ -235,9 +237,9 @@ class TestEvasive:
         ids=["range_outside_domain", "range_crosses_reference", "evasive_outside_domain"],
     )
     def test_checked_like_a_one_sided_attack(self, lo, hi, evasive, error):
-        spec = PoisonSpec(range_lo=lo, range_hi=hi, evasion_fraction=0.2)
+        strat = evasive_strategy(a=0.2, lo=lo, hi=hi, evasive=evasive)
         with pytest.raises(error):
-            gen_evasive(spec, 10, evasive, BUDGET, np.random.default_rng(0))
+            strat(10, BUDGET, np.random.default_rng(0))
 
 
 class TestEvasionBounds:
@@ -314,6 +316,7 @@ class TestStrategies:
             (input_manipulation_strategy, {"g": 1.5}),
             (input_manipulation_strategy, {"g": "1"}),
             (evasive_strategy, {"a": "x"}),
+            (evasive_strategy, {"a": -0.1}),
             (evasive_strategy, {"a": 1.2}),
             (evasive_strategy, {"evasive": "C.real"}),
             (evasive_strategy, {"reference_mean": None}),
@@ -347,12 +350,13 @@ class TestStrategies:
         assert out.tobytes() == expect.tobytes()
         assert rng.random() == rng2.random()
 
-    def test_evasive_strategy_equals_gen_evasive(self):
+    def test_evasive_strategy_equals_gen_gba(self):
         strat = evasive_strategy(a=0.3, lo="C/2", hi="C", evasive="-C/2")
-        spec = PoisonSpec(range_lo="C/2", range_hi="C", evasion_fraction=0.3)
+        decoy = PoisonSpec(range_lo="-C/2", range_hi="-C/2", dist="point", side="left")
+        spec = PoisonSpec(range_lo="C/2", range_hi="C")
         rng, rng2 = np.random.default_rng(7), np.random.default_rng(7)
         out = strat(500, BUDGET, rng)
-        expect = gen_evasive(spec, 500, "-C/2", BUDGET, rng2).values
+        expect = gen_gba(decoy, spec, 150, 350, BUDGET, rng2).values
         assert out.tobytes() == expect.tobytes()
         assert np.sum(out == -C / 2) == 150
         assert rng.random() == rng2.random()

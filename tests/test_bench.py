@@ -436,8 +436,14 @@ class TestBuildAttack:
             ({"kind": "input", "lo": "0.5*C"}, "lo"),
             ({"kind": "evasive", "side": "left"}, "side"),
             ({"kind": "uniform", 1: 2, "x": 3}, 1),
+            ({"kind": "uniform", "mu": 3, "sigma": 0.01}, "mu"),
+            ({"kind": "point", "sigma": 0.1}, "sigma"),
+            ({"kind": "gaussian", "value": 1.0}, "value"),
         ],
-        ids=["none", "uniform", "gaussian", "point", "input", "evasive", "mixed-key-types"],
+        ids=[
+            "none", "uniform", "gaussian", "point", "input", "evasive", "mixed-key-types",
+            "uniform-reads-no-mu", "point-reads-no-sigma", "gaussian-reads-no-value",
+        ],
     )
     def test_unknown_key_rejected(self, spec, key):
         with pytest.raises(ConfigurationError, match=f"{spec['kind']!r}.*{key!r}"):
@@ -507,6 +513,16 @@ class TestRunExperiment:
         header, *rows = out.read_text().strip().split("\n")
         assert header == "scheme,epsilon,gamma,range_lo,range_hi,trial,estimate,sq_error"
         assert len(rows) == len(res.records)
+
+    @pytest.mark.parametrize(
+        "kind, ends", [("uniform", ["0.75*C", "C"]), ("evasive", ["C/2", "C"])]
+    )
+    def test_csv_names_the_factory_default_range(self, tmp_path, kind, ends):
+        out = tmp_path / "results.csv"
+        cfg = SMALL | {"attack": {"kind": kind}, "schemes": ["ostrich"], "trials": 1}
+        run_experiment(ExperimentConfig.from_dict(cfg | {"out": str(out)}))
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        assert [row[3:5] for row in rows] == [ends]
 
     def test_float_fields_reload_exactly(self, tmp_path):
         out = tmp_path / "results.csv"

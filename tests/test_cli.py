@@ -338,6 +338,17 @@ class TestErrors:
         assert "attack kind" in payload["message"]
         assert "mse" not in out
 
+    def test_attack_parameter_its_distribution_never_reads(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        cfg = {"dataset": {"type": "beta", "a": 2, "b": 5, "n": 2000}, "eps_list": [1.0]}
+        p.write_text(json.dumps(cfg | {"attack": {"kind": "uniform", "mu": 3}, "trials": 1}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "'uniform'" in payload["message"] and "'mu'" in payload["message"]
+        assert "mse" not in out
+
     def test_incomplete_beta_dataset(self, capsys, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"dataset": {"type": "beta", "a": 2, "b": 5}, "eps_list": [1.0]}))

@@ -88,7 +88,6 @@ def test_only_mechanism_imports_numbers():
 
 # Paper constructions that no pipeline runs but the tests exercise.
 TESTED_ONLY = {
-    "gen_gba": "the paper's two-sided general attack; test_attacks pins its draws",
     "evasion_bounds": "the paper's evasion utility bounds; c09 checks their identity",
 }
 READERS = sorted(
