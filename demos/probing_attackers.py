@@ -31,7 +31,7 @@ values = rng.beta(2, 5, n - m) * 2 - 1
 honest_reports = pm_perturb(values, budget, rng)
 
 spec = PoisonSpec(range_lo=0.5 * c, range_hi=c, side="right")
-poison_reports = gen_bba(spec, m, budget, rng).values
+poison_reports = gen_bba(spec, m, budget, rng)
 reports = np.concatenate([honest_reports, poison_reports])
 rng.shuffle(reports)
 

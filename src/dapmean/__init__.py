@@ -6,7 +6,6 @@ differential aggregation protocol, and a seeded experiment runner.
 """
 
 from .attacks import (
-    AttackTrace,
     PoisonSpec,
     evasion_bounds,
     gen_bba,

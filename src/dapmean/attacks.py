@@ -137,21 +137,6 @@ class PoisonSpec:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class AttackTrace:
-    """Poison values reported by attackers, with the reference mean that defines sides."""
-
-    values: np.ndarray
-    reference_mean: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @property
-    def deviation_sum(self) -> float:
-        return float(np.sum(self.values - self.reference_mean))
-
-
 def _draw(spec: PoisonSpec, lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
     if spec.dist == "uniform":
         return rng.uniform(lo, hi, size=m)
@@ -190,7 +175,7 @@ def gen_bba(
     budget: Budget,
     rng: np.random.Generator,
     reference_mean: float = 0.0,
-) -> AttackTrace:
+) -> np.ndarray:
     """Draw m one-sided poison values from the spec's distribution.
 
     The poison range, resolved at the budget's C and ``reference_mean``,
@@ -207,7 +192,7 @@ def gen_bba(
         raise NotBiasedError("left-side poison range crosses the reference mean")
     if m < 0:
         raise ValueError("m must be non-negative")
-    return AttackTrace(values=_draw(spec, lo, hi, m, rng), reference_mean=reference_mean)
+    return _draw(spec, lo, hi, m, rng)
 
 
 def gen_gba(
@@ -218,41 +203,40 @@ def gen_gba(
     budget: Budget,
     rng: np.random.Generator,
     reference_mean: float = 0.0,
-) -> AttackTrace:
-    """Union of a left-side and a right-side one-sided draw."""
+) -> np.ndarray:
+    """Union of a left-side and a right-side one-sided draw, left values first."""
     if left_spec.side != "left" or right_spec.side != "right":
         raise ValueError("gen_gba needs one left-side and one right-side spec")
     left = gen_bba(left_spec, m_left, budget, rng, reference_mean)
-    right = gen_bba(right_spec, m_right, budget, rng, reference_mean)
-    return AttackTrace(
-        values=np.concatenate([left.values, right.values]),
-        reference_mean=reference_mean,
-    )
+    return np.concatenate([left, gen_bba(right_spec, m_right, budget, rng, reference_mean)])
 
 
-def reduce_gba_to_bba(trace: AttackTrace, *, bound: float | None = None) -> AttackTrace:
-    """Merge a two-sided trace into a one-sided trace with the same deviation sum.
+def reduce_gba_to_bba(
+    values, reference_mean: float = 0.0, *, bound: float | None = None
+) -> np.ndarray:
+    """Merge two-sided poison values into one-sided ones with the same deviation sum.
 
-    Sides and deviations are about ``trace.reference_mean``.  Iteratively
+    Sides and deviations are about ``reference_mean``.  Iteratively
     removes the most extreme value on the minority side together with a
     minimal opposing subset, replacing them with the single value that
     carries their combined deviation.  The output lies entirely on the side
     of the input's deviation-sum sign, has at most as many values, and
-    preserves the deviation sum exactly (up to float rounding).  A trace with
-    zero deviation sum reduces to the empty trace.  A non-finite value or
-    reference mean raises ``ValueError``.
+    preserves the deviation sum exactly (up to float rounding).  Values with
+    zero deviation sum reduce to the empty array.  A non-finite value or
+    reference mean raises ``ValueError``; with ``bound`` given, a value
+    outside [-bound, bound] raises ``DomainError``.
     """
-    v, o = trace.values, trace.reference_mean
+    v, o = np.asarray(values, dtype=float), reference_mean
     check_number("reference_mean", o)
     if not np.isfinite(v).all():
         raise ValueError("trace values must be finite")
     if bound is not None and v.size and (v.min() < -bound or v.max() > bound):
         raise DomainError(f"trace values outside [-{bound}, {bound}]")
     if not (np.any(v < o) and np.any(v > o)):
-        return AttackTrace(values=v.copy(), reference_mean=o)
+        return v.copy()
     dev_sum = float(np.sum(v - o))
     if dev_sum == 0.0:
-        return AttackTrace(values=np.empty(0), reference_mean=o)
+        return np.empty(0)
 
     # Mirror so the dominant side is always the left (negative deviations).
     flip = dev_sum > 0.0
@@ -272,17 +256,16 @@ def reduce_gba_to_bba(trace: AttackTrace, *, bound: float | None = None) -> Atta
         keep.sort()
 
     out_dev = np.asarray(keep)
-    out = o + (-out_dev if flip else out_dev)
-    return AttackTrace(values=out, reference_mean=o)
+    return o + (-out_dev if flip else out_dev)
 
 
 def gen_input_manipulation(
     g: float, m: int, budget: Budget, rng: np.random.Generator
-) -> AttackTrace:
+) -> np.ndarray:
     """Attackers disguise as honest users: perturb the chosen input g normally."""
     if not (-1.0 <= g <= 1.0):
         raise DomainError("manipulated input must lie in [-1, 1]")
-    return AttackTrace(values=pm_perturb(np.full(m, float(g)), budget, rng))
+    return pm_perturb(np.full(m, float(g)), budget, rng)
 
 
 def evasion_bounds(
@@ -332,7 +315,7 @@ def poison_strategy(
     check_number("reference_mean", reference_mean)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
-        return gen_bba(spec, count, budget, rng, reference_mean).values
+        return gen_bba(spec, count, budget, rng, reference_mean)
 
     return strategy
 
@@ -345,7 +328,7 @@ def input_manipulation_strategy(g: float = 1.0) -> AttackStrategy:
     check_number("g", g, ge=-1, le=1)
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
-        return gen_input_manipulation(g, count, budget, rng).values
+        return gen_input_manipulation(g, count, budget, rng)
 
     return strategy
 
@@ -373,6 +356,6 @@ def evasive_strategy(
 
     def strategy(count: int, budget: Budget, rng: np.random.Generator) -> np.ndarray:
         n_decoys = int(np.floor(a * count))
-        return gen_gba(decoy, spec, n_decoys, count - n_decoys, budget, rng, reference_mean).values
+        return gen_gba(decoy, spec, n_decoys, count - n_decoys, budget, rng, reference_mean)
 
     return strategy

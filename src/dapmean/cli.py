@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .attacks import AttackTrace, reduce_gba_to_bba
+from .attacks import reduce_gba_to_bba
 from .bench import ATTACK_KINDS, ExperimentConfig, FailedCellError, read_column, run_experiment
 from .filters import attacker_count
 from .mechanism import Budget
@@ -50,12 +50,7 @@ def _parse_numbers(flag: str, text: str) -> list[float]:
 
 # Defaults of the simulate flags that no ExperimentConfig field declares; a
 # left-out flag that sets a field takes ExperimentConfig's default.
-_FLAG_DEFAULTS = {
-    "dataset": "beta:2,5,100000",
-    "eps": "1.0",
-    "range": "0.75*C:C",
-    "dist": "uniform",
-}
+_FLAG_DEFAULTS = {"dataset": "beta:2,5,100000", "eps": "1.0"}
 
 
 def _cmd_simulate(args) -> int:
@@ -75,24 +70,27 @@ def _cmd_simulate(args) -> int:
             cfg.out = out
     else:
         flags = _FLAG_DEFAULTS | flags
-        text = flags.pop("range")
-        ends = text.split(":")
-        if len(ends) != 2:
-            raise ConfigurationError(f"--range must have the form lo:hi, got {text!r}")
-        attack = {"kind": flags.pop("dist")}
-        if attack["kind"] != "input":  # input manipulation perturbs a chosen input, no range
+        attack = {"kind": flags.pop("dist")} if "dist" in flags else {}
+        if "range" in flags:
+            text = flags.pop("range")
+            ends = text.split(":")
+            if len(ends) != 2:
+                raise ConfigurationError(f"--range must have the form lo:hi, got {text!r}")
             attack |= {"lo": ends[0], "hi": ends[1]}
-        if not flags.get("gamma", ExperimentConfig.gamma) > 0:
-            attack = {"kind": "none"}
         if "schemes" in flags:
             flags["schemes"] = flags["schemes"].split(",")
         cfg = ExperimentConfig(
             dataset=_parse_dataset(flags.pop("dataset")),
             eps_list=_parse_numbers("--eps", flags.pop("eps")),
-            attack=attack,
             out=out,
             **flags,
         )
+        # A given --dist or --range replaces the config's attack; --range
+        # alone keeps its kind.  Either way the kind's factory checks the keys.
+        if attack:
+            cfg.attack = {"kind": cfg.attack["kind"]} | attack
+        if not cfg.gamma > 0:
+            cfg.attack = {"kind": "none"}
     result = run_experiment(cfg)  # writes the outputs when cfg.out is set
     if cfg.out:
         from pathlib import Path
@@ -135,16 +133,15 @@ def _cmd_reduce(args) -> int:
         values = read_column(args.values_file, 0)
     else:
         values = np.array(_parse_numbers("--values", args.values))
-    trace = AttackTrace(values=values, reference_mean=args.ref)
-    reduced = reduce_gba_to_bba(trace)
+    reduced = reduce_gba_to_bba(values, args.ref)
     print(
         json.dumps(
             {
                 "input_count": int(values.size),
-                "output_count": int(reduced.values.size),
-                "deviation_sum": trace.deviation_sum,
-                "reduced_deviation_sum": reduced.deviation_sum,
-                "reduced_values": reduced.values.tolist(),
+                "output_count": int(reduced.size),
+                "deviation_sum": float(np.sum(values - args.ref)),
+                "reduced_deviation_sum": float(np.sum(reduced - args.ref)),
+                "reduced_values": reduced.tolist(),
             },
             indent=2,
         )

@@ -267,9 +267,11 @@ def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
 
     Column k holds the probability that a user whose value is the midpoint
     of input bucket k reports into each output bucket; every column sums
-    to 1.
+    to 1.  A grid built for another budget's C raises ``ValueError``.
     """
     c = budget.c_bound
+    if grid.c_bound != c:
+        raise ValueError(f"grid spans [-{grid.c_bound}, {grid.c_bound}], the budget's C is {c}")
     lo = budget.low_edge(grid.input_midpoints)
     hi = lo + c - 1.0
     dens_high = budget.high_band_prob / (c - 1.0)

@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dapmean.attacks import (
-    AttackTrace,
     NotBiasedError,
     PoisonSpec,
     evasion_bounds,
@@ -17,6 +18,7 @@ from dapmean.attacks import (
     reduce_gba_to_bba,
     resolve_endpoint,
 )
+from dapmean.bench import ATTACK_KINDS, build_attack
 from dapmean.mechanism import Budget, DomainError
 
 
@@ -62,20 +64,24 @@ class TestPoisonSpec:
 class TestGenBBA:
     def test_uniform_values_in_range(self):
         spec = PoisonSpec(range_lo=0.5 * C, range_hi=C)
-        trace = gen_bba(spec, 500, BUDGET, np.random.default_rng(0))
-        assert trace.values.size == 500
-        assert np.all((trace.values >= 0.5 * C) & (trace.values <= C))
-        assert np.all(trace.values >= trace.reference_mean)
+        values = gen_bba(spec, 500, BUDGET, np.random.default_rng(0))
+        assert values.dtype == np.float64 and values.size == 500
+        assert np.all((values >= 0.5 * C) & (values <= C))
+        assert np.all(values >= 0.0)
 
     def test_point_mass(self):
         spec = PoisonSpec(range_lo=0.0, range_hi=C, dist="point", value=1.5)
-        trace = gen_bba(spec, 10, BUDGET, np.random.default_rng(0))
-        np.testing.assert_array_equal(trace.values, np.full(10, 1.5))
+        values = gen_bba(spec, 10, BUDGET, np.random.default_rng(0))
+        np.testing.assert_array_equal(values, np.full(10, 1.5))
 
     def test_gaussian_truncated_to_range(self):
         spec = PoisonSpec(range_lo=1.0, range_hi=2.0, dist="gaussian", mu=1.9, sigma=1.0)
-        trace = gen_bba(spec, 1000, BUDGET, np.random.default_rng(0))
-        assert np.all((trace.values >= 1.0) & (trace.values <= 2.0))
+        values = gen_bba(spec, 1000, BUDGET, np.random.default_rng(0))
+        assert np.all((values >= 1.0) & (values <= 2.0))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_bba(PoisonSpec(), -1, BUDGET, np.random.default_rng(0))
 
     def test_crossing_reference_rejected(self):
         spec = PoisonSpec(range_lo=-0.5, range_hi=C, side="right")
@@ -97,19 +103,19 @@ class TestGenBBA:
 
     def test_left_side_relative_to_reference(self):
         spec = PoisonSpec(range_lo=-C, range_hi=-0.7, side="left")
-        trace = gen_bba(spec, 50, BUDGET, np.random.default_rng(1), reference_mean=-0.6)
-        assert np.all(trace.values <= -0.6)
-        assert trace.deviation_sum < 0
+        values = gen_bba(spec, 50, BUDGET, np.random.default_rng(1), reference_mean=-0.6)
+        assert np.all(values <= -0.6)
+        assert np.sum(values - -0.6) < 0
 
 
 class TestGenGBA:
     def test_two_sided_union(self):
         left = PoisonSpec(range_lo=-C, range_hi=-0.2, side="left")
         right = PoisonSpec(range_lo=0.3, range_hi=C, side="right")
-        trace = gen_gba(left, right, 40, 60, BUDGET, np.random.default_rng(0))
-        assert trace.values.size == 100
-        assert np.any(trace.values < trace.reference_mean)
-        assert np.any(trace.values > trace.reference_mean)
+        values = gen_gba(left, right, 40, 60, BUDGET, np.random.default_rng(0))
+        assert values.dtype == np.float64 and values.size == 100
+        assert np.all(values[:40] < 0.0)
+        assert np.all(values[40:] > 0.0)
 
     def test_requires_opposite_sides(self):
         spec = PoisonSpec(range_lo=0.3, range_hi=C, side="right")
@@ -121,29 +127,25 @@ class TestReduction:
     def test_hand_example(self):
         # {-0.8, +0.3} about 0: deviation sum -0.5, so the one-sided
         # equivalent is the single value -0.5.
-        trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, bound=C)
-        np.testing.assert_allclose(np.sort(out.values), [-0.5])
-        assert out.deviation_sum == pytest.approx(trace.deviation_sum)
+        vals = np.array([-0.8, 0.3])
+        out = reduce_gba_to_bba(vals, bound=C)
+        np.testing.assert_allclose(np.sort(out), [-0.5])
+        assert np.sum(out) == pytest.approx(np.sum(vals))
 
     def test_one_sided_input_unchanged(self):
         vals = np.array([0.1, 0.7, 1.9])
-        trace = AttackTrace(values=vals, reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, bound=C)
-        np.testing.assert_array_equal(out.values, vals)
+        out = reduce_gba_to_bba(vals, 0.0, bound=C)
+        np.testing.assert_array_equal(out, vals)
 
     def test_zero_deviation_reduces_to_empty(self):
-        trace = AttackTrace(values=np.array([-0.4, 0.4]), reference_mean=0.0)
-        out = reduce_gba_to_bba(trace, bound=C)
-        assert out.values.size == 0
-        assert out.deviation_sum == 0.0
+        out = reduce_gba_to_bba(np.array([-0.4, 0.4]), 0.0, bound=C)
+        assert out.shape == (0,)
+        assert np.sum(out) == 0.0
 
     def test_reduces_about_the_trace_reference(self):
         # About 0.5, {0.0, 0.7} deviates by -0.5 and +0.2: one value at 0.2.
-        trace = AttackTrace(values=np.array([0.0, 0.7]), reference_mean=0.5)
-        out = reduce_gba_to_bba(trace)
-        np.testing.assert_allclose(out.values, [0.2])
-        assert out.reference_mean == 0.5
+        out = reduce_gba_to_bba(np.array([0.0, 0.7]), 0.5)
+        np.testing.assert_allclose(out, [0.2])
 
     @pytest.mark.parametrize(
         "values, ref",
@@ -151,15 +153,18 @@ class TestReduction:
         ids=["nan-value", "inf-value", "nan-reference"],
     )
     def test_non_finite_input_rejected(self, values, ref):
-        trace = AttackTrace(values=np.array(values), reference_mean=ref)
         with pytest.raises(ValueError, match="finite"):
-            reduce_gba_to_bba(trace)
+            reduce_gba_to_bba(np.array(values), ref)
 
     def test_bound_is_keyword_only(self):
-        # A positional second argument would once have been the reference.
-        trace = AttackTrace(values=np.array([-0.8, 0.3]), reference_mean=0.0)
+        # The second positional argument is the reference; a third is refused.
         with pytest.raises(TypeError):
-            reduce_gba_to_bba(trace, 0.0)
+            reduce_gba_to_bba(np.array([-0.8, 0.3]), 0.0, C)
+
+    @pytest.mark.parametrize("values", [[-0.8, C + 0.1], [-C - 0.1, 0.3]], ids=["above", "below"])
+    def test_value_outside_bound_rejected(self, values):
+        with pytest.raises(DomainError):
+            reduce_gba_to_bba(np.array(values), bound=C)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -173,19 +178,18 @@ class TestReduction:
         vals = np.concatenate(
             [rng.uniform(-C, o, n_left), rng.uniform(o, C, n_right)]
         )
-        trace = AttackTrace(values=vals, reference_mean=o)
-        out = reduce_gba_to_bba(trace, bound=C)
-        dev = np.sum(out.values - o)
+        out = reduce_gba_to_bba(vals, o, bound=C)
+        dev = np.sum(out - o)
         assert dev == pytest.approx(np.sum(vals - o), abs=1e-9)
-        assert np.all(out.values <= o + 1e-12) or np.all(out.values >= o - 1e-12)
-        assert np.all(np.abs(out.values) <= C + 1e-12)
+        assert np.all(out <= o + 1e-12) or np.all(out >= o - 1e-12)
+        assert np.all(np.abs(out) <= C + 1e-12)
 
 
 class TestInputManipulation:
     def test_reports_live_in_perturbed_domain(self):
-        trace = gen_input_manipulation(1.0, 1000, BUDGET, np.random.default_rng(0))
-        assert trace.values.size == 1000
-        assert np.all(np.abs(trace.values) <= C)
+        values = gen_input_manipulation(1.0, 1000, BUDGET, np.random.default_rng(0))
+        assert values.dtype == np.float64 and values.size == 1000
+        assert np.all(np.abs(values) <= C)
 
     def test_rejects_out_of_domain_input(self):
         with pytest.raises(DomainError):
@@ -194,13 +198,13 @@ class TestInputManipulation:
     def test_no_attackers_draw_nothing(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        trace = gen_input_manipulation(1.0, 0, BUDGET, rng)
-        assert trace.values.shape == (0,)
+        values = gen_input_manipulation(1.0, 0, BUDGET, rng)
+        assert values.shape == (0,)
         assert rng.bit_generator.state == before
 
     def test_biases_toward_input(self):
-        trace = gen_input_manipulation(1.0, 50_000, BUDGET, np.random.default_rng(0))
-        assert trace.values.mean() == pytest.approx(1.0, abs=0.05)
+        values = gen_input_manipulation(1.0, 50_000, BUDGET, np.random.default_rng(0))
+        assert values.mean() == pytest.approx(1.0, abs=0.05)
 
 
 class TestEvasive:
@@ -225,7 +229,7 @@ class TestEvasive:
         values = strat(50, BUDGET, np.random.default_rng(4))
         spec = PoisonSpec(range_lo=0.5 * C, range_hi=C)
         bba = gen_bba(spec, 35, BUDGET, np.random.default_rng(4))
-        np.testing.assert_array_equal(values[15:], bba.values)
+        np.testing.assert_array_equal(values[15:], bba)
 
     @pytest.mark.parametrize(
         "lo, hi, evasive, error",
@@ -346,7 +350,7 @@ class TestStrategies:
         spec = PoisonSpec(range_lo="0.75*C", range_hi="C", **kwargs)
         rng, rng2 = np.random.default_rng(7), np.random.default_rng(7)
         out = strat(500, BUDGET, rng)
-        expect = gen_bba(spec, 500, BUDGET, rng2, reference_mean=o).values
+        expect = gen_bba(spec, 500, BUDGET, rng2, reference_mean=o)
         assert out.tobytes() == expect.tobytes()
         assert rng.random() == rng2.random()
 
@@ -356,7 +360,7 @@ class TestStrategies:
         spec = PoisonSpec(range_lo="C/2", range_hi="C")
         rng, rng2 = np.random.default_rng(7), np.random.default_rng(7)
         out = strat(500, BUDGET, rng)
-        expect = gen_gba(decoy, spec, 150, 350, BUDGET, rng2).values
+        expect = gen_gba(decoy, spec, 150, 350, BUDGET, rng2)
         assert out.tobytes() == expect.tobytes()
         assert np.sum(out == -C / 2) == 150
         assert rng.random() == rng2.random()
@@ -378,3 +382,56 @@ class TestStrategies:
         out = strat(100, BUDGET, np.random.default_rng(0))
         assert np.sum(out == -C / 2) == 50
         assert np.sum(out >= C / 2) == 50
+
+
+def bits(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+class TestPinnedAttackBits:
+    """Attack draws (sha256 prefix of the float64 bytes) and the generator's
+    next double, recorded while the generators returned a record holding
+    the values and the reference mean.  Returning the bare array must keep
+    every draw and the stream after it.  Recorded with numpy 2.4 on x86-64."""
+
+    KIND_PINS = {
+        ("uniform", 1 / 16): ("e15e969fd776c59a", "0x1.ce7650e1142c5p-1"),
+        ("gaussian", 1 / 16): ("93a2217020ee1e91", "0x1.4c803ecfa4600p-9"),
+        ("point", 1 / 16): ("3edbacefa70b04a0", "0x1.fd2992cce51b2p-1"),
+        ("input", 1 / 16): ("061ecf1ecfe42063", "0x1.829c8829f1223p-1"),
+        ("evasive", 1 / 16): ("3275c793e8daa863", "0x1.9e01e0e7f9eddp-1"),
+        ("uniform", 1.0): ("c6049614c9362e40", "0x1.ce7650e1142c5p-1"),
+        ("gaussian", 1.0): ("81f2433eb0ff63e8", "0x1.4c803ecfa4600p-9"),
+        ("point", 1.0): ("dddaa9202c3434af", "0x1.fd2992cce51b2p-1"),
+        ("input", 1.0): ("e58afde5e2691bb8", "0x1.829c8829f1223p-1"),
+        ("evasive", 1.0): ("cbfc724e72c2861c", "0x1.9e01e0e7f9eddp-1"),
+    }
+    GBA_PINS = {
+        1 / 16: ("c67d06b284def66c", "0x1.68c90500899f0p-1"),
+        1.0: ("9a09dd9c102ba194", "0x1.68c90500899f0p-1"),
+    }
+    REDUCE_PINS = {1 / 16: ("b71131ae2a77dd8c", 518), 1.0: ("d17d7df176d1fe87", 533)}
+
+    def test_every_kind_is_pinned(self):
+        assert {kind for kind, _ in self.KIND_PINS} == set(ATTACK_KINDS)
+
+    @pytest.mark.parametrize("kind, eps", list(KIND_PINS), ids=str)
+    def test_build_attack(self, kind, eps):
+        rng = np.random.default_rng(2025)
+        out = build_attack({"kind": kind}, 0.125)(1000, Budget(eps), rng)
+        assert (bits(out), rng.random().hex()) == self.KIND_PINS[(kind, eps)]
+
+    @pytest.mark.parametrize("eps", list(GBA_PINS), ids=str)
+    def test_gen_gba(self, eps):
+        rng = np.random.default_rng(2025)
+        left = PoisonSpec(range_lo="-C", range_hi="O - 0.5", side="left")
+        right = PoisonSpec(range_lo="O", range_hi="C", dist="gaussian", side="right")
+        out = gen_gba(left, right, 300, 700, Budget(eps), rng, 0.125)
+        assert (bits(out), rng.random().hex()) == self.GBA_PINS[eps]
+
+    @pytest.mark.parametrize("eps", list(REDUCE_PINS), ids=str)
+    def test_reduce_gba_to_bba(self, eps):
+        c = Budget(eps).c_bound
+        vals = np.random.default_rng(11).uniform(-c, c, 1000)
+        out = reduce_gba_to_bba(vals, 0.125, bound=c)
+        assert (bits(out), out.size) == self.REDUCE_PINS[eps]

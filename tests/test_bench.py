@@ -60,6 +60,13 @@ class TestDatasets:
             ds = load_csv(p, column=column)
         np.testing.assert_allclose(ds.values, [-1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("text, clip", [("x\n10\n", None), ("x\n5\n10\n20\n", (6, 15))])
+    def test_load_csv_needs_two_usable_rows(self, tmp_path, text, clip):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="fewer than 2 usable rows"):
+            load_csv(p, column=0, clip=clip)
+
     def test_load_csv_clip(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("x\n5\n10\n20\n100\n")
@@ -293,6 +300,7 @@ class TestConfig:
             ({"kind": "uniform", "lo": "2*C", "hi": "3*C"}, "uniform"),
             ({"kind": "gaussian", "mu": 50, "sigma": 0}, "gaussian"),
             ({"kind": "gaussian", "mu": 50, "sigma": 1}, "gaussian"),
+            ({"kind": "point", "value": 0}, "point"),  # outside [0.75C, C]
         ],
     )
     def test_run_rejects_bad_attack_values_before_any_trial(

@@ -185,6 +185,40 @@ class TestSimulate:
         summary = json.loads(out_path.with_suffix(".json").read_text())
         assert summary["config"]["attack"] == {"kind": "input"}
 
+    def test_evasive_attack_takes_the_factory_range(self, capsys, tmp_path):
+        out_path = tmp_path / "res.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate",
+            "--dataset", "beta:2,5,2000",
+            "--trials", "1",
+            "--schemes", "ostrich",
+            "--dist", "evasive",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        row = out_path.read_text().splitlines()[1].split(",")
+        assert row[3:5] == ["C/2", "C"]  # range_lo, range_hi
+        summary = json.loads(out_path.with_suffix(".json").read_text())
+        assert summary["config"]["attack"] == {"kind": "evasive"}
+
+    def test_input_attack_with_a_range_fails(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--dataset", "beta:2,5,2000",
+            "--trials", "1",
+            "--schemes", "ostrich",
+            "--dist", "input",
+            "--range", "0:1",
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        # Of the two keys 'input' does not take, the message names the first in sort order.
+        assert "attack kind 'input' does not take the key 'hi'" in payload["message"]
+        assert "mse" not in out
+
     def test_dist_offers_every_attack_kind(self):
         [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         [dist] = [a for a in sub.choices["simulate"]._actions if a.dest == "dist"]
@@ -234,6 +268,23 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--config", str(p))
         assert code == 0
         assert "mse scheme=ostrich" in out
+
+    def test_config_file_with_out(self, capsys, tmp_path):
+        cfg = {
+            "dataset": {"type": "beta", "a": 2, "b": 5, "n": 2000},
+            "eps_list": [1.0],
+            "schemes": ["ostrich"],
+            "trials": 1,
+        }
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg))
+        out_path = tmp_path / "p.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(p), "--out", str(out_path))
+        assert code == 0
+        assert f"wrote {out_path}" in out
+        assert out_path.exists()
+        summary = json.loads(out_path.with_suffix(".json").read_text())
+        assert summary["config"]["out"] == str(out_path)
 
 
 class TestErrors:

@@ -30,7 +30,7 @@ def make_setup(eps=2.0, n=20_000, seed=0, gamma=0.25, lo_frac=0.5, hi_frac=1.0):
     honest = rng.beta(2, 5, n - m) * 2 - 1
     reports_h = pm_perturb(honest, budget, rng)
     spec = PoisonSpec(range_lo=lo_frac * c, range_hi=hi_frac * c)
-    reports_p = gen_bba(spec, m, budget, rng).values
+    reports_p = gen_bba(spec, m, budget, rng)
     reports = np.concatenate([reports_h, reports_p])
     rng.shuffle(reports)
     grid = BucketGrid.for_reports(n, budget)
@@ -447,7 +447,7 @@ class TestProbe:
             spec = PoisonSpec(range_lo=0.5 * c, range_hi=c, side="right")
         else:
             spec = PoisonSpec(range_lo=-c, range_hi=-0.5 * c, side="left")
-        reports_p = gen_bba(spec, m, budget, rng).values
+        reports_p = gen_bba(spec, m, budget, rng)
         reports = np.concatenate([reports_h, reports_p])
         grid = BucketGrid.for_reports(n, budget)
         counts = bucket_counts(reports, grid)

@@ -393,6 +393,17 @@ class TestBucketGrid:
         g = BucketGrid.for_reports(10_000, Budget(1.0))
         assert g.poison_slice("right").start == g.d_out // 2
 
+    @pytest.mark.parametrize(
+        "d, d_out", [(0, 8), (-2, 8), (4, 7), (4, 0)], ids=["d0", "d-neg", "odd-d_out", "d_out0"]
+    )
+    def test_rejects_bad_sizes(self, d, d_out):
+        with pytest.raises(ValueError):
+            BucketGrid(d=d, d_out=d_out, c_bound=Budget(1.0).c_bound)
+
+    def test_poison_slice_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="side"):
+            BucketGrid.for_reports(10_000, Budget(1.0)).poison_slice("up")
+
     def test_poison_indices(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))
         half = g.d_out // 2
@@ -427,6 +438,11 @@ class TestTransitionProbs:
         assert m.shape == (g.d_out, g.d)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(m >= 0)
+
+    def test_grid_of_another_budget_rejected(self):
+        # Built for eps=4, the grid spans a narrower [-C, C] than eps=1's.
+        with pytest.raises(ValueError, match="budget's C"):
+            perturbation_matrix(Budget(1.0), BucketGrid.for_reports(10_000, Budget(4.0)))
 
     @pytest.mark.parametrize("eps", [1.0 / 16.0, 0.25, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n_reports", [100, 20_000, 1_000_000])
