@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -216,22 +217,26 @@ def reduce_gba_to_bba(
 ) -> np.ndarray:
     """Merge two-sided poison values into one-sided ones with the same deviation sum.
 
-    Sides and deviations are about ``reference_mean``.  Iteratively
-    removes the most extreme value on the minority side together with a
-    minimal opposing subset, replacing them with the single value that
-    carries their combined deviation.  The output lies entirely on the side
-    of the input's deviation-sum sign, has at most as many values, and
-    preserves the deviation sum exactly (up to float rounding).  Values with
-    zero deviation sum reduce to the empty array.  A non-finite value or
-    reference mean raises ``ValueError``; with ``bound`` given, a value
-    outside [-bound, bound] raises ``DomainError``.
+    Sides and deviations are about ``reference_mean``.  Walks the minority
+    side from its most extreme value down, merging each with the fewest most
+    extreme opposing values that cover it into the single value that carries
+    their combined deviation; a heap of the dominant side makes this
+    O(n log n).  The output lies entirely on the side of the input's
+    deviation-sum sign, has at most as many values, stays within the
+    input's range and preserves the deviation sum (both up to float
+    rounding).  Values with zero deviation sum reduce to the empty array.
+    A non-finite value or reference mean raises ``ValueError``; with
+    ``bound`` given, a ``bound`` that is not a number > 0 raises
+    ``ValueError`` and a value outside [-bound, bound] ``DomainError``.
     """
     v, o = np.asarray(values, dtype=float), reference_mean
     check_number("reference_mean", o)
     if not np.isfinite(v).all():
         raise ValueError("trace values must be finite")
-    if bound is not None and v.size and (v.min() < -bound or v.max() > bound):
-        raise DomainError(f"trace values outside [-{bound}, {bound}]")
+    if bound is not None:
+        check_number("bound", bound, gt=0)
+        if v.size and (v.min() < -bound or v.max() > bound):
+            raise DomainError(f"trace values outside [-{bound}, {bound}]")
     if not (np.any(v < o) and np.any(v > o)):
         return v.copy()
     dev_sum = float(np.sum(v - o))
@@ -242,20 +247,15 @@ def reduce_gba_to_bba(
     flip = dev_sum > 0.0
     dev = -(v - o) if flip else (v - o)
 
-    keep = sorted(dev[dev <= 0.0].tolist())  # most negative first
-    minority = sorted(dev[dev > 0.0].tolist())  # ascending, pop() gives the largest
-    while minority:
-        acc = minority.pop()
-        absorbed = 0
-        while acc > 0.0 and absorbed < len(keep):
-            acc += keep[absorbed]
-            absorbed += 1
+    keep = dev[dev <= 0.0].tolist()
+    heapq.heapify(keep)  # a min-heap: the most negative deviation pops first
+    for acc in sorted(dev[dev > 0.0].tolist(), reverse=True):
         # Total deviation is negative, so the dominant side always covers acc.
-        keep = keep[absorbed:]
-        keep.insert(0, acc)
-        keep.sort()
+        while acc > 0.0 and keep:
+            acc += heapq.heappop(keep)
+        heapq.heappush(keep, acc)
 
-    out_dev = np.asarray(keep)
+    out_dev = np.sort(keep)
     return o + (-out_dev if flip else out_dev)
 
 

@@ -142,6 +142,8 @@ class ExperimentConfig:
             check_number("gamma", self.gamma, ge=0, lt=0.5)
             check_number("eps0", self.eps0, gt=0)
             check_number("workers", self.workers, integer=True, ge=1)
+            if self.out is not None and not isinstance(self.out, str):
+                raise ValueError(f"out must be a str or null, got {self.out!r}")
             for epsilon in self.eps_list:
                 check_number("eps_list entry", epsilon, gt=0)
             # Compared by equality, not hashed: an entry may be any JSON value.

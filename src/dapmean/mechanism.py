@@ -211,7 +211,8 @@ class BucketGrid:
     The input domain [-1, 1] is split into ``d`` buckets and the output
     domain [-C, C] into ``d_out`` buckets.  ``d_out`` is even because side
     probing splits the output grid into two halves; ``d`` may be any
-    positive count.
+    positive count.  A size that is not an integer > 0, an odd ``d_out`` or
+    a ``c_bound`` that is not a number > 1 raises ``ValueError``.
     """
 
     d: int
@@ -219,10 +220,11 @@ class BucketGrid:
     c_bound: float
 
     def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        if self.d_out <= 0 or self.d_out % 2 != 0:
-            raise ValueError(f"d_out must be a positive even integer, got {self.d_out}")
+        check_number("d", self.d, integer=True, gt=0)
+        check_number("d_out", self.d_out, integer=True, gt=0)
+        if self.d_out % 2 != 0:
+            raise ValueError(f"d_out must be even, got {self.d_out}")
+        check_number("c_bound", self.c_bound, gt=1)
 
     @classmethod
     def for_reports(cls, n_reports: int, budget: Budget) -> "BucketGrid":

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,11 @@ class TestReduction:
         with pytest.raises(DomainError):
             reduce_gba_to_bba(np.array(values), bound=C)
 
+    @pytest.mark.parametrize("bound", [float("nan"), -1.0, 0, True], ids=["nan", "neg", "zero", "bool"])
+    def test_bad_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="^bound must be a finite number > 0"):
+            reduce_gba_to_bba(np.array([-0.8, 0.3]), bound=bound)
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -183,6 +189,73 @@ class TestReduction:
         assert dev == pytest.approx(np.sum(vals - o), abs=1e-9)
         assert np.all(out <= o + 1e-12) or np.all(out >= o - 1e-12)
         assert np.all(np.abs(out) <= C + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(min_value=-C, max_value=C), min_size=1, max_size=60),
+        decimals=st.sampled_from([None, 0, 1]),
+        o=st.one_of(st.floats(min_value=-1, max_value=1), st.sampled_from([0.0, -0.0, 0.5])),
+    )
+    def test_matches_the_list_reduction(self, values, decimals, o):
+        # Rounded values bring ties and exact (signed) zeros.
+        v = np.array(values) if decimals is None else np.round(values, decimals)
+        got, want = reduce_gba_to_bba(v, o), reduce_by_list(v, o)
+        assert_reduced(v, o, got)
+        if math.copysign(1.0, o) < 0 and o == 0.0:
+            # About -0.0 a +0.0 and a -0.0 deviation map to different outputs,
+            # and equal deviations may come out in either order.
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_large_two_sided_trace(self):
+        rng = np.random.default_rng(5)
+        o = 0.1
+        vals = np.concatenate([rng.uniform(-C, o, 47_500), rng.uniform(o, C, 52_500)])
+        rng.shuffle(vals)
+        out = reduce_gba_to_bba(vals, o, bound=C)
+        assert_reduced(vals, o, out)
+        assert np.all(out >= o)
+
+
+def assert_reduced(values, o, out):
+    """The reduction's guarantees: the same deviation sum, one side of o, no
+    more values, and no value outside the input's range.  The side and the
+    range hold up to the rounding of v - o and back: about -0.5, the trace
+    [3.73, -0.5000000000000001] reduces to [3.7300000000000004]."""
+    tol = 1e-12 * (1.0 + abs(o) + np.abs(values).max())
+    scale = 1.0 + np.abs(values - o).sum()
+    assert np.sum(out - o) == pytest.approx(np.sum(values - o), abs=1e-12 * scale)
+    assert np.all(out <= o + tol) or np.all(out >= o - tol)
+    assert out.size <= values.size
+    assert np.all(out >= values.min() - tol) and np.all(out <= values.max() + tol)
+
+
+def reduce_by_list(values, reference_mean):
+    """The reduction with sorted lists: each minority value re-sorts, slices
+    and front-inserts the whole dominant list, so it is quadratic.  Kept as
+    the reference the heap pass must reproduce byte for byte."""
+    v, o = np.asarray(values, dtype=float), reference_mean
+    if not (np.any(v < o) and np.any(v > o)):
+        return v.copy()
+    dev_sum = float(np.sum(v - o))
+    if dev_sum == 0.0:
+        return np.empty(0)
+    flip = dev_sum > 0.0
+    dev = -(v - o) if flip else (v - o)
+    keep = sorted(dev[dev <= 0.0].tolist())
+    minority = sorted(dev[dev > 0.0].tolist())
+    while minority:
+        acc = minority.pop()
+        absorbed = 0
+        while acc > 0.0 and absorbed < len(keep):
+            acc += keep[absorbed]
+            absorbed += 1
+        keep = keep[absorbed:]
+        keep.insert(0, acc)
+        keep.sort()
+    out_dev = np.asarray(keep)
+    return o + (-out_dev if flip else out_dev)
 
 
 class TestInputManipulation:

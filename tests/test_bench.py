@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +245,8 @@ class TestConfig:
             {"dataset": [1, 2]},
             {"schemes": [["ostrich"]]},
             {"schemes": ["ostrich", 1, "x"]},
+            {"out": 5},
+            {"out": Path("r.csv")},
         ],
     )
     def test_wrong_types_rejected(self, over):

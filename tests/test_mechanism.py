@@ -365,6 +365,9 @@ class TestRepeatedPerturb:
             pm_perturb(np.zeros(3), Budget(1.0), np.random.default_rng(0), reps=0)
 
 
+C1 = Budget(1.0).c_bound
+
+
 class TestBucketGrid:
     def test_default_sizes(self):
         # d_out = even floor of sqrt(N); d = even floor of the shrunken count.
@@ -394,11 +397,19 @@ class TestBucketGrid:
         assert g.poison_slice("right").start == g.d_out // 2
 
     @pytest.mark.parametrize(
-        "d, d_out", [(0, 8), (-2, 8), (4, 7), (4, 0)], ids=["d0", "d-neg", "odd-d_out", "d_out0"]
+        "d, d_out, c_bound",
+        [
+            (0, 8, C1), (-2, 8, C1), (4, 7, C1), (4, 0, C1), (2.5, 4, C1), (4, 4.0, C1),
+            (True, 8, C1), (4, "8", C1), (4, 8, 1.0), (4, 8, float("nan")), (4, 8, True),
+        ],
+        ids=[
+            "d0", "d-neg", "odd-d_out", "d_out0", "d-float", "d_out-float", "d-bool",
+            "d_out-str", "c_bound1", "c_bound-nan", "c_bound-bool",
+        ],
     )
-    def test_rejects_bad_sizes(self, d, d_out):
+    def test_rejects_bad_sizes(self, d, d_out, c_bound):
         with pytest.raises(ValueError):
-            BucketGrid(d=d, d_out=d_out, c_bound=Budget(1.0).c_bound)
+            BucketGrid(d=d, d_out=d_out, c_bound=c_bound)
 
     def test_poison_slice_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
