@@ -11,12 +11,11 @@ import numpy as np
 
 from dapmean import (
     Budget,
+    GroupFilterInput,
     PoisonSpec,
     attacker_count,
-    build_transform,
     gen_bba,
     pm_perturb,
-    probe_reports,
 )
 
 rng = np.random.default_rng(7)
@@ -38,18 +37,19 @@ rng.shuffle(reports)
 print(f"{n} reports at eps = {eps:g}; {gamma:.0%} of them are poison "
       f"uniform on [{0.5 * c:.1f}, {c:.1f}]")
 
-probe = probe_reports(reports, budget)
+group = GroupFilterInput.from_reports(reports, budget)
+probe = group.probe
 print(f"side probe: Var(x | left) = {probe.var_left:.2e}, "
       f"Var(x | right) = {probe.var_right:.2e} -> poisoned side is '{probe.side}'")
 
 gamma_hat = probe.winning_pair.poison_mass
-m_hat = attacker_count(gamma_hat, probe.counts.n_reports)
+m_hat = attacker_count(gamma_hat, group.counts.n_reports)
 print(f"estimated attacker proportion {gamma_hat:.3f} (truth {gamma})")
 print(f"estimated attacker report count {m_hat:.0f} (truth {m})")
 
 print()
 print("reconstructed poison histogram, coarsened to eight bands:")
-transform = build_transform(budget, probe.grid, probe.side)
+transform = group.transform
 bands = np.array_split(np.arange(transform.n_poison), 8)
 for idx in bands:
     mids = transform.poison_midpoints[idx]

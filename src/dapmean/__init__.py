@@ -37,7 +37,9 @@ from .mechanism import (
 )
 from .protocol import (
     AggregateResult,
+    DapResult,
     GroupEstimate,
+    GroupFilterInput,
     GroupPlan,
     aggregate_means,
     baseline_run,
@@ -45,7 +47,6 @@ from .protocol import (
     dap_plan,
     intra_group_mean,
     ostrich,
-    probe_reports,
     run_dap,
     trimming,
 )

@@ -12,7 +12,7 @@ from .attacks import reduce_gba_to_bba
 from .bench import ATTACK_KINDS, ExperimentConfig, FailedCellError, read_column, run_experiment
 from .filters import attacker_count
 from .mechanism import Budget
-from .protocol import ConfigurationError, dap_plan, probe_reports
+from .protocol import ConfigurationError, GroupFilterInput, dap_plan
 
 
 def _parse_dataset(text: str) -> dict:
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_probe(args) -> int:
     # Reports are already perturbed values; read them raw, no normalization.
     reports = read_column(args.reports, args.column)
-    probe = probe_reports(reports, Budget(args.eps))
+    probe = GroupFilterInput.from_reports(reports, Budget(args.eps)).probe
     gamma_hat = probe.winning_pair.poison_mass
     print(
         json.dumps(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import Budget, BucketGrid, perturbation_matrix
+from .mechanism import Budget, BucketGrid, check_number, perturbation_matrix
 
 
 class InconsistentSuppressionError(ValueError):
@@ -74,12 +74,16 @@ def build_transform(budget: Budget, grid: BucketGrid, side: str) -> TransformMat
 
 @dataclass(frozen=True)
 class ObservedCounts:
-    """Per-output-bucket counts of collected values."""
+    """Per-output-bucket counts of collected values: a 1-D array of finite
+    values >= 0, or ``ValueError``."""
 
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=float))
+        counts = np.asarray(self.counts, dtype=float)
+        if counts.ndim != 1 or not (np.isfinite(counts).all() and (counts >= 0.0).all()):
+            raise ValueError("counts must be a 1-D array of finite values >= 0")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_reports(self) -> int:
@@ -90,12 +94,17 @@ def bucket_counts(reports, grid: BucketGrid) -> ObservedCounts:
     """Histogram collected values over the output grid (values clipped to [-C, C]).
 
     Only input with a value outside [-C, C] is clipped, into a copy; clipping
-    in-range input would copy it unchanged.
+    in-range input would copy it unchanged.  A NaN value raises
+    ``ValueError``, since it would land in no bucket.
     """
     v = np.asarray(reports, dtype=float)
     c = grid.c_bound
-    if v.size and (v.min() < -c or v.max() > c):
-        v = np.clip(v, -c, c)
+    if v.size:
+        lo, hi = v.min(), v.max()  # NaN if any value is NaN
+        if np.isnan(lo):
+            raise ValueError("reports must not be NaN")
+        if lo < -c or hi > c:
+            v = np.clip(v, -c, c)
     counts, _ = np.histogram(v, bins=grid.output_edges)
     return ObservedCounts(counts=counts)
 
@@ -148,14 +157,21 @@ def em(
     A start needs no rescaling, since the first M-step imposes the masses.
     Multiplicative updates never revive a zero entry, so a start histogram
     whose kept entries hold no mass, where the constraints give it mass,
-    starts uniform instead, as the cold start does.
+    starts uniform instead, as the cold start does.  ``counts`` of another
+    length than ``d_out``, a ``tau`` that is not a finite number >= 0 and a
+    ``max_iter`` that is not an integer >= 1 raise ``ValueError``.
     """
+    check_number("tau", tau, ge=0)
+    check_number("max_iter", max_iter, integer=True, ge=1)
     if gamma is not None and not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     block = transform.perturbation
     block_t = block.T
     sl = transform.grid.poison_slice(transform.side)
     d_out, d = block.shape
+    c = counts.counts
+    if np.shape(c) != (d_out,):
+        raise ValueError(f"counts must have d_out = {d_out} entries, got shape {np.shape(c)}")
     p = transform.n_poison
     k = d + p
     keep = None
@@ -193,7 +209,6 @@ def em(
         y[suppress] = 0.0
         kept = np.empty(int(keep.sum()))
 
-    c = counts.counts
     mixture = np.empty(d_out)
     log = np.empty(d_out)
     ratio = np.empty(d_out)

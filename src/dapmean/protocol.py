@@ -16,6 +16,7 @@ import numpy as np
 
 from .attacks import AttackStrategy
 from .filters import (
+    ObservedCounts,
     SideProbe,
     TransformMatrix,
     attacker_count,
@@ -26,7 +27,7 @@ from .filters import (
     probe_side,
     suppression_mask,
 )
-from .mechanism import Budget, BucketGrid, pm_perturb, worst_case_variance
+from .mechanism import Budget, BucketGrid, check_number, pm_perturb, worst_case_variance
 
 
 class ConfigurationError(ValueError):
@@ -264,34 +265,36 @@ def trimming(reports, side: str) -> float:
     return float(kept.mean())
 
 
-def probe_reports(reports: np.ndarray, budget: Budget) -> SideProbe:
-    """Bucket the reports on their budget's grid and probe both sides by EM.
-
-    The probe reads only the bucket counts, so the reports' order does not
-    change its result.
-    """
-    grid = BucketGrid.for_reports(reports.size, budget)
-    return probe_side(
-        build_transform(budget, grid, side="left"),
-        build_transform(budget, grid, side="right"),
-        bucket_counts(reports, grid),
-        tau=default_tolerance(budget),
-    )
-
-
 @dataclass(frozen=True)
 class GroupFilterInput:
-    """What one group's filter stage reads: the group's report sum and its
-    side probe.  The report count is the probe's ``counts.n_reports``: every
-    report lands in a bucket."""
+    """What one group hands the filter stage: its budget, report sum and
+    bucket counts on ``BucketGrid.for_reports(counts.n_reports, budget)``.
+    The probe and the winning side's transform are built on first read."""
 
     budget: Budget
     report_sum: float
-    probe: SideProbe
+    counts: ObservedCounts
+
+    @classmethod
+    def from_reports(cls, reports: np.ndarray, budget: Budget) -> GroupFilterInput:
+        """Bucket the reports on their budget's grid and take their sum."""
+        grid = BucketGrid.for_reports(reports.size, budget)
+        return cls(budget, reports.sum(), bucket_counts(reports, grid))
+
+    @functools.cached_property
+    def probe(self) -> SideProbe:
+        """Plain EM on the counts under each side, left first."""
+        grid = BucketGrid.for_reports(self.counts.n_reports, self.budget)
+        return probe_side(
+            build_transform(self.budget, grid, side="left"),
+            build_transform(self.budget, grid, side="right"),
+            self.counts,
+            tau=default_tolerance(self.budget),
+        )
 
     @functools.cached_property
     def transform(self) -> TransformMatrix:
-        """The transform of the probe's winning side, built on first read."""
+        """The transform of the probe's winning side."""
         return build_transform(self.budget, self.probe.grid, side=self.probe.side)
 
 
@@ -303,13 +306,18 @@ def dap_collect(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
 ) -> GroupFilterInput:
-    """Group t's step of the grouped protocol: collect, shuffle and probe.
+    """Group t's step of the grouped protocol: collect, shuffle and count.
 
     Every user in group t submits ``reports_per_user[t]`` reports at the
     group budget (``collect_reports``).  The reports are shuffled, as the
-    collector receives them, then probed (``probe_reports``).  Only their
-    sum and the probe are kept, so the reports are freed on return.
+    collector receives them; only their sum and bucket counts are kept, so
+    they are freed on return.  A ``t`` that is not an integer in [0, plan.h)
+    raises ``ConfigurationError``.
     """
+    try:
+        check_number("t", t, integer=True, ge=0, lt=plan.h)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
     if values.size != plan.n_users or attacker_mask.size != plan.n_users:
@@ -319,24 +327,21 @@ def dap_collect(
     members = plan.group_members(t)
     reports = collect_reports(values[members], attacker_mask[members], budget, attack, rng, reps)
     rng.shuffle(reports)
-    probe = probe_reports(reports, budget)
-    return GroupFilterInput(budget=budget, report_sum=reports.sum(), probe=probe)
+    return GroupFilterInput.from_reports(reports, budget)
 
 
 @dataclass(frozen=True)
 class DapResult:
     """A grouped run's groups and the filter variant applied to them.
 
-    ``groups`` keeps what the filter stage reads, per group.  Constructing a
-    result runs that stage: each group's filter, ``intra_group_mean`` and
-    ``aggregate_means``, which set ``estimates`` and ``aggregate``.  The
-    stage draws nothing.  Its first run reads each group's ``transform``,
-    which builds it after the last collection, so that no transform is
-    alive at the collector's peak; ``refilter`` shares the groups and builds
-    none.  Each group's constrained filter starts from that group's probe
-    pair on the winning side, which is already an EM fixed point at its own
-    poison mass, so it needs few iterations.  An unknown variant raises
-    ``ConfigurationError``.
+    Constructing a result runs the filter stage on ``groups``: each group's
+    probe and filter, ``intra_group_mean`` and ``aggregate_means``, which set
+    ``estimates`` and ``aggregate``.  It draws nothing.  Its first run builds
+    each group's probe and transform after the last collection, so no
+    transform, probe ones included, is alive at the collector's peak;
+    ``refilter`` builds none.  Each group's constrained filter starts from its
+    probe pair on the winning side, an EM fixed point at its own poison mass.
+    An unknown variant raises ``ConfigurationError``.
     """
 
     eps_total: float
@@ -357,7 +362,7 @@ class DapResult:
                     suppress = suppression_mask(pair.y_hat, gamma_hat)
                 pair = em(
                     g.transform,
-                    g.probe.counts,
+                    g.counts,
                     default_tolerance(g.budget),
                     gamma=gamma_hat,
                     suppress=suppress,
@@ -366,7 +371,7 @@ class DapResult:
             estimates.append(
                 intra_group_mean(
                     g.report_sum,
-                    g.probe.counts.n_reports,
+                    g.counts.n_reports,
                     pair.y_hat,
                     g.transform.poison_midpoints,
                     g.budget,
@@ -460,8 +465,7 @@ def baseline_run(
     alpha_reports = collect_reports(values, attacker_mask, b_alpha, alpha_attack, rng)
     beta_reports = collect_reports(values, attacker_mask, b_beta, attack, rng)
 
-    probe = probe_reports(alpha_reports, b_alpha)
-    transform = build_transform(b_alpha, probe.grid, side=probe.side)
+    alpha = GroupFilterInput.from_reports(alpha_reports, b_alpha)
     # The poison midpoints live on the alpha grid's [-C_alpha, C_alpha] and
     # are subtracted from the beta reports as they are, without mapping to
     # the beta scale.  Beta reports lie on the narrower [-C_beta, C_beta], so
@@ -470,9 +474,9 @@ def baseline_run(
     return intra_group_mean(
         beta_reports.sum(),
         beta_reports.size,
-        probe.winning_pair.y_hat,
-        transform.poison_midpoints,
+        alpha.probe.winning_pair.y_hat,
+        alpha.transform.poison_midpoints,
         b_beta,
         eps_total=eps_alpha + eps_beta,
-        probe=probe,
+        probe=alpha.probe,
     )

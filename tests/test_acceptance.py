@@ -25,7 +25,7 @@ from dapmean.mechanism import (
     pm_perturb,
     worst_case_variance,
 )
-from dapmean.protocol import GroupEstimate, aggregate_means, probe_reports, run_dap
+from dapmean.protocol import GroupEstimate, GroupFilterInput, aggregate_means, run_dap
 
 
 def test_c01_perturbation_unbiased():
@@ -73,7 +73,7 @@ def test_c02_side_probe_variance_ordering(eps):
     for label, make_range in ranges.items():
         for seed in range(10):
             reports, b, _ = _poisoned_reports(seed, eps, 0.25, make_range)
-            probe = probe_reports(reports, b)
+            probe = GroupFilterInput.from_reports(reports, b).probe
             assert probe.var_right < probe.var_left, (
                 f"range {label} seed {seed}: "
                 f"var_right {probe.var_right:g} !< var_left {probe.var_left:g}"
@@ -89,12 +89,13 @@ def test_c03_attacker_proportion_estimate():
         hits = 0
         for seed in range(10):
             reports, budget, _ = _poisoned_reports(seed, eps, gamma, half_top)
-            gamma_hat = probe_reports(reports, budget).winning_pair.poison_mass
+            probe = GroupFilterInput.from_reports(reports, budget).probe
+            gamma_hat = probe.winning_pair.poison_mass
             hits += abs(gamma_hat - gamma) <= 0.05
         assert hits >= 9, f"gamma={gamma}: only {hits}/10 within 0.05"
     for seed in range(10):
         reports, budget, _ = _poisoned_reports(seed, eps, 0.0, half_top)
-        gamma_hat = probe_reports(reports, budget).winning_pair.poison_mass
+        gamma_hat = GroupFilterInput.from_reports(reports, budget).probe.winning_pair.poison_mass
         assert gamma_hat <= 0.05, f"false positive {gamma_hat:g} at seed {seed}"
 
 

@@ -10,7 +10,7 @@ from dapmean.bench import ATTACK_KINDS, ExperimentConfig, build_attack
 from dapmean.cli import build_parser, main
 from dapmean.filters import attacker_count
 from dapmean.mechanism import Budget, pm_perturb
-from dapmean.protocol import DegenerateFilterError, probe_reports
+from dapmean.protocol import DegenerateFilterError, GroupFilterInput
 
 
 def run_cli(capsys, *argv):
@@ -116,7 +116,7 @@ class TestProbe:
         assert payload["gamma_hat"] == pytest.approx(0.25, abs=0.15)
         assert payload["n_reports"] == 20_000
 
-    def test_prints_what_probe_reports_returns(self, capsys, tmp_path):
+    def test_prints_what_the_group_probe_returns(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         budget = Budget(0.5)
         c = budget.c_bound
@@ -129,7 +129,7 @@ class TestProbe:
         )
         assert code == 0
         payload = json.loads(out)
-        probe = probe_reports(reports, budget)
+        probe = GroupFilterInput.from_reports(reports, budget).probe
         gamma_hat = probe.winning_pair.poison_mass
         assert payload["side"] == probe.side
         assert payload["gamma_hat"] == gamma_hat

@@ -220,6 +220,28 @@ class TestCounts:
         assert counts.n_reports == r.size
         assert peak < r.nbytes / 2
 
+    def test_nan_report_rejected_and_inf_clipped(self):
+        # A NaN lands in no bucket, so the counts would size a smaller grid
+        # than the one they were counted on; +-inf lands in an end bucket.
+        grid = BucketGrid.for_reports(100, Budget(1.0))
+        r = np.random.default_rng(0).uniform(-1, 1, 100)
+        r[[3, 50, 99]] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            bucket_counts(r, grid)
+        r[[3, 50, 99]] = -np.inf, np.inf, 0.0
+        counts = bucket_counts(r, grid)
+        assert counts.n_reports == 100
+        assert counts.counts[0] >= 1 and counts.counts[-1] >= 1
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[[1.0, 2.0]], [1.0, np.nan], [1.0, np.inf], [1.0, -1.0]],
+        ids=["2-d", "nan", "inf", "negative"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be"):
+            ObservedCounts(counts)
+
 
 def test_default_tolerance():
     assert default_tolerance(Budget(1.0)) == pytest.approx(0.01 * math.e)
@@ -254,6 +276,31 @@ class TestEMF:
         pair = em(transform, counts, tau=0.0, max_iter=5)
         assert not pair.converged
         assert pair.iterations == 5
+
+    @pytest.mark.parametrize("delta", [-2, 2])
+    def test_rejects_counts_of_another_grid(self, delta):
+        _, grid, _, transform, _ = make_setup(n=5_000)
+        other = ObservedCounts(np.ones(grid.d_out + delta))
+        with pytest.raises(ValueError, match="^counts must have"):
+            em(transform, other, tau=1e-4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau": np.nan},
+            {"tau": -1.0},
+            {"tau": np.inf},
+            {"tau": 1e-4, "max_iter": 0},
+            {"tau": 1e-4, "max_iter": 1.5},
+            {"tau": 1e-4, "max_iter": True},
+        ],
+        ids=["tau-nan", "tau-negative", "tau-inf", "max_iter-0", "max_iter-float", "max_iter-bool"],
+    )
+    def test_rejects_bad_tau_and_max_iter(self, kwargs):
+        _, _, counts, transform, _ = make_setup(n=5_000)
+        name = "max_iter" if "max_iter" in kwargs else "tau"
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            em(transform, counts, **kwargs)
 
 
 class TestEMFStar:

@@ -1,6 +1,6 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so four rules are checked here.  Every
+No linter ships with the project, so five rules are checked here.  Every
 name a module imports must be read somewhere in that module, and only
 ``mechanism.py`` imports ``numbers``: every other module checks outside
 numbers with its ``check_number``.  Every public top-level function or
@@ -9,10 +9,12 @@ benchmark or a README example, unless it is on ``TESTED_ONLY``.
 Every public field, property or method of such a class must be read as an
 attribute by those same readers, unless it is on ``UNREAD_MEMBERS``.
 ``__init__.py`` is skipped by these rules because its imports are the
-package's exports, not uses.
+package's exports, not uses.  Every package name and call that README.md's
+prose puts in backticks must be defined in ``src/dapmean``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -212,3 +214,70 @@ def test_every_public_member_is_read():
     assert [where for where in unread if where not in UNREAD_MEMBERS] == []
     # A listed member that is now read somewhere, or gone, leaves the list.
     assert sorted(set(UNREAD_MEMBERS) - set(unread)) == []
+
+
+# Backticked calls in README.md's prose that name nothing in the package.
+README_FOREIGN_CALLS = {"xfail": "pytest's marker on the gate tests"}
+
+
+def readme_prose() -> str:
+    """README.md without its fenced code blocks."""
+    return re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def package_definitions() -> dict[str, dict[str, set[str]]]:
+    """Per module of ``src/dapmean``: its top-level names, and the methods of
+    each of its classes."""
+    out = {}
+    for path in (ROOT / "src" / "dapmean").glob("*.py"):
+        top, methods = {}, {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top[node.name] = node
+            elif isinstance(node, ast.Assign):
+                top |= {t.id: node for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                top[node.target.id] = node
+        for name, node in top.items():
+            if isinstance(node, ast.ClassDef):
+                methods[name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        out[path.stem] = {"top": set(top), **methods}
+    return out
+
+
+def unresolved_readme_names(text: str, defs: dict[str, dict[str, set[str]]]) -> list[str]:
+    """Backticked ``dapmean.<module>[.<name>]`` paths that name no module or no
+    top-level name of it, and backticked calls ``f(`` or ``Class.f(`` that
+    name no top-level function, class or method, or no method of that class."""
+    bad = []
+    for path in re.findall(r"`(dapmean(?:\.\w+)+)", text):
+        module, *rest = path.split(".")[1:]
+        if module not in defs or rest[:1] and rest[0] not in defs[module]["top"]:
+            bad.append(path)
+    classes = {cls: m for d in defs.values() for cls, m in d.items() if cls != "top"}
+    functions = set().union(*(d["top"] for d in defs.values()), *classes.values())
+    for owner, name in re.findall(r"`(?:(\w+)\.)?(\w+)\(", text):
+        if owner in classes and name not in classes[owner]:
+            bad.append(f"{owner}.{name}(")
+        elif not owner and name not in functions and name not in README_FOREIGN_CALLS:
+            bad.append(f"{name}(")
+    return bad
+
+
+def test_readme_name_scanner():
+    defs = {"protocol": {"top": {"run_dap", "DapResult"}, "DapResult": {"refilter"}}}
+    text = (
+        "`dapmean.protocol`, `dapmean.protocol.run_dap(x)`, `dapmean.protocol.gone`,"
+        " `dapmean.nowhere`, `run_dap(`, `refilter(`, `gone(a)`, `DapResult.refilter(v)`,"
+        " `DapResult.lost(`, `np.sum(v)`, `xfail(strict=True)`\n```\ngone(x)\n```"
+    )
+    assert unresolved_readme_names(re.sub(r"```.*?```", "", text, flags=re.S), defs) == [
+        "dapmean.protocol.gone",
+        "dapmean.nowhere",
+        "gone(",
+        "DapResult.lost(",
+    ]
+
+
+def test_readme_names_resolve():
+    assert unresolved_readme_names(readme_prose(), package_definitions()) == []

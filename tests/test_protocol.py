@@ -11,6 +11,7 @@ import pytest
 
 from dapmean.attacks import poison_strategy
 from dapmean.filters import (
+    ObservedCounts,
     attacker_count,
     bucket_counts,
     build_transform,
@@ -21,8 +22,10 @@ from dapmean.filters import (
 from dapmean.mechanism import BucketGrid, Budget, DomainError, pm_perturb, worst_case_variance
 from dapmean.protocol import (
     ConfigurationError,
+    DapResult,
     DegenerateFilterError,
     GroupEstimate,
+    GroupFilterInput,
     aggregate_means,
     baseline_run,
     collect_reports,
@@ -30,7 +33,6 @@ from dapmean.protocol import (
     dap_plan,
     intra_group_mean,
     ostrich,
-    probe_reports,
     run_dap,
     trimming,
 )
@@ -274,7 +276,7 @@ class TestCollect:
         mask = np.zeros(self.n, dtype=bool)
         groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
-            assert g.probe.counts.n_reports == plan.expected_reports(t)
+            assert g.counts.n_reports == plan.expected_reports(t)
             assert g.budget.epsilon == pytest.approx(plan.budgets[t])
 
     def test_unattacked_attackers_report_honestly(self):
@@ -285,7 +287,7 @@ class TestCollect:
         plan = dap_plan(self.n, 1.0, 0.25, self.rng)
         groups = collect_all(self.values, mask, plan, None, self.rng)
         for g, t in zip(groups, range(plan.h)):
-            assert g.probe.counts.n_reports == plan.expected_reports(t)
+            assert g.counts.n_reports == plan.expected_reports(t)
             members = plan.group_members(t)
             reps = int(plan.reports_per_user[t])
             reports = collect_reports(
@@ -313,7 +315,7 @@ class TestCollect:
             rng = np.random.default_rng(99)
             plan = dap_plan(self.n, 0.5, 0.125, rng)
             groups = collect_all(self.values, mask, plan, None, rng)
-            out.append([(g.report_sum.hex(), g.probe.counts.counts) for g in groups])
+            out.append([(g.report_sum.hex(), g.counts.counts) for g in groups])
         for (sum_a, counts_a), (sum_b, counts_b) in zip(*out):
             assert sum_a == sum_b
             np.testing.assert_array_equal(counts_a, counts_b)
@@ -334,10 +336,17 @@ class TestCollect:
             members = plan.group_members(t)
             reports = collect_reports(self.values[members], mask[members], budget, attack, ref, reps)
             ref.shuffle(reports)
-            probe = probe_reports(reports, budget)
+            probe = GroupFilterInput.from_reports(reports, budget).probe
             assert g.report_sum.hex() == reports.sum().hex()
-            np.testing.assert_array_equal(g.probe.counts.counts, probe.counts.counts)
+            np.testing.assert_array_equal(g.counts.counts, probe.counts.counts)
             assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("t", [-1, 3, 1.5, True, "0"])
+    def test_bad_group_index_rejected(self, t):
+        plan = dap_plan(self.n, 1.0, 0.25, self.rng)
+        assert plan.h == 3
+        with pytest.raises(ConfigurationError, match="^t must be an integer"):
+            dap_collect(self.values, np.zeros(self.n, bool), plan, t, None, self.rng)
 
     def test_plan_must_cover_users(self):
         plan = dap_plan(self.n + 1, 1.0, 0.25, self.rng)
@@ -599,7 +608,7 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
         reports = collect_reports(values[members], mask[members], budget, attack, rng, reps)
         rng.shuffle(reports)
         groups.append((budget, reports))
-    probes = [probe_reports(reports, budget) for budget, reports in groups]
+    probes = [GroupFilterInput.from_reports(reports, budget).probe for budget, reports in groups]
     gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
     estimates = []
     for (budget, reports), probe in zip(groups, probes):
@@ -738,25 +747,34 @@ class TestRefilter:
         assert back.gamma_hat.hex() == res.gamma_hat.hex()
 
 
+def counting_builds(monkeypatch):
+    """The sides of every transform the protocol builds from now on."""
+    import dapmean.protocol as protocol
+
+    sides = []
+
+    def counting(budget, grid, side):
+        sides.append(side)
+        return build_transform(budget, grid, side=side)
+
+    monkeypatch.setattr(protocol, "build_transform", counting)
+    return sides
+
+
 class TestTransformBuilds:
     def test_three_per_group_and_none_on_refilter(self, monkeypatch):
-        # The probe builds both sides; the winning side is built once more,
-        # when the filter stage first reads a group's transform.
-        import dapmean.protocol as protocol
-
-        sides = []
-
-        def counting(budget, grid, side):
-            sides.append(side)
-            return build_transform(budget, grid, side=side)
-
-        monkeypatch.setattr(protocol, "build_transform", counting)
+        # Collection builds none.  The probe builds both sides on its first
+        # read; the winning side is built once more, when the filter stage
+        # first reads a group's transform.
+        sides = counting_builds(monkeypatch)
         rng = np.random.default_rng(17)
         values = rng.uniform(-1, 1, 4_000)
         mask = np.zeros(values.size, dtype=bool)
         mask[:1_000] = True
         plan = dap_plan(values.size, 1.0, 0.25, np.random.default_rng(5))
         g = dap_collect(values, mask, plan, 0, poison_strategy(), np.random.default_rng(5))
+        assert sides == []
+        assert g.probe is g.probe
         assert sides == ["left", "right"]
         assert g.transform is g.transform
         assert sides == ["left", "right", g.probe.side]
@@ -767,6 +785,33 @@ class TestTransformBuilds:
         for variant in VARIANTS:
             res.refilter(variant)
         assert len(sides) == 3 * len(res.groups)
+
+
+class TestReplay:
+    """A run's groups stored as plain numbers, (epsilon, report sum, integer
+    counts) per group, rebuild the run with no collection, bit for bit."""
+
+    def test_stored_groups_replay_every_variant(self, monkeypatch):
+        run = refilter_fixture_run("emf_star")
+        wants = [refilter_fixture_run(variant) for variant in VARIANTS]
+        records = [
+            (g.budget.epsilon, g.report_sum.hex(), [int(c) for c in g.counts.counts])
+            for g in run.groups
+        ]
+        sides = counting_builds(monkeypatch)
+        groups = tuple(
+            GroupFilterInput(Budget(eps), float.fromhex(s), ObservedCounts(counts))
+            for eps, s, counts in records
+        )
+        replay = DapResult(run.eps_total, groups, "emf_star")
+        assert len(sides) == 3 * len(groups)
+        for variant, want in zip(VARIANTS, wants):
+            got = replay.refilter(variant)
+            assert got.mean.hex() == want.mean.hex()
+            assert [g.mean.hex() for g in got.estimates] == [g.mean.hex() for g in want.estimates]
+            assert got.gamma_hat.hex() == want.gamma_hat.hex()
+            assert bits(got.aggregate.weights) == bits(want.aggregate.weights)
+        assert len(sides) == 3 * len(groups)
 
 
 def failing_on_call(k, exc):
@@ -891,12 +936,12 @@ class TestPinnedBits:
     }
 
     @pytest.mark.parametrize("eps", sorted(PROBES))
-    def test_probe_reports(self, eps):
+    def test_group_probe(self, eps):
         # The probe reads only bucket counts, so permuted reports give the
         # same bits.
         reports = pinned_reports(eps)
         for given in (reports, np.random.default_rng(12).permutation(reports)):
-            probe = probe_reports(given, Budget(eps))
+            probe = GroupFilterInput.from_reports(given, Budget(eps)).probe
             for side, pair in (("left", probe.pair_left), ("right", probe.pair_right)):
                 got = (pair.iterations, bits(pair.x_hat), bits(pair.y_hat))
                 assert got == self.PROBES[eps][side], side
@@ -973,7 +1018,7 @@ class TestBaselineRun:
         b_alpha, b_beta = Budget(1.0 / 16.0), Budget(15.0 / 16.0)
         alpha = collect_reports(values, mask, b_alpha, None, ref)
         beta = collect_reports(values, mask, b_beta, attack, ref)
-        probe = probe_reports(alpha, b_alpha)
+        probe = GroupFilterInput.from_reports(alpha, b_alpha).probe
         transform = build_transform(b_alpha, probe.grid, side=probe.side)
         est = intra_group_mean(
             beta.sum(), beta.size, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta,
