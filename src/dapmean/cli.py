@@ -110,17 +110,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_probe(args) -> int:
     # Reports are already perturbed values; read them raw, no normalization.
     reports = read_column(args.reports, args.column)
-    probe = GroupFilterInput.from_reports(reports, Budget(args.eps)).probe
-    gamma_hat = probe.winning_pair.poison_mass
+    group = GroupFilterInput.from_reports(reports, Budget(args.eps))
+    gamma_hat = group.probe.winning_pair.poison_mass
     print(
         json.dumps(
             {
-                "side": probe.side,
+                "side": group.probe.side,
                 "gamma_hat": gamma_hat,
-                "m_hat": attacker_count(gamma_hat, probe.counts.n_reports),
-                "var_left": probe.var_left,
-                "var_right": probe.var_right,
-                "n_reports": probe.counts.n_reports,
+                "m_hat": attacker_count(gamma_hat, group.counts.n_reports),
+                "var_left": group.probe.var_left,
+                "var_right": group.probe.var_right,
+                "n_reports": group.counts.n_reports,
             },
             indent=2,
         )

@@ -45,10 +45,6 @@ class TransformMatrix:
     grid: BucketGrid
 
     @property
-    def n_normal(self) -> int:
-        return self.grid.d
-
-    @property
     def n_poison(self) -> int:
         sl = self.grid.poison_slice(self.side)
         return sl.stop - sl.start
@@ -59,7 +55,7 @@ class TransformMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        d, p = self.n_normal, self.n_poison
+        d, p = self.grid.d, self.n_poison
         dense = np.zeros((self.grid.d_out, d + p))
         dense[:, :d] = self.perturbation
         np.fill_diagonal(dense[self.grid.poison_slice(self.side), d:], 1.0)
@@ -261,13 +257,11 @@ def suppression_mask(prior_y: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SideProbe:
-    """The plain EM fit under each side hypothesis, on the grid's counts.  The
-    poisoned ``side`` is the one whose normal-user histogram x_hat is flatter."""
+    """The plain EM fit under each side hypothesis.  The poisoned ``side`` is
+    the one whose normal-user histogram x_hat is flatter."""
 
     pair_left: HistogramPair
     pair_right: HistogramPair
-    grid: BucketGrid
-    counts: ObservedCounts
 
     @property
     def var_left(self) -> float:
@@ -297,8 +291,6 @@ def probe_side(
     return SideProbe(
         pair_left=em(transform_left, counts, tau),
         pair_right=em(transform_right, counts, tau),
-        grid=transform_left.grid,
-        counts=counts,
     )
 
 

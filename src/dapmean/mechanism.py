@@ -237,16 +237,12 @@ class BucketGrid:
         return cls(d=d, d_out=d_out, c_bound=budget.c_bound)
 
     @property
-    def input_edges(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.d + 1)
-
-    @property
     def output_edges(self) -> np.ndarray:
         return np.linspace(-self.c_bound, self.c_bound, self.d_out + 1)
 
     @property
     def input_midpoints(self) -> np.ndarray:
-        e = self.input_edges
+        e = np.linspace(-1.0, 1.0, self.d + 1)
         return 0.5 * (e[:-1] + e[1:])
 
     @property
@@ -297,10 +293,6 @@ class Dataset:
         object.__setattr__(self, "values", v)
         if v.size and not (v.min() >= -1.0 and v.max() <= 1.0):
             raise DomainError("dataset values must lie in [-1, 1]")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
 
 def normalize_dataset(raw) -> Dataset:

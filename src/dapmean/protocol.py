@@ -268,8 +268,8 @@ def trimming(reports, side: str) -> float:
 @dataclass(frozen=True)
 class GroupFilterInput:
     """What one group hands the filter stage: its budget, report sum and
-    bucket counts on ``BucketGrid.for_reports(counts.n_reports, budget)``.
-    The probe and the winning side's transform are built on first read."""
+    bucket counts on ``grid``.  The grid, the probe and the winning side's
+    transform are built on first read, all on the one ``grid``."""
 
     budget: Budget
     report_sum: float
@@ -282,12 +282,16 @@ class GroupFilterInput:
         return cls(budget, reports.sum(), bucket_counts(reports, grid))
 
     @functools.cached_property
+    def grid(self) -> BucketGrid:
+        """``BucketGrid.for_reports(counts.n_reports, budget)``, the counts' grid."""
+        return BucketGrid.for_reports(self.counts.n_reports, self.budget)
+
+    @functools.cached_property
     def probe(self) -> SideProbe:
         """Plain EM on the counts under each side, left first."""
-        grid = BucketGrid.for_reports(self.counts.n_reports, self.budget)
         return probe_side(
-            build_transform(self.budget, grid, side="left"),
-            build_transform(self.budget, grid, side="right"),
+            build_transform(self.budget, self.grid, side="left"),
+            build_transform(self.budget, self.grid, side="right"),
             self.counts,
             tau=default_tolerance(self.budget),
         )
@@ -295,7 +299,7 @@ class GroupFilterInput:
     @functools.cached_property
     def transform(self) -> TransformMatrix:
         """The transform of the probe's winning side."""
-        return build_transform(self.budget, self.probe.grid, side=self.probe.side)
+        return build_transform(self.budget, self.grid, side=self.probe.side)
 
 
 def dap_collect(

@@ -157,7 +157,7 @@ def test_c04_constrained_m_step_is_the_maximizer():
         c_norm = counts_vec / counts_vec.sum()
         denom = m @ theta0
         p = theta0 * (m.T @ np.where(denom > 0, c_norm / denom, 0.0))
-        d = transform.n_normal
+        d = transform.grid.d
         if p[:d].sum() <= 0 or p[d:].sum() <= 0:
             continue
         x_star = _pg_maximize(p[:d], 1.0 - gamma)
@@ -267,7 +267,7 @@ def test_c09_evasion_identity_and_nonmonotone_sweep():
         assert abs((u_max - u_eva) - delta) <= 1e-12
 
     ds = gen_beta(5, 2, 100_000, 2)
-    n_users = ds.n
+    n_users = ds.values.size
     sweep = {}
     for a in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         errs = []
@@ -365,7 +365,7 @@ def test_gate_no_attack_leaves_the_mean():
     failing = []
     for seed in range(12):
         ds = gen_beta(2, 5, 20_000, seed)
-        honest = np.zeros(ds.n, dtype=bool)
+        honest = np.zeros(ds.values.size, dtype=bool)
         res = run_dap(ds.values, honest, 1.0, 0.25, None, np.random.default_rng(seed), "emf_star")
         if not abs(res.mean - ds.true_mean) <= 0.1:
             failing.append(f"seed {seed}: error {res.mean - ds.true_mean:+.3f}")

@@ -24,7 +24,7 @@ from dapmean.protocol import ConfigurationError, DegenerateFilterError, run_dap
 class TestDatasets:
     def test_gen_beta_normalized(self):
         ds = gen_beta(2, 5, 10_000, 0)
-        assert ds.n == 10_000
+        assert ds.values.size == 10_000
         assert ds.values.min() == pytest.approx(-1.0)
         assert ds.values.max() == pytest.approx(1.0)
         assert -1.0 < ds.true_mean < 0.0  # Beta(2,5) skews low
@@ -51,7 +51,7 @@ class TestDatasets:
         p.write_text("score\n10\nnot-a-number\n30\n")
         with pytest.warns(UserWarning, match="skipped"):
             ds = load_csv(p, column=0)
-        assert ds.n == 2
+        assert ds.values.size == 2
 
     @pytest.mark.parametrize("column", [0, "x"])
     def test_load_csv_skips_non_finite_cells(self, tmp_path, column):
@@ -72,11 +72,11 @@ class TestDatasets:
         p = tmp_path / "data.csv"
         p.write_text("x\n5\n10\n20\n100\n")
         ds = load_csv(p, column=0, clip=(10, 20))
-        assert ds.n == 2
+        assert ds.values.size == 2
 
     def test_build_dataset_kinds(self, tmp_path):
         ds = build_dataset({"type": "beta", "a": 2, "b": 5, "n": 100}, seed=0)
-        assert ds.n == 100
+        assert ds.values.size == 100
         with pytest.raises(ConfigurationError):
             build_dataset({"type": "parquet"}, seed=0)
 
@@ -84,7 +84,7 @@ class TestDatasets:
         p = tmp_path / "data.csv"
         p.write_text("x\n5\n10\n20\n100\n")
         ds = build_dataset({"type": "csv", "path": str(p), "column": "x", "clip": [10, 20]}, seed=0)
-        assert ds.n == 2
+        assert ds.values.size == 2
 
     @pytest.mark.parametrize(
         "spec, key",

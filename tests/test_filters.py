@@ -109,7 +109,7 @@ class TestStructuredKernel:
         counts = production_counts(grid, budget)
         transform = build_transform(budget, grid, side=side)
         m = transform.matrix
-        d, p = transform.n_normal, transform.n_poison
+        d, p = transform.grid.d, transform.n_poison
         k = d + p
         gamma, n_iter = 0.25, 50
         mask = np.zeros(p, dtype=bool)
@@ -395,7 +395,7 @@ def same_bits(a, b):
 class TestWarmStart:
     def test_no_start_is_the_uniform_start_bit_for_bit(self):
         _, _, counts, transform, _ = make_setup(n=5_000)
-        d, p = transform.n_normal, transform.n_poison
+        d, p = transform.grid.d, transform.n_poison
         k = d + p
         uniform = HistogramPair(
             x_hat=np.full(d, 1.0 / k), y_hat=np.full(p, 1.0 / k),
@@ -502,7 +502,8 @@ class TestProbe:
         tr = build_transform(budget, grid, side="right")
         probe = probe_side(tl, tr, counts, tau=default_tolerance(budget))
         assert probe.side == side
-        assert probe.grid is grid and probe.counts is counts
+        for pair in (probe.pair_left, probe.pair_right):
+            assert (pair.x_hat.size, pair.y_hat.size) == (grid.d, grid.d_out // 2)
         winner = probe.var_right if side == "right" else probe.var_left
         loser = probe.var_left if side == "right" else probe.var_right
         assert winner < loser

@@ -385,12 +385,16 @@ class TestBucketGrid:
     def test_edges_cover_domains(self):
         b = Budget(2.0)
         g = BucketGrid.for_reports(5_000, b)
-        assert g.input_edges[0] == pytest.approx(-1.0)
-        assert g.input_edges[-1] == pytest.approx(1.0)
+        input_edges = np.linspace(-1, 1, g.d + 1)
+        assert input_edges[0] == pytest.approx(-1.0)
+        assert input_edges[-1] == pytest.approx(1.0)
         assert g.output_edges[0] == pytest.approx(-b.c_bound)
         assert g.output_edges[-1] == pytest.approx(b.c_bound)
-        assert g.input_edges.size == g.d + 1
+        assert input_edges.size == g.d + 1
         assert g.output_edges.size == g.d_out + 1
+        np.testing.assert_array_equal(
+            g.input_midpoints, 0.5 * (input_edges[:-1] + input_edges[1:])
+        )
 
     def test_default_split_is_half(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))

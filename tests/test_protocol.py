@@ -336,9 +336,9 @@ class TestCollect:
             members = plan.group_members(t)
             reports = collect_reports(self.values[members], mask[members], budget, attack, ref, reps)
             ref.shuffle(reports)
-            probe = GroupFilterInput.from_reports(reports, budget).probe
+            counts = bucket_counts(reports, BucketGrid.for_reports(reports.size, budget))
             assert g.report_sum.hex() == reports.sum().hex()
-            np.testing.assert_array_equal(g.counts.counts, probe.counts.counts)
+            np.testing.assert_array_equal(g.counts.counts, counts.counts)
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("t", [-1, 3, 1.5, True, "0"])
@@ -608,18 +608,19 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
         reports = collect_reports(values[members], mask[members], budget, attack, rng, reps)
         rng.shuffle(reports)
         groups.append((budget, reports))
-    probes = [GroupFilterInput.from_reports(reports, budget).probe for budget, reports in groups]
-    gamma_hat = min(probes[-1].winning_pair.poison_mass, 0.999)
+    inputs = [GroupFilterInput.from_reports(reports, budget) for budget, reports in groups]
+    gamma_hat = min(inputs[-1].probe.winning_pair.poison_mass, 0.999)
     estimates = []
-    for (budget, reports), probe in zip(groups, probes):
-        transform = build_transform(budget, probe.grid, side=probe.side)
+    for (budget, reports), g in zip(groups, inputs):
+        probe = g.probe
+        transform = build_transform(budget, g.grid, side=probe.side)
         pair = probe.winning_pair
         if variant != "emf":
             suppress = None
             if variant == "cemf_star":
                 suppress = suppression_mask(pair.y_hat, gamma_hat)
             pair = em(
-                transform, probe.counts, default_tolerance(budget),
+                transform, g.counts, default_tolerance(budget),
                 gamma=gamma_hat, suppress=suppress, start=pair,
             )
         midpoints = transform.poison_midpoints
@@ -990,8 +991,10 @@ class TestBaselineRun:
         res = baseline_run(values, mask, 1.0, None, np.random.default_rng(42))
         assert isinstance(res, GroupEstimate)
         assert res.budget.epsilon == 15.0 / 16.0
-        assert res.probe.grid.c_bound == Budget(1.0 / 16.0).c_bound
-        assert res.probe.counts.n_reports == values.size
+        # The probe ran on the eps/16 stream of every user: its fits have that grid's sizes.
+        grid = BucketGrid.for_reports(values.size, Budget(1.0 / 16.0))
+        for pair in (res.probe.pair_left, res.probe.pair_right):
+            assert (pair.x_hat.size, pair.y_hat.size) == (grid.d, grid.d_out // 2)
         assert (res.side, res.gamma_hat) == (res.probe.side, res.probe.winning_pair.poison_mass)
 
     def test_deterministic_given_seed(self):
@@ -1018,8 +1021,9 @@ class TestBaselineRun:
         b_alpha, b_beta = Budget(1.0 / 16.0), Budget(15.0 / 16.0)
         alpha = collect_reports(values, mask, b_alpha, None, ref)
         beta = collect_reports(values, mask, b_beta, attack, ref)
-        probe = GroupFilterInput.from_reports(alpha, b_alpha).probe
-        transform = build_transform(b_alpha, probe.grid, side=probe.side)
+        group = GroupFilterInput.from_reports(alpha, b_alpha)
+        probe = group.probe
+        transform = build_transform(b_alpha, group.grid, side=probe.side)
         est = intra_group_mean(
             beta.sum(), beta.size, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta,
             eps_total=1.0,
