@@ -45,6 +45,7 @@ from .protocol import (
     baseline_run,
     dap_collect,
     dap_plan,
+    group_mean_statistics,
     intra_group_mean,
     ostrich,
     run_dap,

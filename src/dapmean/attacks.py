@@ -181,7 +181,7 @@ def gen_bba(
 
     The poison range, resolved at the budget's C and ``reference_mean``,
     must lie entirely on the spec's side of the reference mean and inside
-    [-C, C].
+    [-C, C].  An ``m`` that is not an integer >= 0 raises ``ValueError``.
     """
     c = budget.c_bound
     lo, hi = spec.range_at(c, reference_mean)
@@ -191,6 +191,7 @@ def gen_bba(
         raise NotBiasedError("right-side poison range crosses the reference mean")
     if spec.side == "left" and hi > reference_mean:
         raise NotBiasedError("left-side poison range crosses the reference mean")
+    check_number("m", m, integer=True)
     if m < 0:
         raise ValueError("m must be non-negative")
     return _draw(spec, lo, hi, m, rng)
@@ -263,6 +264,7 @@ def gen_input_manipulation(
     g: float, m: int, budget: Budget, rng: np.random.Generator
 ) -> np.ndarray:
     """Attackers disguise as honest users: perturb the chosen input g normally."""
+    check_number("m", m, integer=True, ge=0)
     if not (-1.0 <= g <= 1.0):
         raise DomainError("manipulated input must lie in [-1, 1]")
     return pm_perturb(np.full(m, float(g)), budget, rng)

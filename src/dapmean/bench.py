@@ -33,6 +33,7 @@ from .protocol import (
     baseline_run,
     budget_ladder,
     collect_reports,
+    group_mean_statistics,
     ostrich,
     run_dap,
     trimming,
@@ -378,6 +379,7 @@ def _run_trial(
                 diag = {"gamma_hat": res.gamma_hat, "side": res.side}
                 if scheme != "baseline":
                     diag["group_gamma_hats"] = [g.gamma_hat for g in res.estimates]
+                    diag["slope_z"], diag["spread_q"] = group_mean_statistics(res.groups)
         except (ValueError, ArithmeticError) as exc:  # domain failure: record, keep going
             est = float("nan")
             diag = {"error": f"{type(exc).__name__}: {exc}"}

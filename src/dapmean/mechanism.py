@@ -137,7 +137,7 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
         rng: seeded random generator.
         out: optional C-contiguous float64 array of shape ``(v.size * reps,)``
             to write the reports into.
-        reps: reports per value, at least 1.
+        reps: reports per value, an integer >= 1 (else ``ValueError``).
 
     Returns:
         Perturbed value(s) in [-C, C]: ``out`` when given, else an array of
@@ -147,8 +147,7 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
     arr = np.asarray(v, dtype=float)
     if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
         raise DomainError("input values must lie in [-1, 1]")
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    check_number("reps", reps, integer=True, ge=1)
     c = budget.c_bound
     flat = arr.reshape(-1)
     n = flat.size * reps
@@ -228,7 +227,10 @@ class BucketGrid:
 
     @classmethod
     def for_reports(cls, n_reports: int, budget: Budget) -> "BucketGrid":
-        """Default grid: d_out = floor(sqrt(N)) and d scaled by (C-1)/(C+1), both even."""
+        """Default grid: d_out = floor(sqrt(N)) and d scaled by (C-1)/(C+1), both even.
+
+        An ``n_reports`` that is not an integer >= 16 raises ``ValueError``."""
+        check_number("n_reports", n_reports, integer=True)
         if n_reports < 16:
             raise ValueError("too few reports to size a bucket grid")
         d_out = max(4, _even_floor(math.sqrt(n_reports)))

@@ -302,6 +302,36 @@ class GroupFilterInput:
         return build_transform(self.budget, self.grid, side=self.probe.side)
 
 
+def group_mean_statistics(groups) -> tuple[float, float]:
+    """The slope z and the spread Q of the groups' raw means.
+
+    Every group's raw mean m_t = report_sum / N_t estimates the same mean,
+    with variance at most Var_worst(eps_t) / N_t, so w_t = N_t /
+    Var_worst(eps_t).  Q = sum_t w_t (m_t - m_bar)^2, with w-weighted means
+    m_bar and C_bar, is close to chi^2 with h - 1 degrees of freedom (a
+    conservative null) when no poison moves the means.  Poison drawn
+    relative to C shifts group t's mean in proportion to C_t;
+    z = sum_t w_t (C_t - C_bar)(m_t - m_bar) / sqrt(sum_t w_t (C_t - C_bar)^2)
+    is the weighted least-squares slope of m on C over its standard error,
+    and its sign is the poisoned side.  z is 0.0 when that sum is 0, as
+    with one group.  Only each group's budget, report sum and count are read.
+    """
+    n = np.array([g.counts.n_reports for g in groups], dtype=float)
+    m = np.array([g.report_sum for g in groups]) / n
+    c = np.array([g.budget.c_bound for g in groups])
+    w = n / np.array([worst_case_variance(g.budget.epsilon) for g in groups])
+
+    def centred(v):
+        # Taken about v[0], so that equal values centre to exact zeros.
+        d = v - v[0]
+        return d - np.dot(w, d) / w.sum()
+
+    dm, dc = centred(m), centred(c)
+    sxx = float(np.dot(w, dc * dc))
+    z = float(np.dot(w, dc * dm)) / math.sqrt(sxx) if sxx > 0.0 else 0.0
+    return z, float(np.dot(w, dm * dm))
+
+
 def dap_collect(
     values: np.ndarray,
     attacker_mask: np.ndarray,

@@ -84,6 +84,11 @@ class TestGenBBA:
         with pytest.raises(ValueError, match="non-negative"):
             gen_bba(PoisonSpec(), -1, BUDGET, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [1.5, True, float("nan"), 3.0, "3"])
+    def test_count_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            gen_bba(PoisonSpec(), m, BUDGET, np.random.default_rng(0))
+
     def test_crossing_reference_rejected(self):
         spec = PoisonSpec(range_lo=-0.5, range_hi=C, side="right")
         with pytest.raises(NotBiasedError):
@@ -267,6 +272,11 @@ class TestInputManipulation:
     def test_rejects_out_of_domain_input(self):
         with pytest.raises(DomainError):
             gen_input_manipulation(1.5, 10, BUDGET, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [-1, 2.5, True, float("nan"), "3"])
+    def test_count_must_be_an_integer_at_least_0(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer >= 0"):
+            gen_input_manipulation(1.0, m, BUDGET, np.random.default_rng(0))
 
     def test_no_attackers_draw_nothing(self):
         rng = np.random.default_rng(0)

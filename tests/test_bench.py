@@ -18,7 +18,12 @@ from dapmean.bench import (
     run_experiment,
 )
 from dapmean.mechanism import Budget
-from dapmean.protocol import ConfigurationError, DegenerateFilterError, run_dap
+from dapmean.protocol import (
+    ConfigurationError,
+    DegenerateFilterError,
+    group_mean_statistics,
+    run_dap,
+)
 
 
 class TestDatasets:
@@ -662,6 +667,29 @@ class TestSharedDapRun:
         got = estimates(SIX | {"schemes": schemes})
         solo = solo_dap_estimates()
         assert got == {cell: v for cell, v in solo.items() if cell[0] in schemes}
+
+    def test_dap_records_carry_the_group_mean_statistics(self, tmp_path):
+        out = tmp_path / "six.csv"
+        cfg = ExperimentConfig.from_dict(SIX | {"eps_list": [1.0], "trials": 1, "out": str(out)})
+        res = run_experiment(cfg)
+        ds = build_dataset(cfg.dataset, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+        attack = build_attack(cfg.attack, default_reference=ds.true_mean)
+        children = np.random.SeedSequence(cfg.seed, spawn_key=(1, 0)).spawn(5)
+        n = ds.values.size
+        mask = np.zeros(n, dtype=bool)
+        identity = np.random.default_rng(children[0])
+        mask[identity.choice(n, size=int(cfg.gamma * n), replace=False)] = True
+        rng = np.random.default_rng(children[4])
+        run = run_dap(ds.values, mask, 1.0, min(cfg.eps0, 1.0), attack, rng)
+        z, q = group_mean_statistics(run.groups)
+        diagnostics = {r.scheme: r.diagnostics for r in res.records}
+        for scheme in DAP_SCHEMES:
+            assert (diagnostics[scheme]["slope_z"], diagnostics[scheme]["spread_q"]) == (z, q)
+        for scheme in ("ostrich", "trimming", "baseline"):
+            assert "slope_z" not in diagnostics[scheme]
+        summary = json.loads(out.with_suffix(".json").read_text())
+        cell = next(c for c in summary["cells"] if c["scheme"] == "dap_emf_star")
+        assert cell["diagnostics"][0]["slope_z"] == z
 
     @pytest.mark.parametrize("cemf_first", [True, False])
     def test_a_failing_variant_leaves_its_siblings_draws(self, monkeypatch, cemf_first):

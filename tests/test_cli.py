@@ -137,6 +137,28 @@ class TestProbe:
         assert payload["var_left"] == probe.var_left
         assert payload["var_right"] == probe.var_right
 
+    def test_prints_its_pinned_bytes(self, capsys, tmp_path):
+        # The JSON for a fixed CSV, byte for byte.
+        rng = np.random.default_rng(7)
+        budget = Budget(1.0)
+        c = budget.c_bound
+        honest = pm_perturb(rng.beta(2, 5, 6_000) * 2 - 1, budget, rng)
+        reports = np.concatenate([honest, rng.uniform(0.75 * c, c, 2_000)])
+        p = tmp_path / "reports.csv"
+        p.write_text("\n".join(repr(float(v)) for v in reports) + "\n")
+        code, out, _ = run_cli(capsys, "probe", "--reports", str(p), "--eps", "1")
+        assert code == 0
+        assert out == (
+            "{\n"
+            '  "side": "right",\n'
+            '  "gamma_hat": 0.2643813505380699,\n'
+            '  "m_hat": 2115.0,\n'
+            '  "var_left": 0.012599549003259176,\n'
+            '  "var_right": 0.0015415959942964288,\n'
+            '  "n_reports": 8000\n'
+            "}\n"
+        )
+
     def test_header_row_with_column_index(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
         lines = [repr(float(v)) for v in pm_perturb(rng.uniform(-1, 1, 2_000), Budget(1.0), rng)]

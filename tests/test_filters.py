@@ -10,6 +10,7 @@ from dapmean.filters import (
     HistogramPair,
     InconsistentSuppressionError,
     ObservedCounts,
+    SideProbe,
     attacker_count,
     bucket_counts,
     build_transform,
@@ -510,6 +511,10 @@ class TestProbe:
         assert probe.winning_pair is (
             probe.pair_right if side == "right" else probe.pair_left
         )
+
+    def test_a_probe_is_its_two_fits(self):
+        # The grid and counts belong to the group, not to its probe.
+        assert [f.name for f in dataclasses.fields(SideProbe)] == ["pair_left", "pair_right"]
 
 
 class TestFeatures:

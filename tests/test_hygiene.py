@@ -1,16 +1,21 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so five rules are checked here.  Every
+No linter ships with the project, so six rules are checked here.  Every
 name a module imports must be read somewhere in that module, and only
 ``mechanism.py`` imports ``numbers``: every other module checks outside
 numbers with its ``check_number``.  Every public top-level function or
 class of ``src/dapmean`` must be read by the package, a demo, the
 benchmark or a README example, unless it is on ``TESTED_ONLY``.
 Every public field, property or method of such a class must be read as an
-attribute by those same readers, unless it is on ``UNREAD_MEMBERS``.
+attribute by those same readers, unless it is on ``UNREAD_MEMBERS``; a
+property that only its own class reads through ``self`` is unread.
 ``__init__.py`` is skipped by these rules because its imports are the
 package's exports, not uses.  Every package name and call that README.md's
-prose puts in backticks must be defined in ``src/dapmean``.
+prose puts in backticks must be defined in ``src/dapmean``, and such a call
+with arguments must list its callee's parameter names in order.
+
+Members are matched by bare name, so a member is counted as read when any
+reader loads an attribute of the same name on another object.
 """
 
 import ast
@@ -139,12 +144,41 @@ def public_members(source: str) -> list[tuple[str, str]]:
     return members
 
 
+def own_property_reads(tree: ast.AST) -> set[int]:
+    """Ids of the ``self.p`` loads inside a class whose own ``@property`` is p."""
+    own = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        props = {
+            f.name
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id == "property" for d in f.decorator_list)
+        }
+        own |= {
+            id(node)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in props
+        }
+    return own
+
+
 def read_attributes(source: str) -> set[str]:
-    """Every attribute name the code loads (``f`` in ``obj.f``)."""
+    """Every attribute name the code loads (``f`` in ``obj.f``), except a
+    property its own class reads through ``self``: a property only its own
+    class reads is unread."""
+    tree = ast.parse(source)
+    own = own_property_reads(tree)
     return {
         node.attr
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in own
     }
 
 
@@ -198,6 +232,18 @@ def test_member_scanner():
     assert public_members(source) == [("K", "a"), ("K", "f"), ("K", "p")]
     # Only attribute loads count: ``k.q = 1`` stores q, and a bare ``f`` is a name.
     assert read_attributes("k.q = 1\nx = k.a\nf(k)\n") == {"a"}
+    # A property read only through self in its own class is unread; a field,
+    # a method, or a property read through self in another class is read.
+    source = (
+        "class K:\n"
+        "    @property\n"
+        "    def p(self): return self.a + self.f()\n"
+        "    @property\n"
+        "    def q(self): return self.p\n"
+        "class L:\n"
+        "    def g(self): return self.q\n"
+    )
+    assert read_attributes(source) == {"a", "f", "q"}
 
 
 def test_every_public_member_is_read():
@@ -281,3 +327,87 @@ def test_readme_name_scanner():
 
 def test_readme_names_resolve():
     assert unresolved_readme_names(readme_prose(), package_definitions()) == []
+
+
+def parameter_names(args: ast.arguments) -> list[str]:
+    """A def's parameter names in order; a bare ``*`` names nothing."""
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def dataclass_fields(cls: ast.ClassDef) -> list[str] | None:
+    """The fields a dataclass's constructor takes, in order; None for a
+    class that is not a dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return None
+    # ``field(init=False)`` declares a field that the constructor does not take.
+    return [
+        n.target.id
+        for n in cls.body
+        if isinstance(n, ast.AnnAssign)
+        and isinstance(n.target, ast.Name)
+        and (n.value is None or "init=False" not in ast.unparse(n.value))
+    ]
+
+
+def package_signatures() -> dict[str, list[list[str]]]:
+    """Parameter names of every function, dataclass and method of
+    ``src/dapmean``, under ``name``, ``module.name`` and ``Class.method``;
+    a method's names leave out ``self`` or ``cls``."""
+    sigs = {}
+    for path in (ROOT / "src" / "dapmean").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            params = None
+            if isinstance(node, ast.FunctionDef):
+                params = parameter_names(node.args)
+            elif isinstance(node, ast.ClassDef):
+                params = dataclass_fields(node)
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"):
+                        for key in (f.name, f"{node.name}.{f.name}"):
+                            sigs.setdefault(key, []).append(parameter_names(f.args)[1:])
+            if params is not None:
+                for key in (node.name, f"{path.stem}.{node.name}"):
+                    sigs.setdefault(key, []).append(params)
+    return sigs
+
+def readme_call_mismatches(text: str, sigs: dict[str, list[list[str]]]) -> list[str]:
+    """Backticked calls ``f(a, b=1)`` with arguments, whose callee ``sigs``
+    knows, that do not list the callee's parameter names in order.  A call
+    with a nested call among its arguments is an example, not a signature,
+    and is skipped."""
+    bad = []
+    for callee, args in re.findall(r"`((?:\w+\.)*\w+)\(([^`()]+)\)`", text):
+        key = ".".join(callee.removeprefix("dapmean.").split(".")[-2:])
+        if key not in sigs:
+            continue
+        try:
+            listed = parameter_names(ast.parse(f"def _({args}): pass").body[0].args)
+        except SyntaxError:
+            listed = None
+        if listed not in sigs[key]:
+            bad.append(f"{callee}({' '.join(args.split())})")
+    return bad
+
+
+def test_readme_call_scanner():
+    sigs = {
+        "run": [["values", "rng", "out"]],
+        "protocol.run": [["values", "rng", "out"]],
+        "Plan.members": [["t"]],
+        "members": [["t"]],
+    }
+    text = (
+        "`run(values, rng, *, out=None)`, `dapmean.protocol.run(values,\n  rng, out)`,"
+        " `run(rng, values, out)`, `members(t)`, `Plan.members(k)`, `run(f(x), rng)`,"
+        " `np.sum(a - b)`, `run()`, `run(a - b)`"
+    )
+    assert readme_call_mismatches(text, sigs) == [
+        "run(rng, values, out)",
+        "Plan.members(k)",
+        "run(a - b)",
+    ]
+
+
+def test_readme_calls_list_their_parameters():
+    assert readme_call_mismatches(readme_prose(), package_signatures()) == []

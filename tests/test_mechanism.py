@@ -364,6 +364,11 @@ class TestRepeatedPerturb:
         with pytest.raises(ValueError, match="reps"):
             pm_perturb(np.zeros(3), Budget(1.0), np.random.default_rng(0), reps=0)
 
+    @pytest.mark.parametrize("reps", [1.5, float("nan"), True, 2.0, "2", -1])
+    def test_rejects_reps_that_are_not_counts(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer"):
+            pm_perturb(np.zeros(3), Budget(1.0), np.random.default_rng(0), reps=reps)
+
 
 C1 = Budget(1.0).c_bound
 
@@ -395,6 +400,13 @@ class TestBucketGrid:
         np.testing.assert_array_equal(
             g.input_midpoints, 0.5 * (input_edges[:-1] + input_edges[1:])
         )
+
+    @pytest.mark.parametrize(
+        "n_reports", [float("nan"), float("inf"), 100.5, 100.0, True, "100"]
+    )
+    def test_for_reports_takes_an_integer_count(self, n_reports):
+        with pytest.raises(ValueError, match="^n_reports must be an integer"):
+            BucketGrid.for_reports(n_reports, Budget(1.0))
 
     def test_default_split_is_half(self):
         g = BucketGrid.for_reports(10_000, Budget(1.0))

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from dapmean.attacks import poison_strategy
+from dapmean.bench import gen_beta
 from dapmean.filters import (
     ObservedCounts,
     attacker_count,
@@ -31,6 +33,7 @@ from dapmean.protocol import (
     collect_reports,
     dap_collect,
     dap_plan,
+    group_mean_statistics,
     intra_group_mean,
     ostrich,
     run_dap,
@@ -495,6 +498,63 @@ class TestAggregation:
             weights([1.0], [0.0])
 
 
+def stored_group(eps, report_sum, n_reports):
+    """A group record with the given sum and count; its counts sit in one bucket."""
+    return GroupFilterInput(Budget(eps), report_sum, ObservedCounts(np.array([n_reports, 0.0])))
+
+
+def collected_groups(attack, gamma, seed, n=20_000):
+    """The collected groups of one run (beta(2,5), eps 1, eps0 1/16); no EM runs."""
+    ds = gen_beta(2, 5, n, seed)
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, int(gamma * n), replace=False)] = True
+    plan = dap_plan(n, 1.0, 1.0 / 16.0, rng)
+    return [dap_collect(ds.values, mask, plan, t, attack, rng) for t in range(plan.h)]
+
+
+class TestGroupMeanStatistics:
+    def test_hand_example(self):
+        eps, sums, ns = (1.0, 0.5, 0.25), (10.0, -40.0, 600.0), (100, 200, 400)
+        groups = [stored_group(e, s, n) for e, s, n in zip(eps, sums, ns)]
+        m = np.array([0.1, -0.2, 1.5])
+        c = np.array([Budget(e).c_bound for e in eps])
+        w = np.array([n / worst_case_variance(e) for e, n in zip(eps, ns)])
+        # z is the weighted least-squares slope of m on C over its standard
+        # error; np.polyfit weights the unsquared residuals, hence sqrt(w).
+        slope = np.polyfit(c, m, 1, w=np.sqrt(w))[0]
+        c_bar, m_bar = np.average(c, weights=w), np.average(m, weights=w)
+        sxx = float(np.sum(w * (c - c_bar) ** 2))
+        z, q = group_mean_statistics(groups)
+        assert z == pytest.approx(slope * math.sqrt(sxx), rel=1e-9)
+        assert q == pytest.approx(float(np.sum(w * (m - m_bar) ** 2)), rel=1e-12)
+        assert z > 0  # the mean grows with C
+
+    # In the last two, m - sum(w m) / sum(w) leaves a residue of about 1e-18.
+    @pytest.mark.parametrize(
+        "eps, report_sum, n", [(1.0, 37.0, 100), (0.1, 37.0, 700), (2.0, 0.7, 100)]
+    )
+    def test_one_group_gives_zeros(self, eps, report_sum, n):
+        assert group_mean_statistics([stored_group(eps, report_sum, n)]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_right_poison_gives_a_positive_slope(self, seed):
+        z, _ = group_mean_statistics(collected_groups(poison_strategy(), 0.25, seed))
+        assert z >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_left_poison_gives_a_negative_slope(self, seed):
+        attack = poison_strategy(lo="-C", hi="-0.75*C", side="left")
+        z, _ = group_mean_statistics(collected_groups(attack, 0.1, seed))
+        assert z <= -3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_attack_stays_in_the_null(self, seed):
+        z, q = group_mean_statistics(collected_groups(None, 0.0, seed))
+        assert abs(z) < 3
+        assert q < 18.47  # the chi-square 99.9% quantile at h - 1 = 4 degrees of freedom
+
+
 class TestBaselines:
     def test_ostrich_is_plain_mean(self):
         assert ostrich([1.0, 2.0, 6.0]) == pytest.approx(3.0)
@@ -749,43 +809,45 @@ class TestRefilter:
 
 
 def counting_builds(monkeypatch):
-    """The sides of every transform the protocol builds from now on."""
+    """(side, grid) of every transform the protocol builds from now on."""
     import dapmean.protocol as protocol
 
-    sides = []
+    builds = []
 
     def counting(budget, grid, side):
-        sides.append(side)
+        builds.append((side, grid))
         return build_transform(budget, grid, side=side)
 
     monkeypatch.setattr(protocol, "build_transform", counting)
-    return sides
+    return builds
 
 
 class TestTransformBuilds:
     def test_three_per_group_and_none_on_refilter(self, monkeypatch):
         # Collection builds none.  The probe builds both sides on its first
         # read; the winning side is built once more, when the filter stage
-        # first reads a group's transform.
-        sides = counting_builds(monkeypatch)
+        # first reads a group's transform.  All three sit on the group's grid.
+        builds = counting_builds(monkeypatch)
         rng = np.random.default_rng(17)
         values = rng.uniform(-1, 1, 4_000)
         mask = np.zeros(values.size, dtype=bool)
         mask[:1_000] = True
         plan = dap_plan(values.size, 1.0, 0.25, np.random.default_rng(5))
         g = dap_collect(values, mask, plan, 0, poison_strategy(), np.random.default_rng(5))
-        assert sides == []
+        assert builds == []
         assert g.probe is g.probe
-        assert sides == ["left", "right"]
+        assert [side for side, _ in builds] == ["left", "right"]
         assert g.transform is g.transform
-        assert sides == ["left", "right", g.probe.side]
+        assert [side for side, _ in builds] == ["left", "right", g.probe.side]
+        assert all(grid is g.grid for _, grid in builds)
+        assert g.grid == BucketGrid.for_reports(g.counts.n_reports, g.budget)
 
-        sides.clear()
+        builds.clear()
         res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), np.random.default_rng(5))
-        assert len(sides) == 3 * len(res.groups) == 3 * 4
+        assert len(builds) == 3 * len(res.groups) == 3 * 4
         for variant in VARIANTS:
             res.refilter(variant)
-        assert len(sides) == 3 * len(res.groups)
+        assert len(builds) == 3 * len(res.groups)
 
 
 class TestReplay:
@@ -799,20 +861,20 @@ class TestReplay:
             (g.budget.epsilon, g.report_sum.hex(), [int(c) for c in g.counts.counts])
             for g in run.groups
         ]
-        sides = counting_builds(monkeypatch)
+        builds = counting_builds(monkeypatch)
         groups = tuple(
             GroupFilterInput(Budget(eps), float.fromhex(s), ObservedCounts(counts))
             for eps, s, counts in records
         )
         replay = DapResult(run.eps_total, groups, "emf_star")
-        assert len(sides) == 3 * len(groups)
+        assert len(builds) == 3 * len(groups)
         for variant, want in zip(VARIANTS, wants):
             got = replay.refilter(variant)
             assert got.mean.hex() == want.mean.hex()
             assert [g.mean.hex() for g in got.estimates] == [g.mean.hex() for g in want.estimates]
             assert got.gamma_hat.hex() == want.gamma_hat.hex()
             assert bits(got.aggregate.weights) == bits(want.aggregate.weights)
-        assert len(sides) == 3 * len(groups)
+        assert len(builds) == 3 * len(groups)
 
 
 def failing_on_call(k, exc):
