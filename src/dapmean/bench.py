@@ -343,9 +343,9 @@ def _run_trial(
     values = dataset.values
     n_users = values.size
     m = int(math.floor(config.gamma * n_users))
-    attacker_idx = np.random.default_rng(identity).choice(n_users, size=m, replace=False)
     mask = np.zeros(n_users, dtype=bool)
-    mask[attacker_idx] = True
+    # The drawn indices are not bound, so they are freed before collection.
+    mask[np.random.default_rng(identity).choice(n_users, size=m, replace=False)] = True
     truth = float(values[~mask].mean())
 
     # One shared single-budget collection for the unprotected baselines.

@@ -37,12 +37,23 @@ class TransformMatrix:
     probability 1 in the j-th output bucket of ``grid.poison_slice(side)``,
     one half of the output grid.  ``matrix``
     assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
-    for inspection only; the EM loop works on the block and the slice.
+    for inspection only; the EM loop works on the block and the slice.  A
+    block whose shape is not the grid's ``(d_out, d)``, or a side other than
+    "left" or "right", raises ``ValueError``.
     """
 
     perturbation: np.ndarray
     side: str
     grid: BucketGrid
+
+    def __post_init__(self) -> None:
+        shape = (self.grid.d_out, self.grid.d)
+        if np.shape(self.perturbation) != shape:
+            raise ValueError(
+                f"perturbation must have the grid's shape (d_out, d) = {shape},"
+                f" got shape {np.shape(self.perturbation)}"
+            )
+        self.grid.poison_slice(self.side)  # raises on an unknown side
 
     @property
     def n_poison(self) -> int:
@@ -64,7 +75,6 @@ class TransformMatrix:
 
 def build_transform(budget: Budget, grid: BucketGrid, side: str) -> TransformMatrix:
     """The perturbation block of the grid; the poison side only selects indices."""
-    grid.poison_slice(side)  # raises on an unknown side
     return TransformMatrix(perturbation=perturbation_matrix(budget, grid), side=side, grid=grid)
 
 

@@ -9,6 +9,7 @@ domains, dataset normalization, and the piecewise mechanism itself.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 import operator
@@ -285,16 +286,20 @@ def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalized user values in [-1, 1] and their true mean."""
+    """Normalized user values in [-1, 1]; a value outside raises ``DomainError``."""
 
     values: np.ndarray
-    true_mean: float
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.size and not (v.min() >= -1.0 and v.max() <= 1.0):
             raise DomainError("dataset values must lie in [-1, 1]")
+
+    @functools.cached_property
+    def true_mean(self) -> float:
+        """The values' mean, computed on first read."""
+        return float(self.values.mean())
 
 
 def normalize_dataset(raw) -> Dataset:
@@ -310,4 +315,4 @@ def normalize_dataset(raw) -> Dataset:
     if hi <= lo:
         raise DegenerateRangeError("constant dataset cannot be normalized")
     v = 2.0 * (x - lo) / (hi - lo) - 1.0
-    return Dataset(values=v, true_mean=float(v.mean()))
+    return Dataset(values=v)

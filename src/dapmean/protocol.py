@@ -43,19 +43,45 @@ FILTER_VARIANTS = ("emf", "emf_star", "cemf_star")
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """Group assignment with halving budgets and per-group report multiplicity.
+    """Group assignment with halving budgets.
 
-    ``assignment`` holds one group index per user in the smallest unsigned
-    dtype that fits every index: one byte per user up to 256 groups.
+    ``budgets[t]`` must equal ``budgets[0] / 2^t`` bit for bit, with
+    ``budgets[0]`` a finite number > 0, so that the 2^t reports of each user
+    in group t spend exactly ``budgets[0]``.  ``assignment`` holds one group
+    index in [0, h) per user; ``dap_plan`` stores it in the smallest unsigned
+    dtype that fits every index: one byte per user up to 256 groups.  Any
+    other budgets or assignment raise ``ConfigurationError``.
     """
 
     budgets: np.ndarray  # shape (h,), budgets[t] = eps / 2^t
     assignment: np.ndarray  # shape (N,), group index per user
-    reports_per_user: np.ndarray  # shape (h,), eps / budgets[t]
+
+    def __post_init__(self) -> None:
+        budgets = np.asarray(self.budgets, dtype=float)
+        assignment = np.asarray(self.assignment)
+        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "assignment", assignment)
+        if budgets.ndim != 1 or budgets.size == 0:
+            raise ConfigurationError(f"budgets must be a nonempty 1-D array, got {budgets!r}")
+        try:
+            check_number("budgets[0]", float(budgets[0]), gt=0)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
+        if not np.array_equal(budgets, budgets[0] / np.power(2.0, np.arange(budgets.size))):
+            raise ConfigurationError(f"budgets must halve from budgets[0], got {budgets!r}")
+        if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
+            raise ConfigurationError("assignment must be a 1-D array of integer group indices")
+        if assignment.size and not (assignment.min() >= 0 and assignment.max() < self.h):
+            raise ConfigurationError(f"assignment holds a group index outside [0, {self.h})")
 
     @property
     def h(self) -> int:
         return int(self.budgets.size)
+
+    @property
+    def reports_per_user(self) -> np.ndarray:
+        """2^t reports per user in group t, so every user spends ``budgets[0]``."""
+        return np.power(2, np.arange(self.h))
 
     @property
     def n_users(self) -> int:
@@ -98,15 +124,13 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     h = budgets.size
     if h > n_users:
         raise ConfigurationError(f"{h} groups need at least {h} users, got {n_users}")
-    reports = np.power(2, np.arange(h))
-
     base = n_users // h
     sizes = np.full(h, base)
     sizes[: n_users - base * h] += 1
     # Shuffling a 1-D array takes the same draws whatever its dtype.
     assignment = np.repeat(np.arange(h, dtype=np.min_scalar_type(h - 1)), sizes)
     rng.shuffle(assignment)
-    return GroupPlan(budgets=budgets, assignment=assignment, reports_per_user=reports)
+    return GroupPlan(budgets=budgets, assignment=assignment)
 
 
 def collect_reports(
@@ -268,12 +292,23 @@ def trimming(reports, side: str) -> float:
 @dataclass(frozen=True)
 class GroupFilterInput:
     """What one group hands the filter stage: its budget, report sum and
-    bucket counts on ``grid``.  The grid, the probe and the winning side's
-    transform are built on first read, all on the one ``grid``."""
+    bucket counts on ``grid``.  The probe and the winning side's transform are
+    built on first read, both on the one ``grid``.  A report sum that is not
+    a finite number, or counts without ``grid.d_out`` entries, raise
+    ``ValueError``."""
 
     budget: Budget
     report_sum: float
     counts: ObservedCounts
+
+    def __post_init__(self) -> None:
+        check_number("report_sum", self.report_sum)
+        d_out = self.grid.d_out
+        if self.counts.counts.shape != (d_out,):
+            raise ValueError(
+                f"counts must have the grid's d_out = {d_out} entries,"
+                f" got shape {self.counts.counts.shape}"
+            )
 
     @classmethod
     def from_reports(cls, reports: np.ndarray, budget: Budget) -> GroupFilterInput:
@@ -283,7 +318,8 @@ class GroupFilterInput:
 
     @functools.cached_property
     def grid(self) -> BucketGrid:
-        """``BucketGrid.for_reports(counts.n_reports, budget)``, the counts' grid."""
+        """``BucketGrid.for_reports(counts.n_reports, budget)``, the counts' grid,
+        built at construction."""
         return BucketGrid.for_reports(self.counts.n_reports, self.budget)
 
     @functools.cached_property
@@ -375,10 +411,10 @@ class DapResult:
     transform, probe ones included, is alive at the collector's peak;
     ``refilter`` builds none.  Each group's constrained filter starts from its
     probe pair on the winning side, an EM fixed point at its own poison mass.
-    An unknown variant raises ``ConfigurationError``.
+    The run's total budget is the first group's, eps / 2^0.  An unknown
+    variant raises ``ConfigurationError``.
     """
 
-    eps_total: float
     groups: tuple[GroupFilterInput, ...]
     filter_variant: str
     estimates: list[GroupEstimate] = field(init=False)
@@ -409,7 +445,7 @@ class DapResult:
                     pair.y_hat,
                     g.transform.poison_midpoints,
                     g.budget,
-                    eps_total=self.eps_total,
+                    eps_total=self.groups[0].budget.epsilon,
                     probe=g.probe,
                 )
             )
@@ -465,7 +501,7 @@ def run_dap(
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
     plan = dap_plan(values.size, eps, eps0, rng)
     groups = tuple(dap_collect(values, attacker_mask, plan, t, attack, rng) for t in range(plan.h))
-    return DapResult(eps_total=eps, groups=groups, filter_variant=filter_variant)
+    return DapResult(groups=groups, filter_variant=filter_variant)
 
 
 def baseline_budgets(eps: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from dapmean.filters import (
     InconsistentSuppressionError,
     ObservedCounts,
     SideProbe,
+    TransformMatrix,
     attacker_count,
     bucket_counts,
     build_transform,
@@ -168,6 +169,19 @@ class TestTransform:
         expected[: grid.d_out // 2] = np.eye(t.n_poison)
         np.testing.assert_array_equal(t.matrix[:, grid.d :], expected)
         np.testing.assert_array_equal(t.poison_midpoints, grid.output_midpoints[: grid.d_out // 2])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 2), (3, 6), (6, 3, 1), (18,)])
+    def test_rejects_a_block_of_another_shape(self, shape):
+        # em would run on a 4 x 2 block and return x_hat with 2 entries.
+        grid = BucketGrid(d=3, d_out=6, c_bound=Budget(1.0).c_bound)
+        with pytest.raises(ValueError, match=r"\(d_out, d\) = \(6, 3\), got shape"):
+            TransformMatrix(np.full(shape, 0.25), "right", grid)
+
+    def test_rejects_an_unknown_side(self):
+        budget = Budget(1.0)
+        grid = BucketGrid(d=3, d_out=6, c_bound=budget.c_bound)
+        with pytest.raises(ValueError, match="side"):
+            TransformMatrix(perturbation_matrix(budget, grid), "up", grid)
 
     def test_odd_input_grid(self):
         # Only the output grid splits into side halves, so an odd d works.

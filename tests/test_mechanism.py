@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -503,7 +504,21 @@ class TestTransitionProbs:
 class TestDataset:
     def test_rejects_nan_values(self):
         with pytest.raises(DomainError):
-            Dataset(values=np.array([0.0, math.nan, 0.5]), true_mean=0.0)
+            Dataset(values=np.array([0.0, math.nan, 0.5]))
+
+    def test_true_mean_is_the_values_mean(self):
+        values = np.random.default_rng(3).uniform(-1, 1, 1001)
+        assert Dataset(values=values).true_mean.hex() == float(values.mean()).hex()
+        ds = normalize_dataset(np.random.default_rng(4).beta(2, 5, 999))
+        assert ds.true_mean.hex() == float(ds.values.mean()).hex()
+
+    def test_true_mean_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            Dataset(values=np.array([-1.0, 1.0, 0.5]), true_mean=123.0)
+        ds = Dataset(values=np.array([-1.0, 1.0, 0.5]))
+        with pytest.raises(FrozenInstanceError):
+            ds.true_mean = 123.0
+        assert ds.true_mean == float(np.mean([-1.0, 1.0, 0.5]))
 
 
 class TestNormalize:

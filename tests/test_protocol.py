@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dapmean.protocol import (
     DegenerateFilterError,
     GroupEstimate,
     GroupFilterInput,
+    GroupPlan,
     aggregate_means,
     baseline_run,
     collect_reports,
@@ -135,6 +137,57 @@ class TestPlan:
     def test_rejects_bad_budgets(self, eps, eps0):
         with pytest.raises(ConfigurationError):
             dap_plan(100, eps, eps0, np.random.default_rng(0))
+
+
+class TestPlanRecord:
+    """A GroupPlan stores its budgets and assignment; each group's report
+    multiplicity is derived, so every user spends the plan's whole budget."""
+
+    def test_multiplicity_comes_from_the_budgets(self):
+        plan = GroupPlan(budgets=[1.0, 0.5], assignment=np.repeat([0, 1], 500))
+        np.testing.assert_array_equal(plan.reports_per_user, [1, 2])
+        np.testing.assert_array_equal(plan.budgets * plan.reports_per_user, [1.0, 1.0])
+
+    def test_half_budget_group_reports_twice(self):
+        # 500 users at eps/2 send 1000 reports, so each spends eps.
+        assignment = np.repeat(np.arange(2, dtype=np.uint8), 500)
+        plan = GroupPlan(budgets=[1.0, 0.5], assignment=assignment)
+        values, mask = np.zeros(1000), np.zeros(1000, dtype=bool)
+        g = dap_collect(values, mask, plan, 1, None, np.random.default_rng(0))
+        assert g.counts.n_reports == plan.expected_reports(1) == 1000
+
+    def test_multiplicity_is_not_stored(self):
+        with pytest.raises(TypeError):
+            GroupPlan(budgets=[1.0, 0.5], assignment=np.array([0, 1]), reports_per_user=[1, 1])
+        plan = dap_plan(100, 1.0, 0.25, np.random.default_rng(0))
+        with pytest.raises(FrozenInstanceError):
+            plan.reports_per_user = np.ones(plan.h)
+
+    @pytest.mark.parametrize(
+        "budgets", [[1.0, 0.6], [1.0, 0.5, 0.5], [0.5, 1.0], [1.0, 0.5 + 2.0**-53]]
+    )
+    def test_rejects_budgets_off_the_ladder(self, budgets):
+        with pytest.raises(ConfigurationError, match="halve"):
+            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("budgets", [[0.0], [-1.0, -0.5], [math.nan], [math.inf]])
+    def test_rejects_a_bad_first_budget(self, budgets):
+        with pytest.raises(ConfigurationError, match=r"budgets\[0\]"):
+            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("budgets", [[], [[1.0, 0.5]]])
+    def test_rejects_budgets_of_another_shape(self, budgets):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [[0, 2], [-1, 0], [0.0, 1.0], [[0, 1]], [True, False]],
+        ids=["past-h", "negative", "float", "2-D", "bool"],
+    )
+    def test_rejects_a_bad_assignment(self, assignment):
+        with pytest.raises(ConfigurationError, match="assignment"):
+            GroupPlan(budgets=[1.0, 0.5], assignment=np.array(assignment))
 
 
 def recording_attack(calls):
@@ -499,8 +552,30 @@ class TestAggregation:
 
 
 def stored_group(eps, report_sum, n_reports):
-    """A group record with the given sum and count; its counts sit in one bucket."""
-    return GroupFilterInput(Budget(eps), report_sum, ObservedCounts(np.array([n_reports, 0.0])))
+    """A group record with the given sum and count; its counts, on the group's
+    own grid, sit in one bucket."""
+    counts = np.zeros(BucketGrid.for_reports(n_reports, Budget(eps)).d_out)
+    counts[0] = n_reports
+    return GroupFilterInput(Budget(eps), report_sum, ObservedCounts(counts))
+
+
+class TestGroupRecord:
+    """A group record holds counts on its own grid and a finite report sum."""
+
+    def test_rejects_counts_of_another_grid(self):
+        # 100 reports at eps 1 size a grid of d_out = 10.
+        with pytest.raises(ValueError, match="d_out = 10 entries, got shape \\(2,\\)"):
+            GroupFilterInput(Budget(1.0), 37.0, ObservedCounts(np.array([100.0, 0.0])))
+
+    @pytest.mark.parametrize("report_sum", [math.nan, math.inf, -math.inf, "37", None])
+    def test_rejects_a_bad_report_sum(self, report_sum):
+        counts = stored_group(1.0, 37.0, 100).counts
+        with pytest.raises(ValueError, match="report_sum"):
+            GroupFilterInput(Budget(1.0), report_sum, counts)
+
+    def test_rejects_too_few_reports(self):
+        with pytest.raises(ValueError, match="too few reports"):
+            GroupFilterInput(Budget(1.0), 3.0, ObservedCounts(np.array([10.0, 0.0, 0.0, 0.0])))
 
 
 def collected_groups(attack, gamma, seed, n=20_000):
@@ -866,7 +941,7 @@ class TestReplay:
             GroupFilterInput(Budget(eps), float.fromhex(s), ObservedCounts(counts))
             for eps, s, counts in records
         )
-        replay = DapResult(run.eps_total, groups, "emf_star")
+        replay = DapResult(groups, "emf_star")
         assert len(builds) == 3 * len(groups)
         for variant, want in zip(VARIANTS, wants):
             got = replay.refilter(variant)
@@ -875,6 +950,58 @@ class TestReplay:
             assert got.gamma_hat.hex() == want.gamma_hat.hex()
             assert bits(got.aggregate.weights) == bits(want.aggregate.weights)
         assert len(builds) == 3 * len(groups)
+
+
+class TestRunBudget:
+    def test_is_the_first_groups_budget(self):
+        run = refilter_fixture_run("emf_star")
+        assert "eps_total" not in {f.name for f in fields(DapResult)}
+        with pytest.raises(TypeError):
+            DapResult(eps_total=1.0, groups=run.groups, filter_variant="emf_star")
+        # run_dap's eps is 1.0: n_hat scales each group's honest count by eps_t / eps.
+        assert run.groups[0].budget.epsilon == 1.0
+        for g, est in zip(run.groups, run.estimates):
+            n_hat = max((g.counts.n_reports - est.m_hat) * g.budget.epsilon / 1.0, 0.0)
+            assert est.n_hat == n_hat
+
+
+class TestRecordsAcrossScale:
+    """At each n the collected records pass their checks, spend the whole
+    budget per user, and replay from (epsilon, report-sum hex, integer counts)
+    every variant bit for bit: 3 transform builds per group, none on refilter."""
+
+    @pytest.mark.parametrize("n", [2_000, 20_000, 200_000])
+    def test_collected_groups_replay(self, n, monkeypatch):
+        ds = gen_beta(2, 5, n, n)
+        rng = np.random.default_rng(n)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, n // 4, replace=False)] = True
+        plan = dap_plan(n, 1.0, 1.0 / 16.0, np.random.default_rng(n + 1))
+        run = run_dap(ds.values, mask, 1.0, 1.0 / 16.0, poison_strategy(), np.random.default_rng(n + 1))
+        wants = [run.refilter(variant) for variant in VARIANTS]
+        for t, g in enumerate(run.groups):
+            assert g.budget.epsilon == plan.budgets[t]
+            assert g.counts.n_reports == plan.expected_reports(t)
+            assert g.counts.counts.shape == (g.grid.d_out,)
+            assert g.transform.perturbation.shape == (g.grid.d_out, g.grid.d)
+        records = [
+            (g.budget.epsilon, g.report_sum.hex(), [int(c) for c in g.counts.counts])
+            for g in run.groups
+        ]
+        builds = counting_builds(monkeypatch)
+        groups = tuple(
+            GroupFilterInput(Budget(eps), float.fromhex(s), ObservedCounts(counts))
+            for eps, s, counts in records
+        )
+        replay = DapResult(groups, "emf")
+        assert len(builds) == 3 * plan.h
+        for variant, want in zip(VARIANTS, wants):
+            got = replay.refilter(variant)
+            assert got.mean.hex() == want.mean.hex()
+            assert [g.mean.hex() for g in got.estimates] == [g.mean.hex() for g in want.estimates]
+            assert got.gamma_hat.hex() == want.gamma_hat.hex()
+            assert bits(got.aggregate.weights) == bits(want.aggregate.weights)
+        assert len(builds) == 3 * plan.h
 
 
 def failing_on_call(k, exc):
