@@ -64,7 +64,6 @@ def read_column(path, column) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: empty file")
 
-    idx: int
     start = 0
     if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
         idx = int(column)

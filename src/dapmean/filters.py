@@ -16,7 +16,7 @@ start from an earlier run's histograms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +31,24 @@ class InconsistentSuppressionError(ValueError):
 class TransformMatrix:
     """Bucket transition model ``P x + I_S y`` of one side hypothesis.
 
-    ``perturbation`` is the C-contiguous d_out x d block ``P``: column k holds
+    ``perturbation`` is the C-contiguous d_out x d block ``P``,
+    ``perturbation_matrix(grid)``, built at construction: column k holds
     the output-bucket probabilities of input bucket k.  The poison block
     ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands with
     probability 1 in the j-th output bucket of ``grid.poison_slice(side)``,
     one half of the output grid.  ``matrix``
     assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
     for inspection only; the EM loop works on the block and the slice.  A
-    block whose shape is not the grid's ``(d_out, d)``, or a side other than
-    "left" or "right", raises ``ValueError``.
+    side other than "left" or "right" raises ``ValueError``.
     """
 
-    perturbation: np.ndarray
-    side: str
     grid: BucketGrid
+    side: str
+    perturbation: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        shape = (self.grid.d_out, self.grid.d)
-        if np.shape(self.perturbation) != shape:
-            raise ValueError(
-                f"perturbation must have the grid's shape (d_out, d) = {shape},"
-                f" got shape {np.shape(self.perturbation)}"
-            )
         self.grid.poison_slice(self.side)  # raises on an unknown side
+        object.__setattr__(self, "perturbation", perturbation_matrix(self.grid))
 
     @property
     def n_poison(self) -> int:
@@ -73,9 +68,9 @@ class TransformMatrix:
         return dense
 
 
-def build_transform(budget: Budget, grid: BucketGrid, side: str) -> TransformMatrix:
-    """The perturbation block of the grid; the poison side only selects indices."""
-    return TransformMatrix(perturbation=perturbation_matrix(budget, grid), side=side, grid=grid)
+def build_transform(grid: BucketGrid, side: str) -> TransformMatrix:
+    """The transform of ``side`` on the grid; the side only selects indices."""
+    return TransformMatrix(grid=grid, side=side)
 
 
 @dataclass(frozen=True)
@@ -294,10 +289,10 @@ def probe_side(
     transform_left: TransformMatrix,
     transform_right: TransformMatrix,
     counts: ObservedCounts,
-    tau: float,
 ) -> SideProbe:
-    """Run plain EM under both side hypotheses, left first; the returned
-    ``SideProbe`` decides the side from the two fits."""
+    """Run plain EM under both side hypotheses, left first, to the budget's
+    ``default_tolerance``; the returned ``SideProbe`` decides the side."""
+    tau = default_tolerance(transform_left.grid.budget)
     return SideProbe(
         pair_left=em(transform_left, counts, tau),
         pair_right=em(transform_right, counts, tau),

@@ -209,22 +209,23 @@ class BucketGrid:
     """Uniform discretization of the input and output value domains.
 
     The input domain [-1, 1] is split into ``d`` buckets and the output
-    domain [-C, C] into ``d_out`` buckets.  ``d_out`` is even because side
-    probing splits the output grid into two halves; ``d`` may be any
-    positive count.  A size that is not an integer > 0, an odd ``d_out`` or
-    a ``c_bound`` that is not a number > 1 raises ``ValueError``.
+    domain [-C, C] of ``budget`` into ``d_out`` buckets.  ``d_out`` is even
+    because side probing splits the output grid into two halves; ``d`` may
+    be any positive count.  A size that is not an integer > 0, an odd
+    ``d_out`` or a ``budget`` that is not a ``Budget`` raises ``ValueError``.
     """
 
     d: int
     d_out: int
-    c_bound: float
+    budget: Budget
 
     def __post_init__(self) -> None:
         check_number("d", self.d, integer=True, gt=0)
         check_number("d_out", self.d_out, integer=True, gt=0)
         if self.d_out % 2 != 0:
             raise ValueError(f"d_out must be even, got {self.d_out}")
-        check_number("c_bound", self.c_bound, gt=1)
+        if not isinstance(self.budget, Budget):
+            raise ValueError(f"budget must be a Budget, got {self.budget!r}")
 
     @classmethod
     def for_reports(cls, n_reports: int, budget: Budget) -> "BucketGrid":
@@ -237,7 +238,11 @@ class BucketGrid:
         d_out = max(4, _even_floor(math.sqrt(n_reports)))
         t = math.exp(budget.epsilon / 2.0)
         d = max(2, _even_floor(d_out * (t - 1.0) / (t + 1.0)))
-        return cls(d=d, d_out=d_out, c_bound=budget.c_bound)
+        return cls(d=d, d_out=d_out, budget=budget)
+
+    @property
+    def c_bound(self) -> float:
+        return self.budget.c_bound
 
     @property
     def output_edges(self) -> np.ndarray:
@@ -263,16 +268,14 @@ class BucketGrid:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def perturbation_matrix(budget: Budget, grid: BucketGrid) -> np.ndarray:
+def perturbation_matrix(grid: BucketGrid) -> np.ndarray:
     """The d_out x d matrix of bucket transition probabilities for normal users.
 
     Column k holds the probability that a user whose value is the midpoint
-    of input bucket k reports into each output bucket; every column sums
-    to 1.  A grid built for another budget's C raises ``ValueError``.
+    of input bucket k reports into each output bucket at the grid's budget;
+    every column sums to 1.
     """
-    c = budget.c_bound
-    if grid.c_bound != c:
-        raise ValueError(f"grid spans [-{grid.c_bound}, {grid.c_bound}], the budget's C is {c}")
+    budget, c = grid.budget, grid.c_bound
     lo = budget.low_edge(grid.input_midpoints)
     hi = lo + c - 1.0
     dens_high = budget.high_band_prob / (c - 1.0)

@@ -45,34 +45,37 @@ FILTER_VARIANTS = ("emf", "emf_star", "cemf_star")
 class GroupPlan:
     """Group assignment with halving budgets.
 
-    ``budgets[t]`` must equal ``budgets[0] / 2^t`` bit for bit, with
-    ``budgets[0]`` a finite number > 0, so that the 2^t reports of each user
-    in group t spend exactly ``budgets[0]``.  ``assignment`` holds one group
-    index in [0, h) per user; ``dap_plan`` stores it in the smallest unsigned
-    dtype that fits every index: one byte per user up to 256 groups.  Any
-    other budgets or assignment raise ``ConfigurationError``.
+    ``budgets`` is ``budget_ladder(eps, eps0)``, built on first read, so the
+    2^t reports of each user in group t spend exactly eps.  ``assignment``
+    holds one group index in [0, h) per user; ``dap_plan`` stores it in the
+    smallest unsigned dtype that fits every index: one byte per user up to
+    256 groups.  Besides the ladder's errors, a first or last budget that is
+    not a valid ``Budget``, or any other assignment, raises
+    ``ConfigurationError``.  C falls as the budget rises, so the two ends
+    bound every budget between them.
     """
 
-    budgets: np.ndarray  # shape (h,), budgets[t] = eps / 2^t
+    eps: float
+    eps0: float
     assignment: np.ndarray  # shape (N,), group index per user
 
     def __post_init__(self) -> None:
-        budgets = np.asarray(self.budgets, dtype=float)
         assignment = np.asarray(self.assignment)
-        object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "assignment", assignment)
-        if budgets.ndim != 1 or budgets.size == 0:
-            raise ConfigurationError(f"budgets must be a nonempty 1-D array, got {budgets!r}")
+        budgets = self.budgets
         try:
-            check_number("budgets[0]", float(budgets[0]), gt=0)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
-        if not np.array_equal(budgets, budgets[0] / np.power(2.0, np.arange(budgets.size))):
-            raise ConfigurationError(f"budgets must halve from budgets[0], got {budgets!r}")
+            Budget(float(budgets[0]))
+            Budget(float(budgets[-1]))
+        except ValueError as exc:  # InvalidBudgetError
+            raise ConfigurationError(f"budget_ladder({self.eps}, {self.eps0}): {exc}") from None
         if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
             raise ConfigurationError("assignment must be a 1-D array of integer group indices")
         if assignment.size and not (assignment.min() >= 0 and assignment.max() < self.h):
             raise ConfigurationError(f"assignment holds a group index outside [0, {self.h})")
+
+    @functools.cached_property
+    def budgets(self) -> np.ndarray:
+        return budget_ladder(self.eps, self.eps0)
 
     @property
     def h(self) -> int:
@@ -80,7 +83,7 @@ class GroupPlan:
 
     @property
     def reports_per_user(self) -> np.ndarray:
-        """2^t reports per user in group t, so every user spends ``budgets[0]``."""
+        """2^t reports per user in group t, so every user spends ``eps``."""
         return np.power(2, np.arange(self.h))
 
     @property
@@ -117,11 +120,10 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     """Split users into one equal-sized random group per ``budget_ladder`` budget.
 
     Users in group t report eps/eps_t times so every user spends exactly
-    eps.  Remainder users go to the largest-budget groups.  Besides the
-    ladder's errors, more groups than users raises ``ConfigurationError``.
+    eps.  Remainder users go to the largest-budget groups.  More groups than
+    users, or a ``GroupPlan`` error, raises ``ConfigurationError``.
     """
-    budgets = budget_ladder(eps, eps0)
-    h = budgets.size
+    h = budget_ladder(eps, eps0).size
     if h > n_users:
         raise ConfigurationError(f"{h} groups need at least {h} users, got {n_users}")
     base = n_users // h
@@ -130,7 +132,7 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     # Shuffling a 1-D array takes the same draws whatever its dtype.
     assignment = np.repeat(np.arange(h, dtype=np.min_scalar_type(h - 1)), sizes)
     rng.shuffle(assignment)
-    return GroupPlan(budgets=budgets, assignment=assignment)
+    return GroupPlan(eps=eps, eps0=eps0, assignment=assignment)
 
 
 def collect_reports(
@@ -326,16 +328,15 @@ class GroupFilterInput:
     def probe(self) -> SideProbe:
         """Plain EM on the counts under each side, left first."""
         return probe_side(
-            build_transform(self.budget, self.grid, side="left"),
-            build_transform(self.budget, self.grid, side="right"),
+            build_transform(self.grid, side="left"),
+            build_transform(self.grid, side="right"),
             self.counts,
-            tau=default_tolerance(self.budget),
         )
 
     @functools.cached_property
     def transform(self) -> TransformMatrix:
         """The transform of the probe's winning side."""
-        return build_transform(self.budget, self.grid, side=self.probe.side)
+        return build_transform(self.grid, side=self.probe.side)
 
 
 def group_mean_statistics(groups) -> tuple[float, float]:

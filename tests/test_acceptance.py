@@ -137,8 +137,8 @@ def test_c04_constrained_m_step_is_the_maximizer():
         eps = rng.uniform(0.2, 2.0)
         budget = Budget(eps)
         grid = BucketGrid(d=int(rng.choice([2, 4, 6])), d_out=int(rng.choice([8, 12])),
-                          c_bound=budget.c_bound)
-        transform = build_transform(budget, grid, side="right")
+                          budget=budget)
+        transform = build_transform(grid, side="right")
         m = transform.matrix
         counts_vec = rng.poisson(200, size=grid.d_out).astype(float)
         if counts_vec.sum() == 0:
@@ -208,7 +208,7 @@ def test_c07_suppression_monotonically_recovers_mass():
     """On a d=4, d'=8 instance, suppressing empty poison buckets in any order
     never decreases the mass assigned to normal users plus true poison."""
     budget = Budget(0.5)
-    grid = BucketGrid(d=4, d_out=8, c_bound=budget.c_bound)
+    grid = BucketGrid(d=4, d_out=8, budget=budget)
     rng = np.random.default_rng(0)
     n, gamma = 40_000, 0.25
     m = int(gamma * n)
@@ -216,7 +216,7 @@ def test_c07_suppression_monotonically_recovers_mass():
     c = budget.c_bound
     poison = rng.uniform(0.75 * c, c, m)  # only the top poison bucket
     counts = bucket_counts(np.concatenate([honest, poison]), grid)
-    transform = build_transform(budget, grid, side="right")
+    transform = build_transform(grid, side="right")
     true_set = np.array([3])
     complement = [0, 1, 2]
     for order in itertools.permutations(complement):

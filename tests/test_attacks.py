@@ -339,6 +339,11 @@ class TestEvasionBounds:
         )
         assert delta == pytest.approx(m * a * (c - op) / (m + n))
 
+    @pytest.mark.parametrize("m,n", [(0, 70), (-3, 70), (30, 0)])
+    def test_rejects_no_attackers_or_no_users(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            evasion_bounds(m, n, 0.25, 3.0, 0.1, -0.2)
+
     def test_identity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

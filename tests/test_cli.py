@@ -34,6 +34,15 @@ class TestPlan:
         sizes = [int(line.split("users=")[1].split()[0]) for line in out.splitlines()[1:]]
         assert code == 0 and sum(sizes) == 1001
 
+    def test_the_longest_ladder_at_eps_one(self, capsys):
+        # eps0 = 2^-51: 52 groups, the last at the smallest budget with a finite C.
+        argv = ["plan", "--eps", "1", "--eps0", repr(2.0**-51), "--n", "1000"]
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()[1:]
+        multiplicities = [int(line.split("reports_per_user=")[1].split()[0]) for line in lines]
+        assert code == 0 and out.startswith("h=52\n")
+        assert multiplicities == [2**t for t in range(52)]
+
 
 class TestReduce:
     def test_values_flag(self, capsys):
@@ -158,6 +167,14 @@ class TestProbe:
             '  "n_reports": 8000\n'
             "}\n"
         )
+
+    def test_empty_reports_file(self, capsys, tmp_path):
+        p = tmp_path / "reports.csv"
+        p.write_text("")
+        code, out, err = run_cli(capsys, "probe", "--reports", str(p), "--eps", "1")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "empty file" in payload["message"]
 
     def test_header_row_with_column_index(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
@@ -322,6 +339,15 @@ class TestErrors:
     )
     def test_non_finite_plan_budget_exits_nonzero(self, capsys, eps, eps0):
         code, out, err = run_cli(capsys, "plan", "--eps", eps, "--eps0", eps0, "--n", "10")
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigurationError"
+        assert out == ""
+
+    @pytest.mark.parametrize("eps,eps0", [("1", "1e-25"), ("100", "1")])
+    def test_plan_with_a_budget_without_a_finite_c_above_1_exits_1(self, capsys, eps, eps0):
+        # 1e-25: the last of 85 groups has eps 5.2e-26, and an int64
+        # multiplicity would wrap at group 63; 100: the first group's C is 1.
+        code, out, err = run_cli(capsys, "plan", "--eps", eps, "--eps0", eps0, "--n", "1000")
         assert code == 1
         assert json.loads(err)["error"] == "ConfigurationError"
         assert out == ""

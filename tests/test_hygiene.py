@@ -1,6 +1,6 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so six rules are checked here.  Every
+No linter ships with the project, so seven rules are checked here.  Every
 name a module imports must be read somewhere in that module, and only
 ``mechanism.py`` imports ``numbers``: every other module checks outside
 numbers with its ``check_number``.  Every public top-level function or
@@ -12,7 +12,9 @@ property that only its own class reads through ``self`` is unread.
 ``__init__.py`` is skipped by these rules because its imports are the
 package's exports, not uses.  Every package name and call that README.md's
 prose puts in backticks must be defined in ``src/dapmean``, and such a call
-with arguments must list its callee's parameter names in order.
+with arguments must list its callee's parameter names in order.  A row of
+README.md's error table whose first column names a Python record must name
+only that record's fields or parameters.
 
 Members are matched by bare name, so a member is counted as read when any
 reader loads an attribute of the same name on another object.
@@ -411,3 +413,50 @@ def test_readme_call_scanner():
 
 def test_readme_calls_list_their_parameters():
     assert readme_call_mismatches(readme_prose(), package_signatures()) == []
+
+
+def readme_error_rows(text: str) -> list[tuple[str, list[str]]]:
+    """(record, names) of each table row whose first column names a Python
+    record: the first backticked name before "(Python)" and the backticked
+    names after it, such as ``GroupPlan`` and its fields."""
+    rows = []
+    for line in text.splitlines():
+        first = line.split("|")[1] if line.startswith("|") else ""
+        if "(Python)" in first:
+            names = re.findall(r"`([^`]+)`", first.split("(Python)")[0])
+            rows.append((names[0], names[1:]))
+    return rows
+
+
+def readme_row_mismatches(text: str, sigs: dict[str, list[list[str]]]) -> list[str]:
+    """Error-table rows whose record ``sigs`` does not know, or that name a
+    field or parameter the record does not take."""
+    bad = []
+    for record, names in readme_error_rows(text):
+        if record not in sigs:
+            bad.append(record)
+            continue
+        taken = {name for params in sigs[record] for name in params}
+        bad += [f"{record} {name}" for name in names if name not in taken]
+    return bad
+
+
+def test_readme_row_scanner():
+    sigs = {"Plan": [["eps", "assignment"]], "Grid.sized": [["n"]], "perturb": [["v", "reps"]]}
+    text = (
+        "| Input | Rejected |\n"
+        "|---|---|\n"
+        "| `Plan` `budgets`, `assignment` (Python) | `budgets` off the ladder |\n"
+        "| `Grid.sized` `n` (Python) | `n` < 16 |\n"
+        "| values given to `perturb` (Python), as by `Plan` | NaN |\n"
+        "| `Gone` `x` (Python) | anything |\n"
+        "| `eps_list` entries | not a number |\n"
+        "| `perturb` `reps`, `out` (Python) | 0 |\n"
+    )
+    assert readme_row_mismatches(text, sigs) == ["Plan budgets", "Gone", "perturb out"]
+
+
+def test_readme_error_rows_name_their_records_fields():
+    text = (ROOT / "README.md").read_text()
+    assert len(readme_error_rows(text)) >= 10
+    assert readme_row_mismatches(text, package_signatures()) == []

@@ -14,6 +14,7 @@ from dapmean.mechanism import (
     Budget,
     BucketGrid,
     Dataset,
+    DegenerateRangeError,
     DomainError,
     InvalidBudgetError,
     check_number,
@@ -371,7 +372,7 @@ class TestRepeatedPerturb:
             pm_perturb(np.zeros(3), Budget(1.0), np.random.default_rng(0), reps=reps)
 
 
-C1 = Budget(1.0).c_bound
+B1 = Budget(1.0)
 
 
 class TestBucketGrid:
@@ -414,19 +415,21 @@ class TestBucketGrid:
         assert g.poison_slice("right").start == g.d_out // 2
 
     @pytest.mark.parametrize(
-        "d, d_out, c_bound",
+        "d, d_out, budget",
         [
-            (0, 8, C1), (-2, 8, C1), (4, 7, C1), (4, 0, C1), (2.5, 4, C1), (4, 4.0, C1),
-            (True, 8, C1), (4, "8", C1), (4, 8, 1.0), (4, 8, float("nan")), (4, 8, True),
+            (0, 8, B1), (-2, 8, B1), (4, 7, B1), (4, 0, B1), (2.5, 4, B1), (4, 4.0, B1),
+            (True, 8, B1), (4, "8", B1), (4, 8, 1.0), (4, 8, float("nan")), (4, 8, True),
+            (4, 8, B1.c_bound), (4, 8, None),
         ],
         ids=[
             "d0", "d-neg", "odd-d_out", "d_out0", "d-float", "d_out-float", "d-bool",
-            "d_out-str", "c_bound1", "c_bound-nan", "c_bound-bool",
+            "d_out-str", "c_bound1", "c_bound-nan", "c_bound-bool", "c_bound", "budget-none",
         ],
     )
-    def test_rejects_bad_sizes(self, d, d_out, c_bound):
-        with pytest.raises(ValueError):
-            BucketGrid(d=d, d_out=d_out, c_bound=c_bound)
+    def test_rejects_bad_sizes(self, d, d_out, budget):
+        # A C bound where the Budget goes is not a budget, even a valid C.
+        with pytest.raises(ValueError, match="^(d|d_out|budget) must be"):
+            BucketGrid(d=d, d_out=d_out, budget=budget)
 
     def test_poison_slice_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
@@ -462,15 +465,10 @@ class TestTransitionProbs:
     def test_columns_stochastic(self):
         b = Budget(0.8)
         g = BucketGrid.for_reports(4_000, b)
-        m = perturbation_matrix(b, g)
+        m = perturbation_matrix(g)
         assert m.shape == (g.d_out, g.d)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(m >= 0)
-
-    def test_grid_of_another_budget_rejected(self):
-        # Built for eps=4, the grid spans a narrower [-C, C] than eps=1's.
-        with pytest.raises(ValueError, match="budget's C"):
-            perturbation_matrix(Budget(1.0), BucketGrid.for_reports(10_000, Budget(4.0)))
 
     @pytest.mark.parametrize("eps", [1.0 / 16.0, 0.25, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n_reports", [100, 20_000, 1_000_000])
@@ -479,7 +477,7 @@ class TestTransitionProbs:
         # for bit, so EM results do not move with the construction.
         b = Budget(eps)
         g = BucketGrid.for_reports(n_reports, b)
-        m = perturbation_matrix(b, g)
+        m = perturbation_matrix(g)
         stacked = np.column_stack([transition_column(k, b, g) for k in range(g.d)])
         assert m.flags.c_contiguous
         assert np.array_equal(m, stacked)
@@ -536,3 +534,8 @@ class TestNormalize:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):
             normalize_dataset(np.full(5, 3.0))
+
+    @pytest.mark.parametrize("raw", [[], [3.0]], ids=["no-value", "one-value"])
+    def test_fewer_than_two_values_rejected(self, raw):
+        with pytest.raises(DegenerateRangeError, match="at least 2 values"):
+            normalize_dataset(np.array(raw))

@@ -32,6 +32,7 @@ from dapmean.protocol import (
     GroupPlan,
     aggregate_means,
     baseline_run,
+    budget_ladder,
     collect_reports,
     dap_collect,
     dap_plan,
@@ -83,7 +84,7 @@ class TestPlan:
         [
             (1_000, 0.5, 0.5, 1, np.uint8),
             (100_003, 1.0, 1.0 / 16.0, 5, np.uint8),
-            (10_007, 1.0, 2.0**-300, 301, np.uint16),
+            (10_007, 1.0, 2.0**-51, 52, np.uint8),
         ],
     )
     def test_narrow_assignment_matches_the_int64_plan(self, n, eps, eps0, h, dtype):
@@ -140,45 +141,56 @@ class TestPlan:
 
 
 class TestPlanRecord:
-    """A GroupPlan stores its budgets and assignment; each group's report
-    multiplicity is derived, so every user spends the plan's whole budget."""
+    """A GroupPlan stores eps, eps0 and its assignment; its budgets are
+    ``budget_ladder(eps, eps0)`` and each group's report multiplicity is
+    derived, so every user spends the plan's whole budget."""
 
     def test_multiplicity_comes_from_the_budgets(self):
-        plan = GroupPlan(budgets=[1.0, 0.5], assignment=np.repeat([0, 1], 500))
+        plan = GroupPlan(eps=1.0, eps0=0.5, assignment=np.repeat([0, 1], 500))
         np.testing.assert_array_equal(plan.reports_per_user, [1, 2])
         np.testing.assert_array_equal(plan.budgets * plan.reports_per_user, [1.0, 1.0])
 
     def test_half_budget_group_reports_twice(self):
         # 500 users at eps/2 send 1000 reports, so each spends eps.
         assignment = np.repeat(np.arange(2, dtype=np.uint8), 500)
-        plan = GroupPlan(budgets=[1.0, 0.5], assignment=assignment)
+        plan = GroupPlan(eps=1.0, eps0=0.5, assignment=assignment)
         values, mask = np.zeros(1000), np.zeros(1000, dtype=bool)
         g = dap_collect(values, mask, plan, 1, None, np.random.default_rng(0))
         assert g.counts.n_reports == plan.expected_reports(1) == 1000
 
     def test_multiplicity_is_not_stored(self):
         with pytest.raises(TypeError):
-            GroupPlan(budgets=[1.0, 0.5], assignment=np.array([0, 1]), reports_per_user=[1, 1])
+            GroupPlan(eps=1.0, eps0=0.5, assignment=np.array([0, 1]), reports_per_user=[1, 1])
         plan = dap_plan(100, 1.0, 0.25, np.random.default_rng(0))
         with pytest.raises(FrozenInstanceError):
             plan.reports_per_user = np.ones(plan.h)
 
+    @pytest.mark.parametrize("eps,eps0", [(1.0, 0.5), (2.0, 0.3), (0.7, 0.7), (1.0, 2.0**-51)])
+    def test_budgets_are_the_ladder(self, eps, eps0):
+        plan = GroupPlan(eps=eps, eps0=eps0, assignment=np.zeros(4, dtype=np.uint8))
+        assert np.array_equal(plan.budgets, budget_ladder(eps, eps0))
+        with pytest.raises(TypeError):
+            GroupPlan(eps=eps, eps0=eps0, assignment=np.zeros(4, dtype=np.uint8), budgets=[eps])
+
+    # ``budgets`` holds (eps, eps0); each case's first budget, eps, has no
+    # valid C (or eps0 does not lie below it).
     @pytest.mark.parametrize(
-        "budgets", [[1.0, 0.6], [1.0, 0.5, 0.5], [0.5, 1.0], [1.0, 0.5 + 2.0**-53]]
+        "budgets", [(0.0, 0.0), (-1.0, -2.0), (math.nan, 0.5), (math.inf, 0.5), (100.0, 1.0)]
     )
-    def test_rejects_budgets_off_the_ladder(self, budgets):
-        with pytest.raises(ConfigurationError, match="halve"):
-            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
-
-    @pytest.mark.parametrize("budgets", [[0.0], [-1.0, -0.5], [math.nan], [math.inf]])
     def test_rejects_a_bad_first_budget(self, budgets):
-        with pytest.raises(ConfigurationError, match=r"budgets\[0\]"):
-            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match="eps"):
+            GroupPlan(*budgets, assignment=np.zeros(4, dtype=np.uint8))
 
-    @pytest.mark.parametrize("budgets", [[], [[1.0, 0.5]]])
-    def test_rejects_budgets_of_another_shape(self, budgets):
-        with pytest.raises(ConfigurationError, match="1-D"):
-            GroupPlan(budgets=budgets, assignment=np.zeros(4, dtype=np.uint8))
+    @pytest.mark.parametrize(
+        "eps0",
+        [0.0, -0.5, math.nan, 2.0, 2.0**-52, 1e-25, 2.0**-300],
+        ids=["zero", "negative", "nan", "above-eps", "2^-52", "1e-25", "2^-300"],
+    )
+    def test_rejects_a_bad_last_budget(self, eps0):
+        # From 2^-52 on the last budget has no finite C; 1e-25 (85 groups)
+        # would also wrap the int64 multiplicity at group 63.
+        with pytest.raises(ConfigurationError, match="eps"):
+            GroupPlan(eps=1.0, eps0=eps0, assignment=np.zeros(4, dtype=np.uint8))
 
     @pytest.mark.parametrize(
         "assignment",
@@ -187,7 +199,7 @@ class TestPlanRecord:
     )
     def test_rejects_a_bad_assignment(self, assignment):
         with pytest.raises(ConfigurationError, match="assignment"):
-            GroupPlan(budgets=[1.0, 0.5], assignment=np.array(assignment))
+            GroupPlan(eps=1.0, eps0=0.5, assignment=np.array(assignment))
 
 
 def recording_attack(calls):
@@ -467,7 +479,7 @@ class TestIntraGroupMean:
         mask = np.arange(n) < n // 4
         reports = collect_reports(values, mask, budget, poison_strategy(), rng)
         grid = BucketGrid.for_reports(n, budget)
-        transform = build_transform(budget, grid, side="right")
+        transform = build_transform(grid, side="right")
         pair = em(transform, bucket_counts(reports, grid), tau=1e-4)
         midpoints = transform.poison_midpoints
         est = intra_group_mean(
@@ -648,6 +660,15 @@ class TestBaselines:
         with pytest.raises(ValueError, match="side"):
             trimming(np.arange(10.0), side)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [ostrich, lambda r: trimming(r, "left"), lambda r: trimming(r, "right")],
+        ids=["ostrich", "trimming-left", "trimming-right"],
+    )
+    def test_no_reports_rejected(self, scheme):
+        with pytest.raises(ValueError, match="no reports"):
+            scheme(np.empty(0))
+
     def test_trimming_needs_a_side(self):
         with pytest.raises(TypeError):
             trimming(np.arange(10.0))
@@ -748,7 +769,7 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
     estimates = []
     for (budget, reports), g in zip(groups, inputs):
         probe = g.probe
-        transform = build_transform(budget, g.grid, side=probe.side)
+        transform = build_transform(g.grid, side=probe.side)
         pair = probe.winning_pair
         if variant != "emf":
             suppress = None
@@ -889,9 +910,9 @@ def counting_builds(monkeypatch):
 
     builds = []
 
-    def counting(budget, grid, side):
+    def counting(grid, side):
         builds.append((side, grid))
-        return build_transform(budget, grid, side=side)
+        return build_transform(grid, side=side)
 
     monkeypatch.setattr(protocol, "build_transform", counting)
     return builds
@@ -1212,7 +1233,7 @@ class TestBaselineRun:
         beta = collect_reports(values, mask, b_beta, attack, ref)
         group = GroupFilterInput.from_reports(alpha, b_alpha)
         probe = group.probe
-        transform = build_transform(b_alpha, group.grid, side=probe.side)
+        transform = build_transform(group.grid, side=probe.side)
         est = intra_group_mean(
             beta.sum(), beta.size, probe.winning_pair.y_hat, transform.poison_midpoints, b_beta,
             eps_total=1.0,
