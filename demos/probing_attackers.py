@@ -49,7 +49,7 @@ print(f"estimated attacker report count {m_hat:.0f} (truth {m})")
 
 print()
 print("reconstructed poison histogram, coarsened to eight bands:")
-transform = group.transform
+transform = group.transform(probe.side)
 bands = np.array_split(np.arange(transform.n_poison), 8)
 for idx in bands:
     mids = transform.poison_midpoints[idx]

@@ -38,6 +38,7 @@ from .mechanism import (
 from .protocol import (
     AggregateResult,
     DapResult,
+    Decision,
     GroupEstimate,
     GroupFilterInput,
     GroupPlan,
@@ -45,6 +46,7 @@ from .protocol import (
     baseline_run,
     dap_collect,
     dap_plan,
+    decide,
     group_mean_statistics,
     intra_group_mean,
     ostrich,

@@ -364,7 +364,7 @@ def _run_trial(
             elif scheme == "trimming":
                 est, diag = trimming(single, side=config.attack.get("side", "right")), {}
             else:
-                # A GroupEstimate (baseline) or a DapResult: both carry the probe's side.
+                # A GroupEstimate (baseline) or a DapResult: both carry a side and a gamma_hat.
                 if scheme == "baseline":
                     rng = np.random.default_rng(baseline_child)
                     res = baseline_run(values, mask, epsilon, attack, rng)

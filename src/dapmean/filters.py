@@ -282,7 +282,14 @@ class SideProbe:
 
     @property
     def winning_pair(self) -> HistogramPair:
-        return self.pair_right if self.side == "right" else self.pair_left
+        return self.pair(self.side)
+
+    def pair(self, side: str) -> HistogramPair:
+        """The fit under the ``side`` hypothesis; a side other than "left" or
+        "right" raises ``ValueError``."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self.pair_left if side == "left" else self.pair_right
 
 
 def probe_side(

@@ -102,13 +102,17 @@ def budget_ladder(eps: float, eps0: float) -> np.ndarray:
     """The h = ceil(log2(eps/eps0)) + 1 group budgets eps / 2^t, t = 0 .. h-1.
 
     Budgets halve from eps down to eps0; if eps/eps0 is not a power of two,
-    eps0 is rounded down until it is.  Budgets outside 0 < eps0 <= eps < inf,
-    or a ratio eps/eps0 that overflows, raise ``ConfigurationError``.
+    eps0 is rounded down until it is.  An eps or eps0 that is not a finite
+    number > 0 (``check_number``), budgets outside 0 < eps0 <= eps < inf, or a
+    ratio eps/eps0 that overflows, raise ``ConfigurationError``.
     """
-    if not 0 < eps0 <= eps < math.inf:
-        raise ConfigurationError(
-            f"budgets must satisfy 0 < eps0 <= eps < inf, got eps={eps}, eps0={eps0}"
-        )
+    try:
+        check_number("eps", eps, gt=0)
+        check_number("eps0", eps0, gt=0)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
+    if not eps0 <= eps:
+        raise ConfigurationError(f"budgets must satisfy eps0 <= eps, got eps={eps}, eps0={eps0}")
     ratio = eps / eps0
     if not math.isfinite(ratio):
         raise ConfigurationError(f"eps / eps0 overflows, got eps={eps}, eps0={eps0}")
@@ -121,7 +125,8 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
 
     Users in group t report eps/eps_t times so every user spends exactly
     eps.  Remainder users go to the largest-budget groups.  More groups than
-    users, or a ``GroupPlan`` error, raises ``ConfigurationError``.
+    users, or a ``GroupPlan`` error, raises ``ConfigurationError`` before the
+    assignment is shuffled, so a refused plan draws nothing from ``rng``.
     """
     h = budget_ladder(eps, eps0).size
     if h > n_users:
@@ -129,10 +134,12 @@ def dap_plan(n_users: int, eps: float, eps0: float, rng: np.random.Generator) ->
     base = n_users // h
     sizes = np.full(h, base)
     sizes[: n_users - base * h] += 1
-    # Shuffling a 1-D array takes the same draws whatever its dtype.
+    # The plan's checks do not depend on the assignment's order, so they run
+    # before the shuffle; a 1-D shuffle takes the same draws whatever its dtype.
     assignment = np.repeat(np.arange(h, dtype=np.min_scalar_type(h - 1)), sizes)
-    rng.shuffle(assignment)
-    return GroupPlan(eps=eps, eps0=eps0, assignment=assignment)
+    plan = GroupPlan(eps=eps, eps0=eps0, assignment=assignment)
+    rng.shuffle(plan.assignment)
+    return plan
 
 
 def collect_reports(
@@ -294,14 +301,17 @@ def trimming(reports, side: str) -> float:
 @dataclass(frozen=True)
 class GroupFilterInput:
     """What one group hands the filter stage: its budget, report sum and
-    bucket counts on ``grid``.  The probe and the winning side's transform are
-    built on first read, both on the one ``grid``.  A report sum that is not
-    a finite number, or counts without ``grid.d_out`` entries, raise
+    bucket counts on ``grid``.  The probe is built on first read and a side's
+    transform on first request, both on the one ``grid``.  A report sum that
+    is not a finite number, or counts without ``grid.d_out`` entries, raise
     ``ValueError``."""
 
     budget: Budget
     report_sum: float
     counts: ObservedCounts
+    _transforms: dict[str, TransformMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_number("report_sum", self.report_sum)
@@ -333,10 +343,36 @@ class GroupFilterInput:
             self.counts,
         )
 
-    @functools.cached_property
-    def transform(self) -> TransformMatrix:
-        """The transform of the probe's winning side."""
-        return build_transform(self.grid, side=self.probe.side)
+    def transform(self, side: str) -> TransformMatrix:
+        """The transform of ``side`` on ``grid``, built on first request and
+        kept per side."""
+        if side not in self._transforms:
+            self._transforms[side] = build_transform(self.grid, side=side)
+        return self._transforms[side]
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What a grouped run decides before it filters: the poisoned side that
+    each group's filter removes, in group order, and the attacker
+    proportion γ̂ that EMF* pins and CEMF* suppresses with."""
+
+    sides: tuple[str, ...]
+    gamma_hat: float
+
+
+def decide(groups) -> Decision:
+    """The one decision rule of the filter stage.
+
+    Each group keeps its own probe's side.  γ̂ is the winning fit's poison
+    mass in the smallest-budget (last) group, where the probe sees the most
+    reports per user, capped at 0.999, below 1.  It reads only the groups'
+    probes, which draw nothing, so their order does not matter.
+    """
+    return Decision(
+        sides=tuple(g.probe.side for g in groups),
+        gamma_hat=min(groups[-1].probe.winning_pair.poison_mass, 0.999),
+    )
 
 
 def group_mean_statistics(groups) -> tuple[float, float]:
@@ -405,34 +441,37 @@ def dap_collect(
 class DapResult:
     """A grouped run's groups and the filter variant applied to them.
 
-    Constructing a result runs the filter stage on ``groups``: each group's
-    probe and filter, ``intra_group_mean`` and ``aggregate_means``, which set
+    Constructing a result runs the filter stage on ``groups``: ``decide``,
+    whose record it keeps as ``decision``, then each group's filter on its
+    decided side, ``intra_group_mean`` and ``aggregate_means``, which set
     ``estimates`` and ``aggregate``.  It draws nothing.  Its first run builds
-    each group's probe and transform after the last collection, so no
-    transform, probe ones included, is alive at the collector's peak;
-    ``refilter`` builds none.  Each group's constrained filter starts from its
-    probe pair on the winning side, an EM fixed point at its own poison mass.
-    The run's total budget is the first group's, eps / 2^0.  An unknown
-    variant raises ``ConfigurationError``.
+    each group's probe and decided side's transform after the last
+    collection, so no transform, probe ones included, is alive at the
+    collector's peak; ``refilter`` builds none.  Each group's constrained
+    filter starts from its probe's fit on the decided side, an EM fixed point
+    at its own poison mass.  The run's total budget is the first group's,
+    eps / 2^0.  An unknown variant raises ``ConfigurationError``.
     """
 
     groups: tuple[GroupFilterInput, ...]
     filter_variant: str
+    decision: Decision = field(init=False)
     estimates: list[GroupEstimate] = field(init=False)
     aggregate: AggregateResult = field(init=False)
 
     def __post_init__(self) -> None:
         if self.filter_variant not in FILTER_VARIANTS:
             raise ConfigurationError(f"unknown filter variant {self.filter_variant!r}")
-        gamma_hat, estimates = self.gamma_hat, []
-        for g in self.groups:
-            pair = g.probe.winning_pair
+        decision = decide(self.groups)
+        gamma_hat, estimates = decision.gamma_hat, []
+        for g, side in zip(self.groups, decision.sides, strict=True):
+            pair, transform = g.probe.pair(side), g.transform(side)
             if self.filter_variant != "emf":
                 suppress = None
                 if self.filter_variant == "cemf_star":
                     suppress = suppression_mask(pair.y_hat, gamma_hat)
                 pair = em(
-                    g.transform,
+                    transform,
                     g.counts,
                     default_tolerance(g.budget),
                     gamma=gamma_hat,
@@ -444,12 +483,13 @@ class DapResult:
                     g.report_sum,
                     g.counts.n_reports,
                     pair.y_hat,
-                    g.transform.poison_midpoints,
+                    transform.poison_midpoints,
                     g.budget,
                     eps_total=self.groups[0].budget.epsilon,
                     probe=g.probe,
                 )
             )
+        object.__setattr__(self, "decision", decision)
         object.__setattr__(self, "estimates", estimates)
         object.__setattr__(self, "aggregate", aggregate_means(estimates))
 
@@ -459,17 +499,13 @@ class DapResult:
 
     @property
     def side(self) -> str:
-        """The poisoned side probed in the smallest-budget (last) group."""
-        return self.groups[-1].probe.side
+        """The side decided for the smallest-budget (last) group."""
+        return self.decision.sides[-1]
 
     @property
     def gamma_hat(self) -> float:
-        """The attacker proportion fed to the constrained filters.
-
-        It comes from the smallest-budget (last) group, where the probe sees
-        the most reports per user, capped below 1.
-        """
-        return min(self.groups[-1].probe.winning_pair.poison_mass, 0.999)
+        """The decided attacker proportion fed to the constrained filters."""
+        return self.decision.gamma_hat
 
     def refilter(self, filter_variant: str) -> DapResult:
         """This run's result under another filter variant.
@@ -526,9 +562,10 @@ def baseline_run(
     ``attack_on_alpha=False`` they behave honestly on the probing stream,
     which is the protocol's known flaw.  The poison histogram probed on the
     alpha stream is removed from the beta reports by ``intra_group_mean``,
-    at its bucket midpoints on the alpha grid.  The result is that call's
-    ``GroupEstimate``: the beta budget, the mean, the probed proportion
-    and count, and the alpha probe, whose side ``side`` reads.
+    at its bucket midpoints on the alpha grid, both on the side that
+    ``decide`` gives the alpha stream as a one-group run.  The result is that
+    call's ``GroupEstimate``: the beta budget, the mean, the probed
+    proportion and count, and the alpha probe, whose side ``side`` reads.
     """
     eps_alpha, eps_beta = baseline_budgets(eps)
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
@@ -537,6 +574,7 @@ def baseline_run(
     beta_reports = collect_reports(values, attacker_mask, b_beta, attack, rng)
 
     alpha = GroupFilterInput.from_reports(alpha_reports, b_alpha)
+    (side,) = decide((alpha,)).sides
     # The poison midpoints live on the alpha grid's [-C_alpha, C_alpha] and
     # are subtracted from the beta reports as they are, without mapping to
     # the beta scale.  Beta reports lie on the narrower [-C_beta, C_beta], so
@@ -545,8 +583,8 @@ def baseline_run(
     return intra_group_mean(
         beta_reports.sum(),
         beta_reports.size,
-        alpha.probe.winning_pair.y_hat,
-        alpha.transform.poison_midpoints,
+        alpha.probe.pair(side).y_hat,
+        alpha.transform(side).poison_midpoints,
         b_beta,
         eps_total=eps_alpha + eps_beta,
         probe=alpha.probe,

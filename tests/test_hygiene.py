@@ -1,9 +1,11 @@
 """Source hygiene checks that need only the standard library.
 
-No linter ships with the project, so seven rules are checked here.  Every
+No linter ships with the project, so eight rules are checked here.  Every
 name a module imports must be read somewhere in that module, and only
 ``mechanism.py`` imports ``numbers``: every other module checks outside
-numbers with its ``check_number``.  Every public top-level function or
+numbers with its ``check_number``.  The filter stage's decision has one
+source, ``protocol.decide``: outside it, ``filters.py`` and the probe
+command, no module reads ``winning_pair`` or writes the 0.999 cap.  Every public top-level function or
 class of ``src/dapmean`` must be read by the package, a demo, the
 benchmark or a README example, unless it is on ``TESTED_ONLY``.
 Every public field, property or method of such a class must be read as an
@@ -93,6 +95,68 @@ def test_only_mechanism_imports_numbers():
     sources = sorted((ROOT / "src" / "dapmean").glob("*.py"))
     importers = [p.name for p in sources if "numbers" in imported_modules(p.read_text())]
     assert importers == ["mechanism.py"]
+
+
+# Where a probe's winning fit and the 0.999 cap on gamma_hat may appear:
+# ``decide`` is the decision's one source, ``filters.py`` defines the probe,
+# and ``dapmean probe`` reports one group's probe as it is.
+DECISION_HOMES = {"protocol.decide", "cli._cmd_probe"}
+
+
+def decision_restatements(source: str, module: str) -> list[str]:
+    """``winning_pair`` attributes and 0.999 literals of a ``src/dapmean``
+    module that lie outside ``filters.py`` and the ``DECISION_HOMES``
+    functions."""
+    if module == "filters":
+        return []
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and f"{module}.{fn.name}" in DECISION_HOMES
+        for node in ast.walk(fn)
+    }
+    found = [
+        node
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (
+            isinstance(node, ast.Attribute) and node.attr == "winning_pair"
+            or isinstance(node, ast.Constant) and type(node.value) is float and node.value == 0.999
+        )
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{module} line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_decision_scanner():
+    source = (
+        "def decide(groups):\n"
+        "    return min(groups[-1].probe.winning_pair.poison_mass, 0.999)\n"
+        "class R:\n"
+        "    def gamma_hat(self):\n"
+        "        return min(self.probe.winning_pair.poison_mass, 0.999)\n"
+        "CAP = 0.999\n"
+        "NOTE = '0.999'\n"
+    )
+    assert decision_restatements(source, "protocol") == [
+        "protocol line 5: self.probe.winning_pair",
+        "protocol line 5: 0.999",
+        "protocol line 6: 0.999",
+    ]
+    assert decision_restatements(source, "bench") == [
+        "bench line 2: groups[-1].probe.winning_pair",
+        "bench line 2: 0.999",
+        "bench line 5: self.probe.winning_pair",
+        "bench line 5: 0.999",
+        "bench line 6: 0.999",
+    ]
+    assert decision_restatements(source, "filters") == []
+
+
+def test_the_decision_has_one_source():
+    sources = sorted((ROOT / "src" / "dapmean").glob("*.py"))
+    assert [bad for p in sources for bad in decision_restatements(p.read_text(), p.stem)] == []
 
 
 # Paper constructions that no pipeline runs but the tests exercise.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dapmean.attacks import poison_strategy
-from dapmean.bench import gen_beta
+from dapmean.bench import ExperimentConfig, gen_beta, run_experiment
 from dapmean.filters import (
     ObservedCounts,
     attacker_count,
@@ -26,6 +26,7 @@ from dapmean.mechanism import BucketGrid, Budget, DomainError, pm_perturb, worst
 from dapmean.protocol import (
     ConfigurationError,
     DapResult,
+    Decision,
     DegenerateFilterError,
     GroupEstimate,
     GroupFilterInput,
@@ -36,6 +37,7 @@ from dapmean.protocol import (
     collect_reports,
     dap_collect,
     dap_plan,
+    decide,
     group_mean_statistics,
     intra_group_mean,
     ostrich,
@@ -133,11 +135,33 @@ class TestPlan:
             (1.0, float("-inf")),
             (1e308, 1e-10),
             (1.0, 1e-300),
+            (True, 0.5),
+            (1.0, True),
+            ("1", 0.5),
+            (1.0, "0.5"),
+            (np.array([1.0, 2.0]), 0.5),
+            (1.0, np.array([0.5])),
         ],
     )
     def test_rejects_bad_budgets(self, eps, eps0):
         with pytest.raises(ConfigurationError):
             dap_plan(100, eps, eps0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "eps,eps0,named",
+        [(True, 0.5, "eps"), ("1", 0.5, "eps"), (1.0, np.array([0.5]), "eps0"), (1.0, -1.0, "eps0")],
+    )
+    def test_ladder_names_a_bad_budget(self, eps, eps0, named):
+        with pytest.raises(ConfigurationError, match=f"^{named} must be a finite number > 0, got"):
+            budget_ladder(eps, eps0)
+
+    def test_refused_ladder_end_draws_nothing(self):
+        # eps0 = 1e-25 gives 85 groups, and the last one's C is not finite.
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="budget_ladder"):
+            dap_plan(10_000, 1.0, 1e-25, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestPlanRecord:
@@ -751,6 +775,22 @@ class TestRunDap:
         assert a.mean == b.mean
 
 
+def reference_filter(g, side, gamma_hat, variant):
+    """One group's filter written out: its probe's fit on ``side``, then EMF*
+    or CEMF* from that fit on a fresh transform of ``side``."""
+    transform = build_transform(g.grid, side=side)
+    pair = g.probe.pair(side)
+    if variant != "emf":
+        suppress = None
+        if variant == "cemf_star":
+            suppress = suppression_mask(pair.y_hat, gamma_hat)
+        pair = em(
+            transform, g.counts, default_tolerance(g.budget),
+            gamma=gamma_hat, suppress=suppress, start=pair,
+        )
+    return pair, transform
+
+
 def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
     """run_dap's steps one after another on one thread: the plan, then per
     group honest reports, poison reports and the shuffle, then the probes,
@@ -765,20 +805,10 @@ def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
         rng.shuffle(reports)
         groups.append((budget, reports))
     inputs = [GroupFilterInput.from_reports(reports, budget) for budget, reports in groups]
-    gamma_hat = min(inputs[-1].probe.winning_pair.poison_mass, 0.999)
+    decision = decide(inputs)
     estimates = []
-    for (budget, reports), g in zip(groups, inputs):
-        probe = g.probe
-        transform = build_transform(g.grid, side=probe.side)
-        pair = probe.winning_pair
-        if variant != "emf":
-            suppress = None
-            if variant == "cemf_star":
-                suppress = suppression_mask(pair.y_hat, gamma_hat)
-            pair = em(
-                transform, g.counts, default_tolerance(budget),
-                gamma=gamma_hat, suppress=suppress, start=pair,
-            )
+    for (budget, reports), g, side in zip(groups, inputs, decision.sides):
+        pair, transform = reference_filter(g, side, decision.gamma_hat, variant)
         midpoints = transform.poison_midpoints
         estimates.append(
             intra_group_mean(
@@ -921,8 +951,8 @@ def counting_builds(monkeypatch):
 class TestTransformBuilds:
     def test_three_per_group_and_none_on_refilter(self, monkeypatch):
         # Collection builds none.  The probe builds both sides on its first
-        # read; the winning side is built once more, when the filter stage
-        # first reads a group's transform.  All three sit on the group's grid.
+        # read; the decided side is built once more, when the filter stage
+        # first asks for its transform.  All three sit on the group's grid.
         builds = counting_builds(monkeypatch)
         rng = np.random.default_rng(17)
         values = rng.uniform(-1, 1, 4_000)
@@ -933,8 +963,9 @@ class TestTransformBuilds:
         assert builds == []
         assert g.probe is g.probe
         assert [side for side, _ in builds] == ["left", "right"]
-        assert g.transform is g.transform
-        assert [side for side, _ in builds] == ["left", "right", g.probe.side]
+        side = decide((g,)).sides[0]
+        assert g.transform(side) is g.transform(side)
+        assert [side for side, _ in builds] == ["left", "right", side]
         assert all(grid is g.grid for _, grid in builds)
         assert g.grid == BucketGrid.for_reports(g.counts.n_reports, g.budget)
 
@@ -1000,11 +1031,11 @@ class TestRecordsAcrossScale:
         plan = dap_plan(n, 1.0, 1.0 / 16.0, np.random.default_rng(n + 1))
         run = run_dap(ds.values, mask, 1.0, 1.0 / 16.0, poison_strategy(), np.random.default_rng(n + 1))
         wants = [run.refilter(variant) for variant in VARIANTS]
-        for t, g in enumerate(run.groups):
+        for t, (g, side) in enumerate(zip(run.groups, run.decision.sides)):
             assert g.budget.epsilon == plan.budgets[t]
             assert g.counts.n_reports == plan.expected_reports(t)
             assert g.counts.counts.shape == (g.grid.d_out,)
-            assert g.transform.perturbation.shape == (g.grid.d_out, g.grid.d)
+            assert g.transform(side).perturbation.shape == (g.grid.d_out, g.grid.d)
         records = [
             (g.budget.epsilon, g.report_sum.hex(), [int(c) for c in g.counts.counts])
             for g in run.groups
@@ -1023,6 +1054,70 @@ class TestRecordsAcrossScale:
             assert got.gamma_hat.hex() == want.gamma_hat.hex()
             assert bits(got.aggregate.weights) == bits(want.aggregate.weights)
         assert len(builds) == 3 * plan.h
+
+
+FLIP = {"left": "right", "right": "left"}
+
+
+class TestDecisionIsTheOnlySource:
+    """``decide`` patched to flip every group's side and pin gamma_hat: the
+    filter stage, ``side``, ``gamma_hat``, ``refilter`` and the runner's
+    diagnostics all follow the patched record."""
+
+    PINNED = 0.0625
+
+    def flip_decisions(self, monkeypatch):
+        import dapmean.protocol as protocol
+
+        def flipped(groups):
+            sides = tuple(FLIP[g.probe.side] for g in groups)
+            return Decision(sides=sides, gamma_hat=self.PINNED)
+
+        monkeypatch.setattr(protocol, "decide", flipped)
+
+    def test_filter_stage_reads_the_record(self, monkeypatch):
+        unpatched = refilter_fixture_run("emf_star")
+        self.flip_decisions(monkeypatch)
+        builds = counting_builds(monkeypatch)
+        groups = tuple(
+            GroupFilterInput(g.budget, g.report_sum, ObservedCounts(g.counts.counts))
+            for g in unpatched.groups
+        )
+        res = DapResult(groups, "emf_star")
+        h = len(groups)
+        # Both probe sides per group, then each group's flipped side once.
+        assert [side for side, _ in builds] == ["left", "right"] * h + list(res.decision.sides)
+        assert res.decision.sides == tuple(FLIP[g.probe.side] for g in groups)
+        assert (res.side, res.gamma_hat) == (FLIP[groups[-1].probe.side], self.PINNED)
+        assert res.mean != unpatched.mean
+        for variant in VARIANTS:
+            got = res.refilter(variant)
+            assert (got.side, got.gamma_hat) == (res.side, self.PINNED)
+            for g, est in zip(got.groups, got.estimates):
+                pair, transform = reference_filter(g, FLIP[g.probe.side], self.PINNED, variant)
+                want = intra_group_mean(
+                    g.report_sum, g.counts.n_reports, pair.y_hat,
+                    transform.poison_midpoints, g.budget, got.groups[0].budget.epsilon,
+                )
+                assert est.mean.hex() == want.mean.hex()
+        assert len(builds) == 3 * h
+
+    def test_runner_diagnostics_report_the_record(self, monkeypatch):
+        config = ExperimentConfig(
+            dataset={"type": "beta", "a": 2, "b": 5, "n": 4_000},
+            eps_list=[1.0],
+            eps0=0.25,
+            schemes=["dap_emf", "dap_emf_star", "dap_cemf_star"],
+            trials=2,
+        )
+        before = run_experiment(config).records
+        self.flip_decisions(monkeypatch)
+        after = run_experiment(config).records
+        assert len(after) == len(before) == 6
+        for a, b in zip(after, before):
+            assert "error" not in a.diagnostics
+            assert a.diagnostics["gamma_hat"] == self.PINNED != b.diagnostics["gamma_hat"]
+            assert a.diagnostics["side"] == FLIP[b.diagnostics["side"]]
 
 
 def failing_on_call(k, exc):
