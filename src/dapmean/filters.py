@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import Budget, BucketGrid, check_number, perturbation_matrix
+from .mechanism import Budget, BucketGrid, bin_counts, check_number, perturbation_matrix
 
 
 class InconsistentSuppressionError(ValueError):
@@ -94,20 +94,11 @@ class ObservedCounts:
 def bucket_counts(reports, grid: BucketGrid) -> ObservedCounts:
     """Histogram collected values over the output grid (values clipped to [-C, C]).
 
-    Only input with a value outside [-C, C] is clipped, into a copy; clipping
-    in-range input would copy it unchanged.  A NaN value raises
-    ``ValueError``, since it would land in no bucket.
+    This is ``bin_counts`` over ``grid.output_edges``, whose ends are -C and
+    C: only input with a value outside [-C, C] is clipped, into a copy, and
+    a NaN value raises ``ValueError``, since it would land in no bucket.
     """
-    v = np.asarray(reports, dtype=float)
-    c = grid.c_bound
-    if v.size:
-        lo, hi = v.min(), v.max()  # NaN if any value is NaN
-        if np.isnan(lo):
-            raise ValueError("reports must not be NaN")
-        if lo < -c or hi > c:
-            v = np.clip(v, -c, c)
-    counts, _ = np.histogram(v, bins=grid.output_edges)
-    return ObservedCounts(counts=counts)
+    return ObservedCounts(counts=bin_counts(reports, grid.output_edges))
 
 
 @dataclass(frozen=True)

@@ -107,12 +107,68 @@ PM_BLOCK = 1 << 14
 
 A pass touches about eight block-length float64 arrays, ≈1 MB at this size,
 so they fit a 2 MB L2 cache, and a call peaks about that much above its
-output and its one-byte-per-report in-band mask.  The outputs and the
-generator's final state do not depend on the block size.
+output and its one-byte-per-report in-band mask.  A counting call (``bins``
+given) has no output: it stages each block's final values and histograms
+them ``4 * PM_BLOCK`` at a time (512 KB), so the mask is its only
+full-length array.  The outputs, the counts and the generator's final state
+do not depend on the block size.
 """
 
 
-def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: int = 1):
+def bin_counts(values, bins) -> np.ndarray:
+    """Integer histogram of ``values`` over the ascending edges ``bins``.
+
+    A value outside [bins[0], bins[-1]] is clipped into its end bucket, into
+    a copy; in-range input is not copied.  A NaN value raises
+    ``ValueError``, since it would land in no bucket.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size:
+        lo, hi = v.min(), v.max()  # NaN if any value is NaN
+        if np.isnan(lo):
+            raise ValueError("reports must not be NaN")
+        if lo < bins[0] or hi > bins[-1]:
+            v = np.clip(v, bins[0], bins[-1])
+    counts, _ = np.histogram(v, bins=bins)
+    return counts
+
+
+class _BinTally:
+    """The counts and the sum of values handed over a block at a time.
+
+    Values are staged and histogrammed ``size`` at a time, so ``size`` must
+    hold any one handover: ``np.histogram`` searches for every edge once per
+    call, which costs more than the counting itself on a block's few
+    thousand values.  The sum is the exactly rounded sum of the stages' sums.
+    """
+
+    def __init__(self, bins: np.ndarray, size: int):
+        self.bins = bins
+        self.counts = np.zeros(bins.size - 1, dtype=np.int64)
+        self.sums = []
+        self.staged = np.empty(size)
+        self.n = 0
+
+    def add(self, values: np.ndarray) -> None:
+        if self.n + values.size > self.staged.size:
+            self.flush()
+        self.staged[self.n : self.n + values.size] = values
+        self.n += values.size
+
+    def flush(self) -> None:
+        v = self.staged[: self.n]
+        self.counts += bin_counts(v, self.bins)
+        self.sums.append(v.sum())
+        self.n = 0
+
+    def result(self) -> tuple[np.ndarray, float]:
+        self.flush()
+        return self.counts, math.fsum(self.sums)
+
+
+def pm_perturb(
+    v, budget: Budget, rng: np.random.Generator, *, out=None, reps: int = 1, bins=None
+):
     """Perturb values in [-1, 1] with the piecewise mechanism.
 
     With probability ``e^(eps/2)/(e^(eps/2)+1)`` the output is uniform on
@@ -123,8 +179,10 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
     in-band test, the band position, then the tail position.  Each stream is
     drawn and used in consecutive blocks of about ``PM_BLOCK`` values, which
     return the same doubles as one full-length draw, so the outputs and the
-    generator's final state do not depend on the block size.  Only the
-    output and the in-band mask are full length.
+    generator's final state do not depend on the block size.  The band pass
+    and the tail pass hand each block's final values either to the output
+    or, with ``bins``, to the counts; only the output, when there is one,
+    and the in-band mask are full length.
 
     With ``reps=r`` every value is perturbed r times, in ``np.repeat``
     order: the result equals ``pm_perturb(np.repeat(v, r), ...)`` bit for
@@ -139,11 +197,17 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
         out: optional C-contiguous float64 array of shape ``(v.size * reps,)``
             to write the reports into.
         reps: reports per value, an integer >= 1 (else ``ValueError``).
+        bins: optional 1-D array of at least two ascending bucket edges
+            (else ``ValueError``, as when ``out`` is given too).  The same
+            draws are then counted as they are made, and never held.
 
     Returns:
-        Perturbed value(s) in [-C, C]: ``out`` when given, else an array of
-        the shape of ``v`` (a float for scalar ``v``) when ``reps`` is 1,
-        else a 1-D array of ``v.size * reps`` values.
+        With ``bins``, ``(counts, report_sum)``: ``bin_counts`` of the
+        reports over ``bins`` and the sum of the reports, which the report
+        path's sum equals up to rounding.  Otherwise the perturbed value(s)
+        in [-C, C]: ``out`` when given, else an array of the shape of ``v``
+        (a float for scalar ``v``) when ``reps`` is 1, else a 1-D array of
+        ``v.size * reps`` values.
     """
     arr = np.asarray(v, dtype=float)
     if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
@@ -152,7 +216,16 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
     c = budget.c_bound
     flat = arr.reshape(-1)
     n = flat.size * reps
-    if out is None:
+    step = max(PM_BLOCK // reps, 1) * reps
+    tally = None
+    if bins is not None:
+        bins = np.asarray(bins, dtype=float)
+        if out is not None:
+            raise ValueError("pm_perturb takes out or bins, not both")
+        if bins.ndim != 1 or bins.size < 2 or not np.all(bins[:-1] < bins[1:]):
+            raise ValueError("bins must be a 1-D array of at least two ascending edges")
+        tally = _BinTally(bins, min(n, max(4 * PM_BLOCK, step)))
+    elif out is None:
         result = np.empty(n)
     elif (
         not isinstance(out, np.ndarray)
@@ -163,7 +236,6 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({n},)")
     else:
         result = out
-    step = max(PM_BLOCK // reps, 1) * reps
     blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
     in_band = np.empty(n, dtype=bool)
     buf = np.empty(min(n, step))
@@ -179,9 +251,12 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
 
     # High-probability band: uniform on [l(v), r(v)], written as l(v) + u (C - 1).
     for s in blocks:
-        band = rng.random(out=result[s])
+        band = rng.random(out=result[s] if tally is None else buf[: s.stop - s.start])
         band *= c - 1.0
         band += low_edges(s)
+        if tally is not None:
+            # np.compress, as a boolean index of a block is 3-5x slower.
+            tally.add(np.compress(in_band[s], band))
 
     # Low-probability tails: uniform on [-C, l(v)) U (r(v), C], total length C+1.
     for s in blocks:
@@ -190,8 +265,13 @@ def pm_perturb(v, budget: Budget, rng: np.random.Generator, *, out=None, reps: i
         left_len = low_edges(s) + c
         hi = left_len - 1.0
         tail = np.where(w < left_len, -c + w, hi + (w - left_len))
-        np.copyto(result[s], tail, where=~in_band[s])
+        if tally is None:
+            np.copyto(result[s], tail, where=~in_band[s])
+        else:
+            tally.add(np.compress(~in_band[s], tail))
 
+    if tally is not None:
+        return tally.result()
     if out is not None or reps > 1:
         return result
     if np.isscalar(v):

@@ -27,7 +27,14 @@ from .filters import (
     probe_side,
     suppression_mask,
 )
-from .mechanism import Budget, BucketGrid, check_number, pm_perturb, worst_case_variance
+from .mechanism import (
+    Budget,
+    BucketGrid,
+    bin_counts,
+    check_number,
+    pm_perturb,
+    worst_case_variance,
+)
 
 
 class ConfigurationError(ValueError):
@@ -149,7 +156,9 @@ def collect_reports(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
     reps: int = 1,
-) -> np.ndarray:
+    *,
+    bins=None,
+):
     """One budget's reports: honest reports first, then poison reports.
 
     Honest users perturb their values ``reps`` times each.  Attackers submit
@@ -158,43 +167,57 @@ def collect_reports(
     stream is allocated once: honest reports are written into its head and
     the poison reports into its tail.
 
+    With ``bins``, ascending bucket edges, the same draws are counted as
+    they are made and the result is ``(counts, report_sum)``: ``bin_counts``
+    of the stream over ``bins`` (a NaN refused, values beyond the ends
+    clipped into the end buckets, as ``bucket_counts`` does) and the sum of
+    the unclipped reports, which equals the stream's sum up to rounding.
+    The stream is never held; the attack's draws are the only full-length
+    float array.
+
     Raises:
         ValueError: if the attack does not return exactly ``count * reps``
-            values.
+            values, or, with ``bins``, returns a NaN.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
     n_poison = int(np.count_nonzero(attacker_mask)) * reps
-    out = np.empty(values.size * reps)
-    head, tail = out[: out.size - n_poison], out[out.size - n_poison :]
-    pm_perturb(values[~attacker_mask], budget, rng, out=head, reps=reps)
+    counting = bins is not None
+    out = head = tail = None
+    if not counting:
+        out = np.empty(values.size * reps)
+        head, tail = out[: out.size - n_poison], out[out.size - n_poison :]
+    honest = pm_perturb(values[~attacker_mask], budget, rng, out=head, reps=reps, bins=bins)
     if n_poison and attack is not None:
         poison = np.asarray(attack(n_poison, budget, rng), dtype=float)
         if poison.shape != (n_poison,):
             raise ValueError(
                 f"attack returned an array of shape {poison.shape}, expected ({n_poison},)"
             )
-        tail[:] = poison
+        if counting:
+            poison = bin_counts(poison, bins), float(poison.sum())
+        else:
+            tail[:] = poison
     else:
-        pm_perturb(values[attacker_mask], budget, rng, out=tail, reps=reps)
-    return out
+        poison = pm_perturb(values[attacker_mask], budget, rng, out=tail, reps=reps, bins=bins)
+    if not counting:
+        return out
+    return honest[0] + poison[0], honest[1] + poison[1]
 
 
 @dataclass(frozen=True)
 class GroupEstimate:
-    """Intra-group mean estimate with the estimated attacker proportion and count."""
+    """Intra-group mean estimate with the estimated attacker proportion and
+    count, the side its filter removed poison from (None when no filter
+    ran) and the side probe it came from."""
 
     budget: Budget
     mean: float
     gamma_hat: float
     m_hat: float
     n_hat: float
+    side: str | None = None
     probe: SideProbe | None = None
-
-    @property
-    def side(self) -> str:
-        """The poisoned side that ``probe`` picked."""
-        return self.probe.side
 
 
 def intra_group_mean(
@@ -204,6 +227,7 @@ def intra_group_mean(
     poison_midpoints: np.ndarray,
     budget: Budget,
     eps_total: float,
+    side: str | None = None,
     probe: SideProbe | None = None,
 ) -> GroupEstimate:
     """Group mean with the estimated poison contribution removed.
@@ -212,8 +236,9 @@ def intra_group_mean(
     the sum of the group's N_t reports and divides by the estimated number
     of honest reports N_t - m_hat, with m_hat from ``attacker_count``.  The
     reports themselves are not needed, only ``report_sum`` and
-    ``n_reports`` (N_t).  ``probe`` is the side probe that ``y_hat`` came
-    from; the estimate keeps it, and its ``side`` reads the probe's.
+    ``n_reports`` (N_t).  ``side`` is the side whose poison ``y_hat``
+    holds and ``probe`` the side probe it started from; the estimate keeps
+    both.
     """
     n_t = int(n_reports)
     gamma_hat = float(np.sum(y_hat))
@@ -232,6 +257,7 @@ def intra_group_mean(
         gamma_hat=gamma_hat,
         m_hat=m_hat,
         n_hat=float(n_hat),
+        side=side,
         probe=probe,
     )
 
@@ -413,13 +439,16 @@ def dap_collect(
     attack: AttackStrategy | None,
     rng: np.random.Generator,
 ) -> GroupFilterInput:
-    """Group t's step of the grouped protocol: collect, shuffle and count.
+    """Group t's step of the grouped protocol: collect and count.
 
     Every user in group t submits ``reports_per_user[t]`` reports at the
-    group budget (``collect_reports``).  The reports are shuffled, as the
-    collector receives them; only their sum and bucket counts are kept, so
-    they are freed on return.  A ``t`` that is not an integer in [0, plan.h)
-    raises ``ConfigurationError``.
+    group budget.  ``collect_reports`` counts them on the group's grid,
+    ``BucketGrid.for_reports`` of their number, as they are drawn, so only
+    their bucket counts and sum exist, never the reports.  The collector
+    receives the reports shuffled; the counts and the sum do not read the
+    order, but the shuffle's draws are still taken, so every later draw is
+    the one a shuffle of the reports leaves.  A ``t`` that is not an integer
+    in [0, plan.h) raises ``ConfigurationError``.
     """
     try:
         check_number("t", t, integer=True, ge=0, lt=plan.h)
@@ -432,9 +461,15 @@ def dap_collect(
     budget = Budget(float(plan.budgets[t]))
     reps = int(plan.reports_per_user[t])
     members = plan.group_members(t)
-    reports = collect_reports(values[members], attacker_mask[members], budget, attack, rng, reps)
-    rng.shuffle(reports)
-    return GroupFilterInput.from_reports(reports, budget)
+    n_reports = members.size * reps
+    grid = BucketGrid.for_reports(n_reports, budget)
+    counts, report_sum = collect_reports(
+        values[members], attacker_mask[members], budget, attack, rng, reps, bins=grid.output_edges
+    )
+    # A 1-D shuffle draws the same whatever its items hold, so n_reports
+    # views of one double (stride 0) take the shuffle's draws with no memory.
+    rng.shuffle(np.lib.stride_tricks.as_strided(np.empty(1), (n_reports,), (0,)))
+    return GroupFilterInput(budget, report_sum, ObservedCounts(counts))
 
 
 @dataclass(frozen=True)
@@ -486,6 +521,7 @@ class DapResult:
                     transform.poison_midpoints,
                     g.budget,
                     eps_total=self.groups[0].budget.epsilon,
+                    side=side,
                     probe=g.probe,
                 )
             )
@@ -528,11 +564,12 @@ def run_dap(
 ) -> DapResult:
     """Full grouped run: plan, one ``dap_collect`` per group, then filter.
 
-    Groups run one after another on the caller's thread, so at most one
-    group's reports exist at a time.  The returned ``DapResult`` runs the
-    filter stage on the groups; that stage draws nothing, so the result's
-    ``refilter`` gives the other variants of the same run.  An unknown
-    variant raises ``ConfigurationError`` before any collection.
+    Groups run one after another on the caller's thread, and each group's
+    reports are counted as they are drawn, so none are ever held.  The
+    returned ``DapResult`` runs the filter stage on the groups; that stage
+    draws nothing, so the result's ``refilter`` gives the other variants of
+    the same run.  An unknown variant raises ``ConfigurationError`` before
+    any collection.
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
@@ -565,7 +602,7 @@ def baseline_run(
     at its bucket midpoints on the alpha grid, both on the side that
     ``decide`` gives the alpha stream as a one-group run.  The result is that
     call's ``GroupEstimate``: the beta budget, the mean, the probed
-    proportion and count, and the alpha probe, whose side ``side`` reads.
+    proportion and count, the decided side and the alpha probe.
     """
     eps_alpha, eps_beta = baseline_budgets(eps)
     b_alpha, b_beta = Budget(eps_alpha), Budget(eps_beta)
@@ -587,5 +624,6 @@ def baseline_run(
         alpha.transform(side).poison_midpoints,
         b_beta,
         eps_total=eps_alpha + eps_beta,
+        side=side,
         probe=alpha.probe,
     )

@@ -10,15 +10,17 @@ import math
 import numpy as np
 import pytest
 
+from dapmean import protocol
 from dapmean.attacks import (
     PoisonSpec,
     evasion_bounds,
     evasive_strategy,
     gen_bba,
+    poison_strategy,
     reduce_gba_to_bba,
 )
 from dapmean.bench import ExperimentConfig, ExperimentResult, gen_beta, run_experiment
-from dapmean.filters import bucket_counts, build_transform, em
+from dapmean.filters import InconsistentSuppressionError, bucket_counts, build_transform, em
 from dapmean.mechanism import (
     Budget,
     BucketGrid,
@@ -386,3 +388,25 @@ def test_gate_baseline_beats_ostrich():
     )
     lost = _lost_to_ostrich(run_experiment(cfg), ("baseline",))
     assert not lost, f"n=100000 gamma=0.25 uniform: {lost}"
+
+
+@roadmap_gate(12)
+def test_gate_cemf_star_filters_on_a_decided_side(monkeypatch):
+    """CEMF* runs when a group's decided side is not its probe's, as item
+    12a decides: with every side flipped and gamma_hat pinned at 0.0625,
+    refilter("cemf_star") gives a finite mean instead of refusing the run."""
+    flip = {"left": "right", "right": "left"}
+
+    def flipped(groups):
+        return protocol.Decision(tuple(flip[g.probe.side] for g in groups), 0.0625)
+
+    monkeypatch.setattr(protocol, "decide", flipped)
+    values = np.random.default_rng(17).uniform(-1, 1, 4_000)
+    mask = np.zeros(values.size, dtype=bool)
+    mask[:1_000] = True
+    res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), np.random.default_rng(5))
+    try:
+        mean = res.refilter("cemf_star").mean
+    except InconsistentSuppressionError as exc:
+        raise AssertionError(f"cemf_star refused the flipped sides: {exc}") from None
+    assert np.isfinite(mean)

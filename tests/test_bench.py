@@ -622,12 +622,15 @@ class TestSharedDapRun:
 
     # ostrich, trimming, baseline and dap_emf_star estimates of SIX, recorded
     # when each DAP scheme drew from its own stream: sharing the DAP run
-    # leaves them bit-identical.
+    # leaves them bit-identical.  The dap_emf_star cells were recorded again
+    # when collection began to count each group's reports as they are drawn,
+    # on the same draws: only the report sums round differently, and one
+    # cell moved by 1 ulp.
     PINNED = {
         ("ostrich", 1.0, 0): "0x1.505dc097b186cp-1",
         ("trimming", 1.0, 0): "-0x1.84e1cdd840f20p+0",
         ("baseline", 1.0, 0): "0x1.6b025d789d857p-1",
-        ("dap_emf_star", 1.0, 0): "0x1.09def91a31665p+0",
+        ("dap_emf_star", 1.0, 0): "0x1.09def91a31666p+0",
         ("ostrich", 1.0, 1): "0x1.5ac9f1b6aa038p-1",
         ("trimming", 1.0, 1): "-0x1.81ad3773378a8p+0",
         ("baseline", 1.0, 1): "0x1.6335841a15f70p-1",

@@ -306,19 +306,75 @@ class TestBlockedPerturb:
         assert peak <= 2 * out.nbytes
 
     @pytest.mark.parametrize(
-        "n,reps", [(70_000, 1), (1_000_000, 1), (15_000, 16)], ids=["70k", "1M", "15k-users-x16"]
+        "n,reps,counted",
+        [
+            pytest.param(n, reps, counted, id=name + ("-counted" if counted else ""))
+            for counted in (False, True)
+            for n, reps, name in ((70_000, 1, "70k"), (1_000_000, 1, "1M"), (15_000, 16, "15k-users-x16"))
+        ],
     )
-    def test_peak_memory_above_the_output_is_the_mask_and_one_block(self, n, reps):
+    def test_peak_memory_above_the_output_is_the_mask_and_one_block(self, n, reps, counted):
         # Above the output, only the in-band mask (one byte per report) is
         # full length; the block temporaries stay under 1.5 MB at any size.
+        # A counting call has no output, and stages 4 * PM_BLOCK doubles.
         v = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        budget = Budget(1.0 / 16.0)
+        bins = BucketGrid.for_reports(n * reps, budget).output_edges if counted else None
         tracemalloc.start()
         try:
-            out = pm_perturb(v, Budget(1.0 / 16.0), np.random.default_rng(1), reps=reps)
+            out = pm_perturb(v, budget, np.random.default_rng(1), reps=reps, bins=bins)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= out.size + 1_500_000
+        above = 4 * PM_BLOCK * 8 if counted else out.nbytes
+        assert peak - above <= n * reps + 1_500_000
+
+
+class TestCountedPerturb:
+    """``pm_perturb`` with ``bins`` counts the reports it would return, on
+    the same draws, at every block size and with blocks of any length."""
+
+    @pytest.mark.parametrize(
+        "block,reps,n",
+        at_block_sizes(
+            pytest.param(1, 2 * BIG_BLOCK + 3, id="1"),
+            pytest.param(3, 30_000, id="3"),
+            pytest.param(16, 4_097, id="16"),
+            pytest.param(8 * BIG_BLOCK, 2, id="longer-than-a-stage"),
+        ),
+    )
+    def test_counts_the_reports(self, block, reps, n, monkeypatch):
+        monkeypatch.setattr(mechanism, "PM_BLOCK", block)
+        v = np.random.default_rng(reps).uniform(-1.0, 1.0, n)
+        budget = Budget(0.5)
+        # Edges inside [-C, C], so that reports beyond the ends are clipped.
+        bins = np.linspace(-0.9 * budget.c_bound, 0.9 * budget.c_bound, 101)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        counts, report_sum = pm_perturb(v, budget, rng, reps=reps, bins=bins)
+        reports = pm_perturb(v, budget, ref_rng, reps=reps)
+        expect, _ = np.histogram(np.clip(reports, bins[0], bins[-1]), bins=bins)
+        np.testing.assert_array_equal(counts, expect)
+        assert abs(report_sum - reports.sum()) <= reports.size * 2.0**-52 * np.abs(reports).sum()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "bins",
+        [[0.0], [[0.0, 1.0], [2.0, 3.0]], [1.0, 0.0], [0.0, 0.0, 1.0], [0.0, np.nan]],
+        ids=["one-edge", "2d", "descending", "repeated", "nan"],
+    )
+    def test_rejects_bins_before_drawing(self, bins):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^bins must be"):
+            pm_perturb(np.zeros(3), Budget(1.0), rng, bins=bins)
+        assert rng.bit_generator.state == state
+
+    def test_rejects_bins_with_out(self):
+        with pytest.raises(ValueError, match="out or bins"):
+            pm_perturb(
+                np.zeros(3), Budget(1.0), np.random.default_rng(0), out=np.empty(3),
+                bins=[-1.0, 1.0],
+            )
 
 
 class TestRepeatedPerturb:

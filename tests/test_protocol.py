@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from dapmean.attacks import poison_strategy
+from dapmean.attacks import evasive_strategy, input_manipulation_strategy, poison_strategy
 from dapmean.bench import ExperimentConfig, gen_beta, run_experiment
 from dapmean.filters import (
     ObservedCounts,
@@ -353,6 +353,76 @@ class TestPinnedCollectBits:
         assert (bits(out), rng.random().hex()) == self.PINS[(n, reps, attacked)]
 
 
+COUNTED_ATTACKS = {
+    "uniform": poison_strategy(),
+    "gaussian": poison_strategy(dist="gaussian"),
+    "point": poison_strategy(dist="point"),
+    "input": input_manipulation_strategy(0.5),
+    "evasive": evasive_strategy(),
+    "honest": None,  # attackers perturb their own values
+}
+
+
+class TestCountingPath:
+    """``collect_reports`` with ``bins`` against the report path on the same
+    draws: 20 000 users, a quarter of them attackers, so the honest reports
+    span several perturbation blocks and, at 16 reports per user, several
+    histogram stages."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.values = rng.uniform(-1.0, 1.0, 20_000)
+        self.mask = rng.random(20_000) < 0.25
+
+    @pytest.mark.parametrize("reps", [1, 2, 16])
+    @pytest.mark.parametrize("kind", list(COUNTED_ATTACKS))
+    def test_counts_the_report_streams_draws(self, kind, reps):
+        budget, attack = Budget(1.0 / reps), COUNTED_ATTACKS[kind]
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        reports = collect_reports(self.values, self.mask, budget, attack, ref_rng, reps)
+        grid = BucketGrid.for_reports(reports.size, budget)
+        counts, report_sum = collect_reports(
+            self.values, self.mask, budget, attack, got_rng, reps, bins=grid.output_edges
+        )
+        np.testing.assert_array_equal(counts, bucket_counts(reports, grid).counts)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        # Each sum is within n * 2^-53 * sum|r| of the exact one, so the two
+        # differ by at most n * eps * sum|r|.
+        bound = reports.size * np.finfo(float).eps * np.abs(reports).sum()
+        assert abs(report_sum - reports.sum()) <= bound
+
+    def test_a_nan_report_is_refused(self):
+        def strategy(count, budget, rng):
+            return np.where(np.arange(count) == count // 2, np.nan, budget.c_bound)
+
+        grid = BucketGrid.for_reports(self.values.size, Budget(1.0))
+        with pytest.raises(ValueError, match="NaN"):
+            collect_reports(
+                self.values, self.mask, Budget(1.0), strategy, np.random.default_rng(0),
+                bins=grid.output_edges,
+            )
+
+    def test_reports_beyond_c_land_in_the_end_buckets(self):
+        def strategy(count, budget, rng):
+            return np.where(np.arange(count) % 2 == 0, -2.0, 2.0) * budget.c_bound
+
+        budget = Budget(1.0)
+        n_poison = int(np.count_nonzero(self.mask))
+        grid = BucketGrid.for_reports(self.values.size, budget)
+        counts, _ = collect_reports(
+            self.values, self.mask, budget, strategy, np.random.default_rng(0),
+            bins=grid.output_edges,
+        )
+        # The honest reports are drawn first, so the same generator gives them alone.
+        honest, _ = collect_reports(
+            self.values[~self.mask], np.zeros(self.values.size - n_poison, bool), budget,
+            None, np.random.default_rng(0), bins=grid.output_edges,
+        )
+        poison = np.zeros(grid.d_out, dtype=np.int64)
+        poison[0], poison[-1] = (n_poison + 1) // 2, n_poison // 2
+        np.testing.assert_array_equal(counts, honest + poison)
+
+
 def collect_all(values, mask, plan, attack, rng):
     return [dap_collect(values, mask, plan, t, attack, rng) for t in range(plan.h)]
 
@@ -432,6 +502,28 @@ class TestCollect:
             assert g.report_sum.hex() == reports.sum().hex()
             np.testing.assert_array_equal(g.counts.counts, counts.counts)
             assert rng.random() == ref.random()
+
+    def test_peak_memory_below_the_stream_it_does_not_build(self):
+        # The eps/16 group of 320 000 users: 64 000 users x 16 reports.  Its
+        # collection counts the reports as they are drawn, so it peaks below
+        # the 8 bytes per report their stream would take; the attack's draws
+        # (a quarter of the reports) and the in-band mask are its largest
+        # arrays.
+        rng = np.random.default_rng(3)
+        n = 320_000
+        values = rng.uniform(-1.0, 1.0, n)
+        mask = rng.random(n) < 0.25
+        plan = dap_plan(n, 1.0, 1.0 / 16.0, rng)
+        t = plan.h - 1
+        assert plan.reports_per_user[t] == 16
+        tracemalloc.start()
+        try:
+            g = dap_collect(values, mask, plan, t, poison_strategy(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.counts.n_reports == plan.expected_reports(t)
+        assert peak < 8 * g.counts.n_reports
 
     @pytest.mark.parametrize("t", [-1, 3, 1.5, True, "0"])
     def test_bad_group_index_rejected(self, t):
@@ -793,26 +885,29 @@ def reference_filter(g, side, gamma_hat, variant):
 
 def sequential_run_dap(values, mask, eps, eps0, attack, rng, variant):
     """run_dap's steps one after another on one thread: the plan, then per
-    group honest reports, poison reports and the shuffle, then the probes,
-    filters, group means and their aggregate."""
+    group its reports counted on its grid and the draws of their shuffle
+    (taken by shuffling as many doubles), then the probes, filters, group
+    means and their aggregate."""
     plan = dap_plan(values.size, eps, eps0, rng)
-    groups = []
+    inputs = []
     for t in range(plan.h):
         members = plan.group_members(t)
         budget = Budget(float(plan.budgets[t]))
         reps = int(plan.reports_per_user[t])
-        reports = collect_reports(values[members], mask[members], budget, attack, rng, reps)
-        rng.shuffle(reports)
-        groups.append((budget, reports))
-    inputs = [GroupFilterInput.from_reports(reports, budget) for budget, reports in groups]
+        grid = BucketGrid.for_reports(members.size * reps, budget)
+        counts, report_sum = collect_reports(
+            values[members], mask[members], budget, attack, rng, reps, bins=grid.output_edges
+        )
+        rng.shuffle(np.empty(members.size * reps))
+        inputs.append(GroupFilterInput(budget, report_sum, ObservedCounts(counts)))
     decision = decide(inputs)
     estimates = []
-    for (budget, reports), g, side in zip(groups, inputs, decision.sides):
+    for g, side in zip(inputs, decision.sides):
         pair, transform = reference_filter(g, side, decision.gamma_hat, variant)
         midpoints = transform.poison_midpoints
         estimates.append(
             intra_group_mean(
-                reports.sum(), reports.size, pair.y_hat, midpoints, budget, eps
+                g.report_sum, g.counts.n_reports, pair.y_hat, midpoints, g.budget, eps
             )
         )
     return aggregate_means(estimates), estimates
@@ -834,8 +929,8 @@ class TestRunDapReplay:
         assert got_rng.random() == ref_rng.random()
 
     def test_a_late_shuffle_still_ends_before_its_group_is_read(self):
-        # Each shuffle starts 20 ms late: the group's probe, its mean and the
-        # next group's draws must still see the shuffled reports, in order.
+        # Each shuffle starts 20 ms late: the next group's draws, and so every
+        # group's counts and mean, must still come after it, in order.
         class LateShuffle(np.random.Generator):
             def shuffle(self, x, axis=0):
                 time.sleep(0.02)
@@ -1093,6 +1188,9 @@ class TestDecisionIsTheOnlySource:
         for variant in VARIANTS:
             got = res.refilter(variant)
             assert (got.side, got.gamma_hat) == (res.side, self.PINNED)
+            # Each estimate records the side its filter removed, not its probe's.
+            assert [est.side for est in got.estimates] == list(got.decision.sides)
+            assert [est.probe.side for est in got.estimates] == [g.probe.side for g in groups]
             for g, est in zip(got.groups, got.estimates):
                 pair, transform = reference_filter(g, FLIP[g.probe.side], self.PINNED, variant)
                 want = intra_group_mean(
@@ -1101,6 +1199,17 @@ class TestDecisionIsTheOnlySource:
                 )
                 assert est.mean.hex() == want.mean.hex()
         assert len(builds) == 3 * h
+
+    def test_baseline_estimate_carries_its_decided_side(self, monkeypatch):
+        values = np.random.default_rng(5).uniform(-1, 1, 8_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:2_000] = True
+        before = baseline_run(values, mask, 1.0, poison_strategy(), np.random.default_rng(42))
+        self.flip_decisions(monkeypatch)
+        after = baseline_run(values, mask, 1.0, poison_strategy(), np.random.default_rng(42))
+        assert after.probe.side == before.probe.side == before.side
+        assert after.side == FLIP[before.side]
+        assert after.mean != before.mean
 
     def test_runner_diagnostics_report_the_record(self, monkeypatch):
         config = ExperimentConfig(
@@ -1227,8 +1336,11 @@ def bits(a):
 class TestPinnedBits:
     """Bits of the side probe and of the EMF variant, recorded before the EM
     loop wrote into preallocated buffers.  That rewrite keeps every operation
-    and its order, so it must reproduce them exactly.  Recorded with numpy
-    2.4 on x86-64 OpenBLAS; another BLAS build may round differently."""
+    and its order, so it must reproduce them exactly.  The run_dap means were
+    recorded again when collection began to count each group's reports as
+    they are drawn: the draws, and so the next draw, did not move, and only
+    the report sums round differently.  Recorded with numpy 2.4 on x86-64
+    OpenBLAS; another BLAS build may round differently."""
 
     PROBES = {
         1.0: {
@@ -1258,14 +1370,14 @@ class TestPinnedBits:
         mask = np.zeros(values.size, dtype=bool)
         mask[rng.choice(values.size, 5_000, replace=False)] = True
         res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), rng, "emf")
-        assert res.mean.hex() == "-0x1.f642164de7e9ep-2"
+        assert res.mean.hex() == "-0x1.f642164de7e9dp-2"
 
     # run_dap means of every variant and the generator's next draw after the
     # call.
     RUN_DAP = {
-        "emf": "-0x1.f642164de7e9ep-2",
+        "emf": "-0x1.f642164de7e9dp-2",
         "emf_star": "-0x1.12f3f263673c7p-1",
-        "cemf_star": "-0x1.4a9e3162ae9aap-1",
+        "cemf_star": "-0x1.4a9e3162ae9a9p-1",
     }
     NEXT_DRAW = "0x1.efb8c89c46945p-1"
 
