@@ -31,7 +31,6 @@ from .mechanism import (
     Budget,
     Dataset,
     normalize_dataset,
-    perturbation_matrix,
     pm_perturb,
     worst_case_variance,
 )

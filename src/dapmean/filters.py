@@ -16,11 +16,11 @@ start from an earlier run's histograms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import Budget, BucketGrid, bin_counts, check_number, perturbation_matrix
+from .mechanism import Budget, BucketGrid, bin_counts, check_number
 
 
 class InconsistentSuppressionError(ValueError):
@@ -29,26 +29,23 @@ class InconsistentSuppressionError(ValueError):
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Bucket transition model ``P x + I_S y`` of one side hypothesis.
+    """Bucket transition model ``P x + I_S y`` of one side: its grid and side.
 
-    ``perturbation`` is the C-contiguous d_out x d block ``P``,
-    ``perturbation_matrix(grid)``, built at construction: column k holds
-    the output-bucket probabilities of input bucket k.  The poison block
-    ``I_S`` is implied by ``side`` and ``grid``: poison entry j lands with
-    probability 1 in the j-th output bucket of ``grid.poison_slice(side)``,
-    one half of the output grid.  ``matrix``
-    assembles the dense d_out x (d + p) form ``[P | I_S]`` on every access,
-    for inspection only; the EM loop works on the block and the slice.  A
-    side other than "left" or "right" raises ``ValueError``.
+    ``P`` is ``grid.perturbation``, the grid's one read-only d_out x d block,
+    which every transform on the grid shares.  The poison block ``I_S`` is
+    implied by ``side`` and ``grid``: poison entry j lands with probability
+    1 in the j-th output bucket of ``grid.poison_slice(side)``, one half of
+    the output grid.  ``matrix`` assembles the dense d_out x (d + p) form
+    ``[P | I_S]`` on every access, for inspection only; the EM loop works on
+    the block and the slice.  A side other than "left" or "right" raises
+    ``ValueError``.
     """
 
     grid: BucketGrid
     side: str
-    perturbation: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.grid.poison_slice(self.side)  # raises on an unknown side
-        object.__setattr__(self, "perturbation", perturbation_matrix(self.grid))
 
     @property
     def n_poison(self) -> int:
@@ -63,13 +60,13 @@ class TransformMatrix:
     def matrix(self) -> np.ndarray:
         d, p = self.grid.d, self.n_poison
         dense = np.zeros((self.grid.d_out, d + p))
-        dense[:, :d] = self.perturbation
+        dense[:, :d] = self.grid.perturbation
         np.fill_diagonal(dense[self.grid.poison_slice(self.side), d:], 1.0)
         return dense
 
 
 def build_transform(grid: BucketGrid, side: str) -> TransformMatrix:
-    """The transform of ``side`` on the grid; the side only selects indices."""
+    """The transform of ``side`` on the grid; it builds no array."""
     return TransformMatrix(grid=grid, side=side)
 
 
@@ -157,7 +154,7 @@ def em(
     check_number("max_iter", max_iter, integer=True, ge=1)
     if gamma is not None and not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    block = transform.perturbation
+    block = transform.grid.perturbation
     block_t = block.T
     sl = transform.grid.poison_slice(transform.side)
     d_out, d = block.shape

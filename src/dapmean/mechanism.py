@@ -293,6 +293,7 @@ class BucketGrid:
     because side probing splits the output grid into two halves; ``d`` may
     be any positive count.  A size that is not an integer > 0, an odd
     ``d_out`` or a ``budget`` that is not a ``Budget`` raises ``ValueError``.
+    Every transform on a grid shares its one read-only ``perturbation`` block.
     """
 
     d: int
@@ -329,14 +330,28 @@ class BucketGrid:
         return np.linspace(-self.c_bound, self.c_bound, self.d_out + 1)
 
     @property
-    def input_midpoints(self) -> np.ndarray:
-        e = np.linspace(-1.0, 1.0, self.d + 1)
-        return 0.5 * (e[:-1] + e[1:])
-
-    @property
     def output_midpoints(self) -> np.ndarray:
         e = self.output_edges
         return 0.5 * (e[:-1] + e[1:])
+
+    @functools.cached_property
+    def perturbation(self) -> np.ndarray:
+        """The read-only d_out x d block of bucket transition probabilities
+        for normal users, built on first read: column k holds the probability
+        that a user whose value is the midpoint of input bucket k reports into
+        each output bucket at the grid's budget; every column sums to 1."""
+        budget, c = self.budget, self.c_bound
+        e = np.linspace(-1.0, 1.0, self.d + 1)
+        lo = budget.low_edge(0.5 * (e[:-1] + e[1:]))
+        hi = lo + c - 1.0
+        dens_high = budget.high_band_prob / (c - 1.0)
+        dens_low = (1.0 - budget.high_band_prob) / (c + 1.0)
+        edges = self.output_edges
+        a, b = edges[:-1, None], edges[1:, None]
+        overlap = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
+        probs = np.clip(overlap * dens_high + (b - a - overlap) * dens_low, 0.0, 1.0)
+        probs.flags.writeable = False
+        return probs
 
     def poison_slice(self, side: str) -> slice:
         """The poison block as a slice of the output grid: its right or left half."""
@@ -346,25 +361,6 @@ class BucketGrid:
         if side == "left":
             return slice(0, half)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def perturbation_matrix(grid: BucketGrid) -> np.ndarray:
-    """The d_out x d matrix of bucket transition probabilities for normal users.
-
-    Column k holds the probability that a user whose value is the midpoint
-    of input bucket k reports into each output bucket at the grid's budget;
-    every column sums to 1.
-    """
-    budget, c = grid.budget, grid.c_bound
-    lo = budget.low_edge(grid.input_midpoints)
-    hi = lo + c - 1.0
-    dens_high = budget.high_band_prob / (c - 1.0)
-    dens_low = (1.0 - budget.high_band_prob) / (c + 1.0)
-    edges = grid.output_edges
-    a, b = edges[:-1, None], edges[1:, None]
-    overlap = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
-    probs = overlap * dens_high + (b - a - overlap) * dens_low
-    return np.clip(probs, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,14 @@ def collect_reports(
     float array.
 
     Raises:
-        ValueError: if the attack does not return exactly ``count * reps``
-            values, or, with ``bins``, returns a NaN.
+        ValueError: if ``values`` is not 1-D or ``attacker_mask`` does not
+            have its shape, if the attack does not return exactly
+            ``count * reps`` values, or, with ``bins``, returns a NaN.
     """
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
+    if values.ndim != 1 or attacker_mask.shape != values.shape:
+        raise ValueError("values must be 1-D and attacker_mask of its shape")
     n_poison = int(np.count_nonzero(attacker_mask)) * reps
     counting = bins is not None
     out = head = tail = None
@@ -327,10 +330,10 @@ def trimming(reports, side: str) -> float:
 @dataclass(frozen=True)
 class GroupFilterInput:
     """What one group hands the filter stage: its budget, report sum and
-    bucket counts on ``grid``.  The probe is built on first read and a side's
-    transform on first request, both on the one ``grid``.  A report sum that
-    is not a finite number, or counts without ``grid.d_out`` entries, raise
-    ``ValueError``."""
+    bucket counts on ``grid``.  The probe (built on first read) and each
+    side's transform (on first request) share ``grid`` and its one block.
+    A report sum that is not a finite number, or counts without
+    ``grid.d_out`` entries, raise ``ValueError``."""
 
     budget: Budget
     report_sum: float
@@ -448,7 +451,8 @@ def dap_collect(
     receives the reports shuffled; the counts and the sum do not read the
     order, but the shuffle's draws are still taken, so every later draw is
     the one a shuffle of the reports leaves.  A ``t`` that is not an integer
-    in [0, plan.h) raises ``ConfigurationError``.
+    in [0, plan.h), or ``values`` or ``attacker_mask`` of another shape than
+    ``(plan.n_users,)``, raises ``ConfigurationError``.
     """
     try:
         check_number("t", t, integer=True, ge=0, lt=plan.h)
@@ -456,8 +460,8 @@ def dap_collect(
         raise ConfigurationError(str(exc)) from None
     values = np.asarray(values, dtype=float)
     attacker_mask = np.asarray(attacker_mask, dtype=bool)
-    if values.size != plan.n_users or attacker_mask.size != plan.n_users:
-        raise ConfigurationError("plan does not cover all users")
+    if values.shape != (plan.n_users,) or attacker_mask.shape != values.shape:
+        raise ConfigurationError(f"values and attacker_mask must have shape ({plan.n_users},)")
     budget = Budget(float(plan.budgets[t]))
     reps = int(plan.reports_per_user[t])
     members = plan.group_members(t)
@@ -481,11 +485,12 @@ class DapResult:
     decided side, ``intra_group_mean`` and ``aggregate_means``, which set
     ``estimates`` and ``aggregate``.  It draws nothing.  Its first run builds
     each group's probe and decided side's transform after the last
-    collection, so no transform, probe ones included, is alive at the
-    collector's peak; ``refilter`` builds none.  Each group's constrained
-    filter starts from its probe's fit on the decided side, an EM fixed point
-    at its own poison mass.  The run's total budget is the first group's,
-    eps / 2^0.  An unknown variant raises ``ConfigurationError``.
+    collection, and no perturbation block exists until the first EM read,
+    so none is alive at the collector's peak; ``refilter`` builds none.
+    Each group's constrained filter starts from its probe's fit on the
+    decided side, an EM fixed point at its own poison mass.  The run's total
+    budget is the first group's, eps / 2^0.  An unknown variant raises
+    ``ConfigurationError``.
     """
 
     groups: tuple[GroupFilterInput, ...]
@@ -573,6 +578,7 @@ def run_dap(
     """
     if filter_variant not in FILTER_VARIANTS:
         raise ConfigurationError(f"unknown filter variant {filter_variant!r}")
+    values = np.asarray(values, dtype=float)
     plan = dap_plan(values.size, eps, eps0, rng)
     groups = tuple(dap_collect(values, attacker_mask, plan, t, attack, rng) for t in range(plan.h))
     return DapResult(groups=groups, filter_variant=filter_variant)

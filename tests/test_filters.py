@@ -20,7 +20,7 @@ from dapmean.filters import (
     probe_side,
     suppression_mask,
 )
-from dapmean.mechanism import Budget, BucketGrid, perturbation_matrix, pm_perturb
+from dapmean.mechanism import Budget, BucketGrid, pm_perturb
 
 
 def make_setup(eps=2.0, n=20_000, seed=0, gamma=0.25, lo_frac=0.5, hi_frac=1.0):
@@ -72,7 +72,7 @@ def production_counts(grid, budget, seed=5):
     upper quarter of the output range (no report-level simulation needed)."""
     rng = np.random.default_rng(seed)
     x = rng.dirichlet(np.linspace(1.0, 4.0, grid.d)) * 0.75
-    mix = perturbation_matrix(grid) @ x
+    mix = grid.perturbation @ x
     top = grid.d_out - grid.d_out // 4
     mix[top:] += 0.25 / (grid.d_out - top)
     n = grid.d_out**2
@@ -140,10 +140,11 @@ class TestStructuredKernel:
 class TestTransform:
     def test_block_is_contiguous_and_dense_view_embeds_it(self):
         budget, grid, _, transform, _ = make_setup()
-        assert transform.perturbation.shape == (grid.d_out, grid.d)
-        assert transform.perturbation.flags.c_contiguous
-        np.testing.assert_array_equal(transform.matrix[:, : grid.d], transform.perturbation)
-        np.testing.assert_array_equal(transform.perturbation, perturbation_matrix(grid))
+        assert transform.grid is grid
+        assert grid.perturbation.shape == (grid.d_out, grid.d)
+        assert grid.perturbation.flags.c_contiguous
+        np.testing.assert_array_equal(transform.matrix[:, : grid.d], grid.perturbation)
+        assert [f.name for f in dataclasses.fields(TransformMatrix)] == ["grid", "side"]
 
     def test_shape_and_blocks(self):
         budget, grid, _, transform, _ = make_setup()
@@ -181,7 +182,7 @@ class TestTransform:
         budget = Budget(1.0)
         grid = BucketGrid(d=5, d_out=8, budget=budget)
         transform = build_transform(grid, side="right")
-        np.testing.assert_allclose(transform.perturbation.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(transform.grid.perturbation.sum(axis=0), 1.0, atol=1e-12)
         rng = np.random.default_rng(0)
         counts = bucket_counts(pm_perturb(rng.uniform(-1, 1, 2_000), budget, rng), grid)
         pair = em(transform, counts, tau=1e-6)

@@ -19,7 +19,6 @@ from dapmean.mechanism import (
     InvalidBudgetError,
     check_number,
     normalize_dataset,
-    perturbation_matrix,
     pm_perturb,
     worst_case_variance,
 )
@@ -455,9 +454,6 @@ class TestBucketGrid:
         assert g.output_edges[-1] == pytest.approx(b.c_bound)
         assert input_edges.size == g.d + 1
         assert g.output_edges.size == g.d_out + 1
-        np.testing.assert_array_equal(
-            g.input_midpoints, 0.5 * (input_edges[:-1] + input_edges[1:])
-        )
 
     @pytest.mark.parametrize(
         "n_reports", [float("nan"), float("inf"), 100.5, 100.0, True, "100"]
@@ -501,10 +497,16 @@ class TestBucketGrid:
         assert right[0] == half and left[-1] == half - 1
 
 
+def input_midpoint(grid: BucketGrid, k: int) -> float:
+    """Midpoint of input bucket k, from the same edges the grid's block uses."""
+    e = np.linspace(-1.0, 1.0, grid.d + 1)
+    return (0.5 * (e[:-1] + e[1:]))[k]
+
+
 def transition_column(input_bucket: int, budget: Budget, grid: BucketGrid) -> np.ndarray:
-    """Oracle for one column of ``perturbation_matrix``: all d_out transition
+    """Oracle for one column of ``grid.perturbation``: all d_out transition
     probabilities of one input bucket's midpoint, written per column."""
-    v = grid.input_midpoints[input_bucket]
+    v = input_midpoint(grid, input_bucket)
     c = budget.c_bound
     lo = float(budget.low_edge(v))
     hi = lo + c - 1.0
@@ -521,7 +523,7 @@ class TestTransitionProbs:
     def test_columns_stochastic(self):
         b = Budget(0.8)
         g = BucketGrid.for_reports(4_000, b)
-        m = perturbation_matrix(g)
+        m = g.perturbation
         assert m.shape == (g.d_out, g.d)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(m >= 0)
@@ -533,10 +535,22 @@ class TestTransitionProbs:
         # for bit, so EM results do not move with the construction.
         b = Budget(eps)
         g = BucketGrid.for_reports(n_reports, b)
-        m = perturbation_matrix(g)
+        m = g.perturbation
         stacked = np.column_stack([transition_column(k, b, g) for k in range(g.d)])
         assert m.flags.c_contiguous
         assert np.array_equal(m, stacked)
+
+    def test_block_is_built_once_and_read_only(self):
+        g = BucketGrid.for_reports(4_000, Budget(0.8))
+        m = g.perturbation
+        assert g.perturbation is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+        # An equal grid is another record with its own block, of equal values.
+        twin = BucketGrid(g.d, g.d_out, g.budget)
+        assert twin == g and twin.perturbation is not m
+        np.testing.assert_array_equal(twin.perturbation, m)
 
     def test_matches_monte_carlo(self):
         # Oracle: empirical perturbation frequencies of a bucket midpoint.
@@ -545,7 +559,7 @@ class TestTransitionProbs:
         rng = np.random.default_rng(42)
         n = 400_000
         for k in (0, g.d // 2, g.d - 1):
-            v = g.input_midpoints[k]
+            v = input_midpoint(g, k)
             out = pm_perturb(np.full(n, v), b, rng)
             hist, _ = np.histogram(out, bins=g.output_edges)
             emp = hist / n

@@ -45,6 +45,9 @@ from dapmean.protocol import (
     trimming,
 )
 
+SHAPE_ERROR = r"^values and attacker_mask must have shape"
+COLLECT_SHAPE_ERROR = r"^values must be 1-D and attacker_mask of its shape"
+
 
 class TestPlan:
     def test_group_count_and_budgets(self):
@@ -290,6 +293,22 @@ class TestCollectReports:
             collect_reports(
                 self.values, self.mask, self.budget, strategy, np.random.default_rng(0), reps=2
             )
+
+    @pytest.mark.parametrize("bins", [None, "grid"], ids=["reports", "counts"])
+    @pytest.mark.parametrize("case", ["values-2d", "mask-short", "mask-long"])
+    def test_inputs_must_be_one_user_per_entry(self, case, bins):
+        values, mask = self.values, self.mask
+        if case == "values-2d":
+            values, mask = values.reshape(20, 25), mask.reshape(20, 25)
+        else:
+            mask = mask[1:] if case == "mask-short" else np.append(mask, True)
+        if bins == "grid":
+            bins = BucketGrid.for_reports(500, self.budget).output_edges
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=COLLECT_SHAPE_ERROR):
+            collect_reports(values, mask, self.budget, poison_strategy(), rng, bins=bins)
+        assert rng.bit_generator.state == state
 
     def test_peak_memory_within_one_and_three_quarter_outputs(self):
         # Honest and poison reports are written into one preallocated stream:
@@ -537,6 +556,20 @@ class TestCollect:
         for t in range(plan.h):
             with pytest.raises(ConfigurationError):
                 dap_collect(self.values, np.zeros(self.n, bool), plan, t, None, self.rng)
+
+    @pytest.mark.parametrize("case", ["values", "mask"])
+    def test_inputs_must_have_the_plans_shape(self, case):
+        # One entry per user, but in two dimensions: the sizes match the plan.
+        plan = dap_plan(self.n, 1.0, 0.25, self.rng)
+        values, mask = self.values, np.zeros(self.n, bool)
+        if case == "values":
+            values = values.reshape(40, 100)
+        else:
+            mask = mask.reshape(40, 100)
+        state = self.rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=SHAPE_ERROR + r" \(4000,\)"):
+            dap_collect(values, mask, plan, 0, None, self.rng)
+        assert self.rng.bit_generator.state == state
 
 
 class TestIntraGroupMean:
@@ -854,6 +887,20 @@ class TestRunDap:
         res = run_dap(values, mask, 0.5, 0.25, poison_strategy(), rng, variant)
         assert np.isfinite(res.mean)
 
+    def test_list_values_run_as_their_array(self):
+        values = np.random.default_rng(5).uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        got = run_dap(list(values), mask, 1.0, 0.25, poison_strategy(), np.random.default_rng(3))
+        want = run_dap(values, mask, 1.0, 0.25, poison_strategy(), np.random.default_rng(3))
+        assert got.mean.hex() == want.mean.hex()
+
+    def test_two_dimensional_values_rejected(self):
+        # 40 x 100 values are as many as a 4000-user plan's users, but not 1-D.
+        values = np.random.default_rng(5).uniform(-1, 1, (40, 100))
+        with pytest.raises(ConfigurationError, match=SHAPE_ERROR):
+            run_dap(values, np.zeros(4_000, bool), 1.0, 0.25, None, np.random.default_rng(0))
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
             run_dap(np.zeros(10), np.zeros(10, bool), 1.0, 0.5, None,
@@ -1030,24 +1077,39 @@ class TestRefilter:
 
 
 def counting_builds(monkeypatch):
-    """(side, grid) of every transform the protocol builds from now on."""
+    """(side, record) of every transform the protocol builds from now on."""
     import dapmean.protocol as protocol
 
     builds = []
 
     def counting(grid, side):
-        builds.append((side, grid))
-        return build_transform(grid, side=side)
+        record = build_transform(grid, side=side)
+        builds.append((side, record))
+        return record
 
     monkeypatch.setattr(protocol, "build_transform", counting)
     return builds
+
+
+def counting_blocks(monkeypatch):
+    """Every grid that computes its perturbation block from now on."""
+    prop = BucketGrid.__dict__["perturbation"]
+    computed = []
+
+    def counting(grid, build=prop.func):
+        computed.append(grid)
+        return build(grid)
+
+    monkeypatch.setattr(prop, "func", counting)
+    return computed
 
 
 class TestTransformBuilds:
     def test_three_per_group_and_none_on_refilter(self, monkeypatch):
         # Collection builds none.  The probe builds both sides on its first
         # read; the decided side is built once more, when the filter stage
-        # first asks for its transform.  All three sit on the group's grid.
+        # first asks for its transform.  All three records hold the group's
+        # grid.
         builds = counting_builds(monkeypatch)
         rng = np.random.default_rng(17)
         values = rng.uniform(-1, 1, 4_000)
@@ -1061,7 +1123,7 @@ class TestTransformBuilds:
         side = decide((g,)).sides[0]
         assert g.transform(side) is g.transform(side)
         assert [side for side, _ in builds] == ["left", "right", side]
-        assert all(grid is g.grid for _, grid in builds)
+        assert all(record.grid is g.grid for _, record in builds)
         assert g.grid == BucketGrid.for_reports(g.counts.n_reports, g.budget)
 
         builds.clear()
@@ -1070,6 +1132,38 @@ class TestTransformBuilds:
         for variant in VARIANTS:
             res.refilter(variant)
         assert len(builds) == 3 * len(res.groups)
+
+    def test_one_read_only_block_per_group(self, monkeypatch):
+        # The three records share their grid's one block: collection computes
+        # none, the probe's first EM read computes it, and nothing after that
+        # computes another, refilters included.
+        builds = counting_builds(monkeypatch)
+        blocks = counting_blocks(monkeypatch)
+        rng = np.random.default_rng(17)
+        values = rng.uniform(-1, 1, 4_000)
+        mask = np.zeros(values.size, dtype=bool)
+        mask[:1_000] = True
+        plan = dap_plan(values.size, 1.0, 0.25, np.random.default_rng(5))
+        g = dap_collect(values, mask, plan, 0, poison_strategy(), np.random.default_rng(5))
+        assert blocks == []
+        side = decide((g,)).sides[0]
+        assert blocks == [g.grid]
+        g.transform(side)
+        assert [s for s, _ in builds] == ["left", "right", side]
+        assert all(record.grid is g.grid for _, record in builds)
+        block = g.grid.perturbation
+        assert block is g.grid.perturbation and not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+        assert blocks == [g.grid]
+
+        blocks.clear()
+        res = run_dap(values, mask, 1.0, 0.125, poison_strategy(), np.random.default_rng(5))
+        assert len(blocks) == len(res.groups) == 4
+        assert all(grid is g.grid for grid, g in zip(blocks, res.groups))
+        for variant in VARIANTS:
+            res.refilter(variant)
+        assert len(blocks) == len(res.groups)
 
 
 class TestReplay:
@@ -1130,7 +1224,7 @@ class TestRecordsAcrossScale:
             assert g.budget.epsilon == plan.budgets[t]
             assert g.counts.n_reports == plan.expected_reports(t)
             assert g.counts.counts.shape == (g.grid.d_out,)
-            assert g.transform(side).perturbation.shape == (g.grid.d_out, g.grid.d)
+            assert g.transform(side).grid.perturbation.shape == (g.grid.d_out, g.grid.d)
         records = [
             (g.budget.epsilon, g.report_sum.hex(), [int(c) for c in g.counts.counts])
             for g in run.groups
@@ -1413,6 +1507,11 @@ class TestBaselineRun:
         for pair in (res.probe.pair_left, res.probe.pair_right):
             assert (pair.x_hat.size, pair.y_hat.size) == (grid.d, grid.d_out // 2)
         assert (res.side, res.gamma_hat) == (res.probe.side, res.probe.winning_pair.poison_mass)
+
+    def test_mask_of_another_length_rejected(self):
+        values = np.random.default_rng(5).uniform(-1, 1, 8_000)
+        with pytest.raises(ValueError, match=COLLECT_SHAPE_ERROR):
+            baseline_run(values, np.zeros(7_999, bool), 1.0, None, np.random.default_rng(42))
 
     def test_deterministic_given_seed(self):
         values = np.random.default_rng(5).uniform(-1, 1, 8_000)
